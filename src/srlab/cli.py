@@ -3,7 +3,10 @@
 Subcommands: verify, potential, gamma, weyl, spectrum, thinness.  Every run
 echoes its fully resolved configuration (defaults included) into the output
 header, CSV numbers carry 17 significant digits, JSON numbers are raw
-doubles, and identical seeded invocations produce byte-identical output.
+doubles (infinities as the strings "inf"/"-inf"; a NaN bound for JSON
+output is a validation failure), and identical seeded invocations produce
+byte-identical output.  `spectrum` reports `iterations` as the number of
+operator applications of the eigensolver.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence,
 64 usage errors.  The environment variable SRL_THREADS caps the worker
@@ -85,7 +88,7 @@ def _json(config: dict, payload: dict) -> str:
 
     doc = {"config": clean(config)}
     doc.update(clean(payload))
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _load_structure(source: str) -> MetivierStructure:

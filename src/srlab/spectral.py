@@ -9,8 +9,12 @@ The coefficient (1/2)(J_k x, e_j) of d/dt_k in X_j does not depend on x_j
 or t, so sampling it at the source node equals sampling at the face
 midpoint.
 
-Eigenvalues come from Lanczos with full reorthogonalisation; a dense
-eigensolver cross-check for small grids lives in the tests.
+The lowest eigenvalues come from ARPACK's implicitly restarted Lanczos
+(`scipy.sparse.linalg.eigsh`).  Counts below a level are exact inertia
+counts of the assembled matrix (Sylvester's law on a sparse symmetric LDL^T
+factorisation); reading a growing count as essential spectrum of the
+continuum operator remains a heuristic.  Dense eigensolver cross-checks
+for small grids live in the tests.
 """
 
 from __future__ import annotations
@@ -18,11 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .group import MetivierStructure
 from .potential import potential_value_xt
+
+# scipy.sparse.linalg (ARPACK, SuperLU) is imported inside the two solvers:
+# at module level it adds 0.05-0.1 s to every `import srlab`, also for runs
+# that never solve an eigenproblem.
+
+
+def _require_finite(name: str, value: float, positive: bool = False):
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +56,8 @@ class Grid3:
     def __post_init__(self):
         if self.nx < 3 or self.nt < 3:
             raise ValueError("need at least 3 points per axis")
-        if self.lx <= 0 or self.lt <= 0:
-            raise ValueError("half-widths must be positive")
+        _require_finite("lx", self.lx, positive=True)
+        _require_finite("lt", self.lt, positive=True)
         if self.nx % 2 == 1 and self.nt % 2 == 1:
             raise ValueError("all axis counts odd would place a node at the identity; "
                              "use an even count on at least one axis")
@@ -191,13 +205,17 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
 
     `potential` may override V_alpha with any callable (x, t) -> values;
     nodes where it returns +inf are removed (hard Dirichlet wall), which
-    decouples the retained block exactly.
+    decouples the retained block exactly.  A non-finite alpha, or potential
+    values that are NaN or -inf, raise ValueError.
     """
+    _require_finite("alpha", alpha)
     x, t = grid.nodes()
     if potential is None:
         v = potential_value_xt(alpha, s, x, t)
     else:
         v = np.asarray(potential(x, t), dtype=float)
+    if not np.all(np.isfinite(v) | (v == np.inf)):
+        raise ValueError("potential values must be finite or +inf")
     kin = None
     for j in range(s.horizontal_dim):
         d = assemble_derivative(s, grid, j)
@@ -224,130 +242,110 @@ class SpectrumResult:
     grid: Grid3 | None = None
 
 
+def _inf_norm(a: sp.spmatrix) -> float:
+    return float(abs(a).sum(axis=1).max())
+
+
 def lanczos_lowest(h: SparseSymmetricOperator, k: int, tol: float = 1e-8,
                    max_iter: int = 1000, seed: int = 0,
                    grid: Grid3 | None = None) -> SpectrumResult:
-    """Lowest k eigenpairs by Lanczos with full reorthogonalisation.
+    """Lowest k eigenpairs by implicitly restarted Lanczos (ARPACK, which="SA").
 
-    Deterministic for a given seed.  Non-convergence within max_iter is
-    reported through `converged=False` with the best available residuals,
-    not as an exception.
+    `tol` bounds the true residual norms |H v - theta v| absolutely; ARPACK's
+    own test is relative to |theta|, so it is handed tol / |H|_inf, and
+    `converged` is decided on the recomputed residuals.  `max_iter` is
+    ARPACK's restart budget; `iterations` reports the operator applications
+    made, about max(20, 2k + 1) - k per restart.  Deterministic for a given seed (it
+    draws the start vector).  Non-convergence is reported through
+    `converged=False`, not as an exception: pairs ARPACK did not deliver
+    read +inf in both `eigenvalues` and `residual_norms`.
     """
     h.assert_symmetric()
     n = h.dim
     if k < 1 or k >= n:
         raise ValueError("need 1 <= k < dimension")
+    _require_finite("tol", tol, positive=True)
+    import scipy.sparse.linalg as spla  # deferred, see the module imports
     a = h.to_scipy()
-    max_iter = min(max_iter, n)
-    rng = np.random.default_rng(seed)
-    cap = min(max_iter, 256)
-    q = np.zeros((n, cap), order="F")
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    q[:, 0] = v
-    alphas: list[float] = []
-    betas: list[float] = []
+    applications = 0
 
-    def ensure_capacity(width: int):
-        nonlocal q, cap
-        if width <= cap:
-            return
-        new_cap = min(max_iter, max(2 * cap, width))
-        grown = np.zeros((n, new_cap), order="F")
-        grown[:, :cap] = q
-        q, cap = grown, new_cap
+    def matvec(v):
+        nonlocal applications
+        applications += 1
+        return a @ v
 
-    j = 0
-    check_every = 10
-    restarts = 0
-    max_restarts = max(4, k)
-    while j < max_iter:
-        w = a @ q[:, j]
-        if j > 0:
-            w -= betas[j - 1] * q[:, j - 1]
-        alphas.append(float(q[:, j] @ w))
-        w -= alphas[j] * q[:, j]
-        # full reorthogonalisation, twice for float safety
-        for _ in range(2):
-            w -= q[:, : j + 1] @ (q[:, : j + 1].T @ w)
-        beta = float(np.linalg.norm(w))
-        m = j + 1
-        settled = False
-        if m >= k and (m % check_every == 0 or beta < 1e-13 or m == max_iter):
-            theta, s_mat = scipy.linalg.eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas[: m - 1]))
-            settled = bool(np.all(abs(beta) * np.abs(s_mat[-1, :k]) <= 0.1 * tol))
-        if beta < 1e-13:
-            # invariant subspace: restart with a fresh orthogonal direction,
-            # which is the only way a missed multiplicity can surface
-            if m >= n or restarts >= max_restarts:
-                j = m
-                break
-            v = rng.standard_normal(n)
-            for _ in range(2):
-                v -= q[:, : j + 1] @ (q[:, : j + 1].T @ v)
-            nv = float(np.linalg.norm(v))
-            if nv < 1e-12:
-                j = m
-                break
-            q_next = v / nv
-            beta = 0.0
-            restarts += 1
-        elif settled:
-            j = m
-            break
-        else:
-            q_next = w / beta
-        if m < max_iter:
-            ensure_capacity(m + 1)
-            q[:, m] = q_next
-        betas.append(beta)
-        j += 1
-    m = len(alphas)
-    theta, s_mat = scipy.linalg.eigh_tridiagonal(
-        np.asarray(alphas), np.asarray(betas[: m - 1]))
-    kk = min(k, len(theta))
-    ritz_vectors = q[:, :m] @ s_mat[:, :kk]
-    eigenvalues = theta[:kk]
-    residuals = np.array([
-        float(np.linalg.norm(a @ ritz_vectors[:, i] - eigenvalues[i] * ritz_vectors[:, i]))
-        for i in range(kk)
-    ])
-    converged = bool(len(eigenvalues) == k and np.all(residuals <= tol))
-    return SpectrumResult(eigenvalues=np.asarray(eigenvalues),
-                          residual_norms=residuals, iterations=m,
-                          converged=converged, grid=grid)
+    v0 = np.random.default_rng(seed).standard_normal(n)
+    try:
+        theta, vectors = spla.eigsh(spla.LinearOperator((n, n), matvec=matvec, dtype=float),
+                                    k=k, which="SA", v0=v0, maxiter=max_iter,
+                                    tol=tol / _inf_norm(a))
+    except spla.ArpackNoConvergence as exc:
+        theta, vectors = exc.eigenvalues, exc.eigenvectors
+    order = np.argsort(theta)
+    theta, vectors = theta[order], vectors[:, order]
+    residuals = np.linalg.norm(a @ vectors - vectors * theta, axis=0)
+    pad = np.full(k - theta.size, np.inf)
+    converged = bool(theta.size == k and np.all(residuals <= tol))
+    return SpectrumResult(eigenvalues=np.concatenate([theta, pad]),
+                          residual_norms=np.concatenate([residuals, pad]),
+                          iterations=applications, converged=converged, grid=grid)
+
+
+# Smallest |pivot| of H - lam*I, relative to |H - lam*I|_inf, below which the
+# factorisation counts as singular and the count is refused: far above the
+# LDL^T backward error (about dim * eps), far below the smallest relative
+# pivot seen at levels 1e-6 off the spectrum of small test grids (3e-8).
+PIVOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class EigenCount:
     count: int
     is_lower_bound: bool
-    largest_converged: float
+    smallest_pivot: float
 
 
 def eigen_count_below(h: SparseSymmetricOperator, lam: float,
                       budget: int = 50, tol: float = 1e-6,
                       max_iter: int = 2000, seed: int = 0,
                       k_start: int = 8) -> EigenCount:
-    """Number of eigenvalues below lam, by growing the Lanczos extraction.
+    """Number of eigenvalues strictly below lam, by Sylvester's law of inertia.
 
-    If the budget is exhausted before a converged Ritz value exceeds lam the
-    count is flagged as a lower bound.  `k_start` seeds the extraction ladder
-    (useful when the expected count is roughly known).
+    H - lam*I is factored P (H - lam*I) P^T = L D L^T by SuperLU in symmetric
+    mode with diagonal pivots only, and the count is the number of negative
+    pivots in D: exact for the assembled matrix up to the factorisation's
+    backward error.  ValueError is raised when the smallest |pivot| is below
+    PIVOT_RTOL * |H - lam*I|_inf (lam on an eigenvalue, as for a diagonal
+    H), and when SuperLU took an off-diagonal pivot, which voids the
+    congruence.  The pivot test does not certify a gap: a shift within
+    rounding of an eigenvalue whose eigenvector is small where elimination
+    ends can pass it, and its count may then be off by one.
+
+    `is_lower_bound` is always False and `smallest_pivot` is min |D|.
+    `budget`, `tol`, `max_iter`, `seed` and `k_start` are kept for callers of
+    the former Lanczos count and do not affect the result; `tol` must still
+    be finite and positive.
     """
-    k = min(k_start, budget, h.dim - 1)
-    while True:
-        result = lanczos_lowest(h, k=k, tol=tol, max_iter=max_iter, seed=seed)
-        ev = result.eigenvalues
-        top = float(ev[-1])
-        if top > lam:
-            return EigenCount(count=int(np.sum(ev < lam)), is_lower_bound=False,
-                              largest_converged=top)
-        if k >= min(budget, h.dim - 1):
-            return EigenCount(count=int(np.sum(ev < lam)), is_lower_bound=True,
-                              largest_converged=top)
-        k = min(budget, h.dim - 1, 2 * k)
+    h.assert_symmetric()
+    _require_finite("lam", lam)
+    _require_finite("tol", tol, positive=True)
+    import scipy.sparse.linalg as spla  # deferred, see the module imports
+    shifted = (h.to_scipy() - lam * sp.identity(h.dim, format="csr")).tocsc()
+    on_eigenvalue = f"lam = {lam} sits on an eigenvalue to working precision"
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise ValueError(f"{on_eigenvalue} ({exc})") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ValueError(f"factorisation of H - {lam}*I took an off-diagonal pivot; "
+                         "the inertia count does not apply")
+    pivots = lu.U.diagonal()
+    smallest = float(np.min(np.abs(pivots)))
+    if smallest < PIVOT_RTOL * _inf_norm(shifted):
+        raise ValueError(f"{on_eigenvalue} (smallest pivot {smallest:.3e})")
+    return EigenCount(count=int(np.sum(pivots < 0)), is_lower_bound=False,
+                      smallest_pivot=smallest)
 
 
 @dataclass(frozen=True)

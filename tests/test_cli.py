@@ -99,6 +99,29 @@ def test_spectrum_nonconvergence_exit(tmp_path):
     assert doc["converged"] is False
 
 
+def test_spectrum_non_finite_input_exit(tmp_path):
+    base = ["spectrum", "--alpha", "3", "--lx", "1", "--lt", "1", "--nx", "4", "--nt", "4"]
+    for flag in ("--alpha", "--lx", "--lt", "--tol"):
+        code, payload = invoke(base + [flag, "nan"], tmp_path, f"{flag[2:]}.json")
+        assert code == 1 and payload == b"", flag
+
+
+def test_json_output_is_strict(tmp_path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, payload = invoke(["potential", "--alpha", "nan", "--format", "json"],
+                           tmp_path, "nan.json")
+    assert code == 1 and payload == b""
+    code, payload = invoke(
+        ["spectrum", "--alpha", "3", "--lx", "2", "--lt", "2", "--nx", "8",
+         "--nt", "8", "--k", "5", "--tol", "1e-12", "--max-iter", "8"],
+        tmp_path, "inf.json")
+    assert code == 2
+    doc = json.loads(payload, parse_constant=reject)
+    assert "inf" in doc["residuals"]
+
+
 def test_thinness_json(tmp_path):
     code, payload = invoke(
         ["thinness", "--alpha", "3", "--m-level", "10", "--r", "1", "--ell", "2",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srlab.forms import SmoothBump, sub_laplacian_apply
 from srlab.potential import potential_value_xt
@@ -48,6 +50,11 @@ def test_grid_validation(heis):
     assert x.shape == (150, 2) and t.shape == (150, 1)
     from srlab.norms import norm_xt
     assert np.min(norm_xt(x, t)) > 0.0
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="lx"):
+            Grid3(heis, bad, 1.0, 4, 4)
+        with pytest.raises(ValueError, match="lt"):
+            Grid3(heis, 1.0, bad, 4, 4)
 
 
 def test_derivative_probes(heis):
@@ -72,6 +79,20 @@ def test_assembly_psd_and_symmetric(heis):
     assert op.symmetry_defect() == 0.0
     ev = np.linalg.eigvalsh(op.to_dense())
     assert ev[0] >= -1e-10
+
+
+def test_assembly_rejects_non_finite_input(heis):
+    g = Grid3(heis, 1.0, 1.0, 4, 4)
+    for alpha in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            assemble_operator(alpha, heis, g)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="potential"):
+            assemble_operator(3.0, heis, g,
+                              potential=lambda x, t: np.where(x[:, 0] > 0, bad, 1.0))
+    walled = assemble_operator(3.0, heis, g,
+                               potential=lambda x, t: np.where(x[:, 0] > 0, np.inf, 1.0))
+    assert walled.dim == g.dim // 2
 
 
 def test_dense_assembly_oracle(heis):
@@ -133,6 +154,9 @@ def test_lanczos_validation():
     good = SparseSymmetricOperator.from_scipy(sp.identity(5, format="csr"))
     with pytest.raises(ValueError, match="dimension"):
         lanczos_lowest(good, k=5)
+    for tol in (np.nan, np.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol"):
+            lanczos_lowest(good, k=2, tol=tol)
 
 
 def test_lanczos_determinism():
@@ -167,8 +191,21 @@ def test_eigen_count_below():
     assert c.count == 5 and not c.is_lower_bound
     c0 = eigen_count_below(op, 0.5, budget=9)
     assert c0.count == 0
-    capped = eigen_count_below(op, 100.0, budget=4)
-    assert capped.is_lower_bound and capped.count == 4
+    everything = eigen_count_below(op, 100.0, budget=4)
+    assert everything.count == 10 and not everything.is_lower_bound
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lam"):
+            eigen_count_below(op, lam)
+    with pytest.raises(ValueError, match="tol"):
+        eigen_count_below(op, 5.5, tol=np.nan)
+
+
+def test_eigen_count_refuses_shift_on_eigenvalue():
+    op = SparseSymmetricOperator.from_scipy(sp.diags(np.arange(1.0, 11.0)))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        eigen_count_below(op, 3.0)
+    assert eigen_count_below(op, 3.0 + 1e-6).count == 3
+    assert eigen_count_below(op, 3.0 - 1e-6).count == 2
 
 
 def test_eigen_count_matches_dense(heis):
@@ -178,6 +215,23 @@ def test_eigen_count_matches_dense(heis):
     lam = 12.0
     c = eigen_count_below(op, lam, budget=40, tol=1e-8)
     assert c.count == int(np.sum(dense < lam))
+
+
+@pytest.mark.parametrize("name", ["heis", "aniso"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lx=st.floats(0.5, 3.0), lt=st.floats(0.5, 3.0), nx=st.integers(3, 8),
+       nt=st.integers(3, 8), alpha=st.floats(2.0, 4.0), q=st.floats(0.0, 1.0))
+def test_inertia_count_matches_dense(name, heis, aniso, lx, lt, nx, nt, alpha, q):
+    """The inertia count is the eigvalsh count, on H-type and non-H-type grids."""
+    s = heis if name == "heis" else aniso
+    if s.horizontal_dim > 2:
+        nx = 3 + nx % 2
+    assume(nx % 2 == 0 or nt % 2 == 0)
+    op = assemble_operator(alpha, s, Grid3(s, lx, lt, nx, nt))
+    dense = np.linalg.eigvalsh(op.to_dense())
+    lam = float(np.quantile(dense, q))
+    assume(np.min(np.abs(dense - lam)) > 1e-6)
+    assert eigen_count_below(op, lam).count == int(np.sum(dense < lam))
 
 
 def test_box_study_nested_validation(heis):
