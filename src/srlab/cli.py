@@ -10,7 +10,9 @@ operator applications of the eigensolver.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence,
 64 usage errors.  The environment variable SRL_THREADS caps the worker
-count used by the Monte Carlo outer loops.
+count used by the Monte Carlo outer loops; the count used is also at most
+the core count and the number of outer members, and a value that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -242,8 +244,7 @@ def _run_gamma(args) -> int:
 
 def _run_potential(args) -> int:
     s = _load_structure(args.structure)
-    if args.alpha <= 0:
-        raise ValueError("alpha must be positive")
+    const = potential.potential_bounds(args.alpha, None, s)
     if args.points:
         data = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if data.shape[1] != s.horizontal_dim + s.m:
@@ -252,14 +253,9 @@ def _run_potential(args) -> int:
     else:
         grid = forms.QuadratureGrid(s, args.lx, args.lt, args.nx, args.nt)
         x, t = grid.nodes()
-    n = norm_xt(x, t)
-    if np.any(n == 0.0):
-        raise ValueError("a requested point sits at the identity where V is undefined")
-    const = potential.potential_bounds(args.alpha, None, s)
-    gns = potential.grad_norm_sq_xt(s, x, t)
-    ln = potential.sub_laplacian_norm_xt(s, x, t)
-    v = potential.potential_value_xt(args.alpha, s, x, t)
-    lo, hi = potential.sandwich_bounds_xt(const, x, t)
+    jet = potential._norm_jet(s, x, t)
+    v = potential._potential(args.alpha, jet)
+    lo, hi = potential._sandwich(const, jet.x2, jet.n)
     config = {"command": "potential", "structure": args.structure, "alpha": args.alpha,
               "seed": args.seed, "points": args.points or "grid",
               "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,
@@ -268,20 +264,16 @@ def _run_potential(args) -> int:
     header = ([f"x{i+1}" for i in range(s.horizontal_dim)]
               + [f"t{k+1}" for k in range(s.m)]
               + ["N", "grad_norm_sq", "LN", "V_alpha", "lower_bound", "upper_bound"])
-    rows = [tuple(x[i]) + tuple(t[i]) + (n[i], gns[i], ln[i], v[i], lo[i], hi[i])
-            for i in range(x.shape[0])]
+    rows = np.column_stack([x, t, jet.n, jet.gns, jet.ln, v, lo, hi]).tolist()
     if args.format == "csv":
         _emit(_csv(config, header, rows), args.output)
     else:
-        _emit(_json(config, {"columns": header, "rows": [list(map(float, r)) for r in rows]}),
-              args.output)
+        _emit(_json(config, {"columns": header, "rows": rows}), args.output)
     return EXIT_OK
 
 
 def _run_weyl(args) -> int:
     s = _load_structure(args.structure)
-    if args.alpha <= 0:
-        raise ValueError("alpha must be positive")
     if args.n_max < 2:
         raise ValueError("need --n-max >= 2")
     bump = forms.SmoothBump(args.x_radius, args.t_radius)
@@ -307,8 +299,6 @@ def _run_weyl(args) -> int:
 
 def _run_spectrum(args) -> int:
     s = _load_structure(args.structure)
-    if args.alpha <= 0:
-        raise ValueError("alpha must be positive")
     grid = spectral.Grid3(s, lx=args.lx, lt=args.lt, nx=args.nx, nt=args.nt)
     op = spectral.assemble_operator(args.alpha, s, grid)
     result = spectral.lanczos_lowest(op, k=args.k, tol=args.tol,
@@ -366,7 +356,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
+        sublevel.worker_count()  # a malformed SRL_THREADS is a usage error
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

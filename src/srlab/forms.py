@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure
+from .group import GroupPoint, MetivierStructure, _require_finite
 from .norms import norm_xt, weight_xt
 from .potential import grad_kaplan_xt, potential_value_xt
 
@@ -143,10 +143,11 @@ class TranslatedBump:
         gx_p = gx + np.einsum("ki,...k->...i", g, gt)
         # Hess_f = DA^T Hess_psi DA with DA = [[I, 0], [G, I]]:
         #   Hxx_f = Hxx + G^T Htx + Hxt G + G^T Htt G,  Hxt_f = Hxt + G^T Htt
+        htt_g = np.einsum("...kl,lj->...kj", htt, g)
         hxx_p = (hxx
                  + np.einsum("ki,...jk->...ij", g, hxt)
                  + np.einsum("...ik,kj->...ij", hxt, g)
-                 + np.einsum("ki,...kl,lj->...ij", g, htt, g))
+                 + np.einsum("ki,...kj->...ij", g, htt_g))
         hxt_p = hxt + np.einsum("li,...lk->...ik", g, htt)
         return val, gx_p, gt, hxx_p, hxt_p, htt
 
@@ -203,8 +204,8 @@ class QuadratureGrid:
     def __post_init__(self):
         if self.nx < 2 or self.nt < 2:
             raise ValueError("need at least 2 points per axis")
-        if self.x_half <= 0 or self.t_half <= 0:
-            raise ValueError("half-widths must be positive")
+        _require_finite("x_half", self.x_half, positive=True)
+        _require_finite("t_half", self.t_half, positive=True)
         cx = np.zeros(self.s.horizontal_dim) if self.center_x is None else np.asarray(self.center_x, float)
         ct = np.zeros(self.s.m) if self.center_t is None else np.asarray(self.center_t, float)
         object.__setattr__(self, "center_x", cx)

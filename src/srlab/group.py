@@ -19,13 +19,22 @@ horizontal fields X_1 = d/dx_1 + (x_2/2) d/dt and X_2 = d/dx_2 - (x_1/2) d/dt.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 SKEW_TOL = 1e-14
 HTYPE_TOL = 1e-12
 _HTYPE_CHECK_SAMPLES = 64
+
+
+def _require_finite(name: str, value: float, positive: bool = False):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -81,6 +90,19 @@ class MetivierStructure:
     def j_of(self, t: np.ndarray) -> np.ndarray:
         """J_t = sum_k t_k J_k for a batch of central vectors t (..., m)."""
         return np.tensordot(np.asarray(t, dtype=float), self.maps, axes=(-1, 0))
+
+    @cached_property
+    def _condition_extremes(self) -> tuple:
+        """(c0, C0) when no estimate is supplied, computed once per structure.
+
+        Exact where `exact_condition_extremes` applies, else the extremes of
+        a 10,000-pair `verify_metivier` sample at seed 0.
+        """
+        exact = exact_condition_extremes(self)
+        if exact is not None:
+            return exact
+        est = verify_metivier(self, samples=10_000, seed=0)
+        return est.c0, est.C0
 
     def check_point(self, p: "GroupPoint"):
         if p.x.shape != (self.horizontal_dim,) or p.t.shape != (self.m,):
@@ -157,7 +179,8 @@ def product(s: MetivierStructure, x1, t1, x2, t2):
     x2 = np.asarray(x2, dtype=float)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    central = 0.5 * np.einsum("kij,...j,...i->...k", s.maps, x1, x2)
+    jk_x1 = np.einsum("kij,...j->...ki", s.maps, x1)
+    central = 0.5 * np.einsum("...ki,...i->...k", jk_x1, x2)
     return x1 + x2, t1 + t2 + central
 
 
@@ -209,7 +232,8 @@ def verify_metivier(s: MetivierStructure, samples: int, seed: int = 0) -> Condit
     t = raw[:, s.horizontal_dim:]
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     t /= np.linalg.norm(t, axis=1, keepdims=True)
-    jt_x = np.einsum("kij,sk,sj->si", s.maps, t, x)
+    jk_x = np.einsum("kij,sj->ski", s.maps, x)
+    jt_x = np.einsum("sk,ski->si", t, jk_x)
     sq = np.einsum("si,si->s", jt_x, jt_x)
     return ConditionEstimate(c0=float(sq.min()), C0=float(sq.max()),
                              sample_count=samples, seed=seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, product
+from .group import GroupPoint, MetivierStructure, _require_finite, product
 
 
 def norm_xt(x, t) -> np.ndarray:
@@ -43,8 +43,7 @@ def quasi_distance(s: MetivierStructure, p: GroupPoint, q: GroupPoint) -> float:
 
 
 def weight_xt(alpha: float, x, t) -> np.ndarray:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_finite("alpha", alpha, positive=True)
     return np.exp(-norm_xt(x, t) ** alpha)
 
 

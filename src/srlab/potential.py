@@ -22,22 +22,76 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .group import (ConditionEstimate, GroupPoint, MetivierStructure,
-                    exact_condition_extremes, homogeneous_dimension,
-                    unit_sample, verify_metivier)
-from .norms import norm_xt, weight_xt
+                    _require_finite, exact_condition_extremes,
+                    homogeneous_dimension, unit_sample)
+from .norms import norm_xt
 
 
-def _xt(x, t):
-    return np.asarray(x, dtype=float), np.asarray(t, dtype=float)
-
-
-def _require_off_identity(n_vals: np.ndarray):
-    if np.any(n_vals == 0.0):
+def _radial(x, t):
+    """(x, t, |x|^2, N) as arrays; the identity is a hard error."""
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(t, dtype=float)
+    x2 = np.einsum("...i,...i->...", x, x)
+    t2 = np.einsum("...i,...i->...", t, t)
+    n = (x2 * x2 + 16.0 * t2) ** 0.25
+    if np.any(n == 0.0):
         raise ValueError("formula undefined at the group identity (N = 0)")
+    return x, t, x2, n
+
+
+class _NormJet(NamedTuple):
+    """Pointwise quantities of N that every kernel below is built from."""
+
+    x: np.ndarray
+    x2: np.ndarray      # |x|^2
+    n: np.ndarray       # N
+    jt_x: np.ndarray    # J_t x, shape (..., 2n)
+    gns: np.ndarray     # |grad_H N|^2
+    ln: np.ndarray      # L N
+
+
+def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
+    """N, J_t x, |grad_H N|^2 and LN in one pass over (x, t).
+
+    |grad_H N|^2 = N^{-6} (|x|^6 + 16 |J_t x|^2) and
+    LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2);
+    J_t x = sum_k t_k J_k x reuses the J_k x of the sum.
+    """
+    x, t, x2, n = _radial(x, t)
+    jk_x = np.einsum("kij,...j->...ki", s.maps, x)
+    jt_x = np.einsum("...k,...ki->...i", t, jk_x)
+    n3 = n * n * n
+    gns = (x2 * x2 * x2 + 16.0 * np.einsum("...i,...i->...", jt_x, jt_x)) / (n3 * n3)
+    jk_sum = np.einsum("...ki,...ki->...", jk_x, jk_x)
+    ln = 3.0 * gns / n - ((2.0 + 2.0 * s.n) * x2 + 2.0 * jk_sum) / n3
+    return _NormJet(x, x2, n, jt_x, gns, ln)
+
+
+def _grad_kaplan(jet: _NormJet) -> np.ndarray:
+    return (jet.x2[..., None] * jet.x + 4.0 * jet.jt_x) / (jet.n ** 3)[..., None]
+
+
+def _alpha_power(alpha: float, jet: _NormJet) -> np.ndarray:
+    """alpha N^{alpha-2}; every kernel taking alpha checks it here (finite, > 0)."""
+    _require_finite("alpha", alpha, positive=True)
+    return alpha * jet.n ** (alpha - 2.0)
+
+
+def _weight_terms(alpha: float, jet: _NormJet):
+    """(|grad_H w|^2 / w^2, (L w) / w) for w = w_alpha, from one power of N."""
+    u = _alpha_power(alpha, jet)
+    grad_sq = u * u * (jet.n * jet.n) * jet.gns
+    return grad_sq, u * ((alpha - 1.0) * jet.gns - jet.n * jet.ln) - grad_sq
+
+
+def _potential(alpha: float, jet: _NormJet) -> np.ndarray:
+    grad_sq, lw = _weight_terms(alpha, jet)
+    return -0.25 * grad_sq - 0.5 * lw
 
 
 def grad_kaplan_xt(s: MetivierStructure, x, t) -> np.ndarray:
@@ -45,46 +99,24 @@ def grad_kaplan_xt(s: MetivierStructure, x, t) -> np.ndarray:
 
     X_j N = N^{-3} (|x|^2 x_j + 4 (J_t x)_j); vanishes on {x = 0}.
     """
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    x2 = np.einsum("...i,...i->...", x, x)
-    jt_x = np.einsum("kij,...k,...j->...i", s.maps, t, x)
-    return (x2[..., None] * x + 4.0 * jt_x) / (n ** 3)[..., None]
+    return _grad_kaplan(_norm_jet(s, x, t))
 
 
 def grad_norm_sq_xt(s: MetivierStructure, x, t) -> np.ndarray:
     """|grad_H N|^2 = N^{-6} (|x|^6 + 16 |J_t x|^2)."""
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    x2 = np.einsum("...i,...i->...", x, x)
-    jt_x = np.einsum("kij,...k,...j->...i", s.maps, t, x)
-    jt_x2 = np.einsum("...i,...i->...", jt_x, jt_x)
-    return (x2 ** 3 + 16.0 * jt_x2) / n ** 6
+    return _norm_jet(s, x, t).gns
 
 
 def sub_laplacian_norm_xt(s: MetivierStructure, x, t) -> np.ndarray:
     """LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2)."""
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    x2 = np.einsum("...i,...i->...", x, x)
-    jk_x = np.einsum("kij,...j->...ki", s.maps, x)
-    jk_sum = np.einsum("...ki,...ki->...", jk_x, jk_x)
-    gns = grad_norm_sq_xt(s, x, t)
-    return 3.0 * gns / n - ((2.0 + 2.0 * s.n) * x2 + 2.0 * jk_sum) / n ** 3
+    return _norm_jet(s, x, t).ln
 
 
 def grad_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """grad_H w_alpha = -alpha w_alpha N^{alpha-1} grad_H N, shape (..., 2n)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    coeff = -alpha * weight_xt(alpha, x, t) * n ** (alpha - 1.0)
-    return coeff[..., None] * grad_kaplan_xt(s, x, t)
+    jet = _norm_jet(s, x, t)
+    coeff = -_alpha_power(alpha, jet) * jet.n * np.exp(-jet.n ** alpha)
+    return coeff[..., None] * _grad_kaplan(jet)
 
 
 def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -97,39 +129,19 @@ def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     The last sign follows from L = -sum X_j^2 and is pinned by the
     finite-difference oracle tests (and by consistency with V_alpha below).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    gns = grad_norm_sq_xt(s, x, t)
-    ln = sub_laplacian_norm_xt(s, x, t)
-    bracket = (-alpha * alpha * n ** (2.0 * alpha - 2.0) * gns
-               + alpha * (alpha - 1.0) * n ** (alpha - 2.0) * gns
-               - alpha * n ** (alpha - 1.0) * ln)
-    return weight_xt(alpha, x, t) * bracket
+    jet = _norm_jet(s, x, t)
+    _, lw = _weight_terms(alpha, jet)
+    return np.exp(-jet.n ** alpha) * lw
 
 
 def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """V_alpha = -(1/4)|grad w|^2/w^2 - (1/2) (L w)/w, expanded in N-quantities."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    gns = grad_norm_sq_xt(s, x, t)
-    ln = sub_laplacian_norm_xt(s, x, t)
-    return (0.25 * alpha * alpha * n ** (2.0 * alpha - 2.0) * gns
-            - 0.5 * alpha * (alpha - 1.0) * n ** (alpha - 2.0) * gns
-            + 0.5 * alpha * n ** (alpha - 1.0) * ln)
+    return _potential(alpha, _norm_jet(s, x, t))
 
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2."""
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    x2 = np.einsum("...i,...i->...", x, x)
+    _, _, x2, n = _radial(x, t)
     q = homogeneous_dimension(s)
     return (0.25 * alpha * alpha * n ** (2.0 * alpha - 4.0) * x2
             - 0.5 * alpha * (q + alpha - 2.0) * n ** (alpha - 4.0) * x2)
@@ -192,8 +204,7 @@ class PotentialConstants:
 
 def constants_from_condition(alpha: float, c0: float, C0: float,
                              n: int, m: int) -> PotentialConstants:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _require_finite("alpha", alpha, positive=True)
     if c0 <= 0:
         raise ValueError("c0 must be positive (Metivier condition failed)")
     if C0 < c0:
@@ -216,29 +227,27 @@ def potential_bounds(alpha: float, est: ConditionEstimate | None,
     (1, 1); a one-dimensional centre gives the squared extreme singular
     values of the single map) the exact values override the sampled
     estimate, so the resulting bounds are rigorous rather than
-    sample-dependent.  Otherwise the sampled (c0, C0) are used.
+    sample-dependent.  Otherwise the sampled (c0, C0) are used, without an
+    estimate those of a 10,000-pair sample drawn once per structure.
     """
-    exact = exact_condition_extremes(s)
-    if exact is not None:
-        c0, C0 = exact
+    if est is None:
+        c0, C0 = s._condition_extremes
     else:
-        if est is None:
-            est = verify_metivier(s, samples=10_000, seed=0)
-        c0, C0 = est.c0, est.C0
+        c0, C0 = exact_condition_extremes(s) or (est.c0, est.C0)
     return constants_from_condition(alpha, c0, C0, s.n, s.m)
+
+
+def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
+    p = n ** (const.alpha - 2.0)
+    shell = p * p * x2
+    n_a = p * n * n
+    return shell * (const.c_a1 - const.c_a2 / n_a), shell * (const.c_a3 - const.c_a4 / n_a)
 
 
 def sandwich_bounds_xt(const: PotentialConstants, x, t):
     """Pointwise (lower, upper) sandwich values for V_alpha."""
-    x, t = _xt(x, t)
-    n = norm_xt(x, t)
-    _require_off_identity(n)
-    x2 = np.einsum("...i,...i->...", x, x)
-    a = const.alpha
-    shell = n ** (2.0 * a - 4.0) * x2
-    lo = shell * (const.c_a1 - const.c_a2 / n ** a)
-    hi = shell * (const.c_a3 - const.c_a4 / n ** a)
-    return lo, hi
+    _, _, x2, n = _radial(x, t)
+    return _sandwich(const, x2, n)
 
 
 @dataclass(frozen=True)
@@ -263,13 +272,14 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
     is rigorous for exact constants).
     """
     if isinstance(points, tuple):
-        x, t = _xt(*points)
+        x, t = points
     else:
         x = np.array([p.x for p in points], dtype=float)
         t = np.array([p.t for p in points], dtype=float)
     const = potential_bounds(alpha, est, s)
-    v = potential_value_xt(alpha, s, x, t)
-    lo, hi = sandwich_bounds_xt(const, x, t)
+    jet = _norm_jet(s, x, t)
+    v = _potential(alpha, jet)
+    lo, hi = _sandwich(const, jet.x2, jet.n)
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     low_excess = lo - v
     high_excess = v - hi
@@ -328,22 +338,12 @@ def essential_inf_estimate(alpha: float, s: MetivierStructure,
     attached; for alpha < 2 the potential is unbounded below (reported, not
     clamped) and the running minimum may cross the sentinel.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
     lo, hi = scale_range
     scales = tuple(2.0 ** j for j in range(lo, hi + 1))
-    d = s.horizontal_dim + s.m
     running_min = math.inf
     for r in scales:
-        raw = unit_sample(rng, per_scale, d)
-        x = raw[:, : s.horizontal_dim]
-        t = raw[:, s.horizontal_dim:]
-        n_unit = norm_xt(x, t)
-        x = x / n_unit[:, None] * r
-        t = t / (n_unit ** 2)[:, None] * r * r
-        x = np.concatenate([x, np.eye(s.horizontal_dim)[:1] * r], axis=0)
-        t = np.concatenate([t, np.zeros((1, s.m))], axis=0)
+        x, t = _shell_points(s, rng, per_scale, r)
         running_min = min(running_min, float(potential_value_xt(alpha, s, x, t).min()))
     floor = None
     if alpha >= 2:
@@ -411,8 +411,6 @@ def admissibility_report(alpha: float, s: MetivierStructure,
     sups toward the relevant end.  These are sup probes: they are conservative
     for (a), whose second half is really an integrability condition.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     rng = np.random.default_rng(seed)
     inner_radii = 2.0 ** (-np.arange(0, depth + 1, dtype=float))
     grad_sup = np.empty_like(inner_radii)
@@ -427,8 +425,8 @@ def admissibility_report(alpha: float, s: MetivierStructure,
     ratio_sup = np.empty_like(ratio_radii)
     for i, r in enumerate(ratio_radii):
         x, t = _shell_points(s, rng, per_shell, r)
-        n = norm_xt(x, t)
-        gns = grad_norm_sq_xt(s, x, t)
+        jet = _norm_jet(s, x, t)
+        n, gns = jet.n, jet.gns
         # |grad w| / ((1+N) w) = alpha N^{alpha-1} |grad N| / (1+N); the weight
         # cancels exactly and would underflow for large N if kept.
         ratio_sup[i] = float((alpha * n ** (alpha - 1.0) * np.sqrt(gns) / (1.0 + n)).max())
@@ -463,6 +461,7 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
     reduces the sup to a one-dimensional search over N at |x| = 1, done on a
     dense deterministic grid; otherwise the cylinder is sampled.
     """
+    _require_finite("alpha", alpha, positive=True)
     if alpha > 2:
         return math.inf
     if s.h_type:

@@ -24,19 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .group import MetivierStructure
+from .group import MetivierStructure, _require_finite
 from .potential import potential_value_xt
 
 # scipy.sparse.linalg (ARPACK, SuperLU) is imported inside the two solvers:
 # at module level it adds 0.05-0.1 s to every `import srlab`, also for runs
 # that never solve an eigenproblem.
-
-
-def _require_finite(name: str, value: float, positive: bool = False):
-    if not np.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if positive and value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

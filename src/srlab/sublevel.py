@@ -19,20 +19,33 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure
+from .group import GroupPoint, MetivierStructure, _require_finite
 from .norms import norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, potential_bounds,
                         potential_value_xt)
 
 
 def worker_count() -> int:
+    """Requested Monte Carlo worker count: SRL_THREADS if set, else the cores.
+
+    A value that is not an integer raises ValueError; values below 1 mean 1.
+    """
     env = os.environ.get("SRL_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SRL_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
+
+
+def _clamp_workers(requested: int, members: int, cpus: int | None) -> int:
+    """Workers actually used: at most one per core and one per member, at least 1."""
+    return max(1, min(requested, cpus or 1, members))
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -58,8 +71,8 @@ class SublevelSpec:
     level: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        _require_finite("alpha", self.alpha, positive=True)
+        _require_finite("level", self.level)
 
 
 def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray:
@@ -116,17 +129,22 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
     Inverts the lower envelope: c = sup { u : phi(u) <= level }, located by a
     dense scan plus bisection, with a relative safety margin so the bound
     stays an enclosure under floating point.  Returns 0 when the envelope
-    never dips to the level (empty sublevel set).
+    never dips to the level (empty sublevel set).  The inversion depends
+    only on the sandwich constants and the level and is memoised on them.
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
-    const = potential_bounds(spec.alpha, est, s)
+    return _envelope_inverse(potential_bounds(spec.alpha, est, s), spec.level)
+
+
+@lru_cache(maxsize=256)
+def _envelope_inverse(const: PotentialConstants, level: float) -> float:
     u_hi = 1.0
-    while lower_envelope(const, np.array([u_hi]))[0] <= max(spec.level, 0.0) and u_hi < 1e12:
+    while lower_envelope(const, np.array([u_hi]))[0] <= max(level, 0.0) and u_hi < 1e12:
         u_hi *= 2.0
     u_hi *= 2.0
     grid = np.linspace(0.0, u_hi, 16385)[1:]
-    ok = lower_envelope(const, grid) <= spec.level
+    ok = lower_envelope(const, grid) <= level
     if not np.any(ok):
         return 0.0
     i = int(np.nonzero(ok)[0][-1])
@@ -134,7 +152,7 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
     hi = grid[i + 1] if i + 1 < grid.size else u_hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if lower_envelope(const, np.array([mid]))[0] <= spec.level:
+        if lower_envelope(const, np.array([mid]))[0] <= level:
             lo = mid
         else:
             hi = mid
@@ -368,7 +386,7 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
 
     if idx.size:
         results = np.zeros(idx.size)
-        workers = worker_count()
+        workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
         if workers > 1 and idx.size > 8:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for pos, val in enumerate(pool.map(run_member, range(idx.size))):

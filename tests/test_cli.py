@@ -159,3 +159,25 @@ def test_byte_reproducibility(tmp_path):
         _, a = invoke(cmd, tmp_path, f"a{i}.out")
         _, b = invoke(cmd, tmp_path, f"b{i}.out")
         assert a == b and len(a) > 0, cmd[0]
+
+
+def test_non_finite_alpha_and_level_exit(tmp_path):
+    cmds = {
+        "potential": ["potential", "--alpha", "nan", "--nx", "2", "--nt", "2"],
+        "weyl": ["weyl", "--alpha", "nan", "--n-max", "4", "--grid", "8"],
+        "thinness": ["thinness", "--alpha", "3", "--m-level", "nan", "--ell", "2",
+                     "--outer", "50", "--inner", "10"],
+    }
+    for name, cmd in cmds.items():
+        code, payload = invoke(cmd, tmp_path, f"{name}.csv")
+        assert code == 1 and payload == b"", name
+    code, payload = invoke(["potential", "--alpha", "inf", "--nx", "2", "--nt", "2"],
+                           tmp_path, "inf.csv")
+    assert code == 1 and payload == b""
+
+
+def test_malformed_srl_threads_is_usage_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("SRL_THREADS", "abc")
+    code, payload = invoke(["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+                            "--outer", "50", "--inner", "10"], tmp_path, "t.json")
+    assert code == 64 and payload == b""

@@ -297,3 +297,13 @@ def test_weyl_residual_growth(heis):
     assert all(b > a for a, b in zip(res, res[1:]))
     slope = fit_loglog_slope([8, 16, 32, 64], res)
     assert slope == pytest.approx(1.0, abs=0.15)
+
+
+def test_quadrature_grid_validation(heis):
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="x_half"):
+            QuadratureGrid(heis, bad, 1.0, 4, 4)
+        with pytest.raises(ValueError, match="t_half"):
+            QuadratureGrid(heis, 1.0, bad, 4, 4)
+    with pytest.raises(ValueError, match="at least 2"):
+        QuadratureGrid(heis, 1.0, 1.0, 1, 4)

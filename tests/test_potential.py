@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srlab.group import identity, point, verify_metivier
+from srlab.group import MetivierStructure, identity, point, verify_metivier
 from srlab.norms import norm_xt, weight_xt
 from srlab.potential import (admissibility_report, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
                              essential_inf_estimate, grad_kaplan_xt,
                              grad_norm_sq, grad_norm_sq_xt, grad_weight,
-                             laplacian_weight, potential_bounds,
+                             grad_weight_xt, laplacian_weight,
+                             laplacian_weight_xt, potential_bounds,
                              potential_closed_form_xt, potential_value,
                              potential_value_xt, sandwich_bounds_xt,
                              sandwich_floor, sub_laplacian_norm,
@@ -279,3 +282,66 @@ def test_scaling_law_along_orbits(heis):
 def test_cylinder_sup(heis):
     assert cylinder_sup_potential(2.0, heis) == pytest.approx(3.0, abs=1e-6)
     assert math.isinf(cylinder_sup_potential(3.0, heis))
+
+
+@st.composite
+def skew_structures(draw):
+    """Random skew maps with n, m <= 2; the h_type flag stays off."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    d = 2 * n
+    upper = np.triu_indices(d, 1)
+    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * upper[0].size,
+                            max_size=m * upper[0].size))
+    maps = np.zeros((m, d, d))
+    for k in range(m):
+        maps[k][upper] = entries[k * upper[0].size:(k + 1) * upper[0].size]
+    return MetivierStructure(n=n, m=m, maps=maps - np.swapaxes(maps, 1, 2))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=skew_structures(), alpha=st.floats(1.5, 3.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_norm_jet_matches_fd_oracles(s, alpha, seed):
+    """|grad_H N|^2, LN and V_alpha against differences through X_j, order h^2.
+
+    Random skew structures, not H-type; the Metivier condition is not needed
+    for these pointwise identities.  V_alpha is checked through the weight alone, as
+    -(1/4) |grad_H w|^2 / w^2 - (1/2) (L w) / w with both derivatives of
+    w = exp(-N^alpha) taken by the oracle.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.4, 1.6, size=s.horizontal_dim) * rng.choice([-1.0, 1.0], size=s.horizontal_dim)
+    t = rng.uniform(0.4, 1.6, size=s.m) * rng.choice([-1.0, 1.0], size=s.m)
+
+    def weight(xx, tt):
+        return weight_xt(alpha, xx, tt)
+
+    def fd_potential(h):
+        w = weight(x, t)
+        return (-0.25 * oracles.fd_grad_norm_sq(weight, s, x, t, h) / w ** 2
+                - 0.5 * oracles.fd_sub_laplacian(weight, s, x, t, h) / w)
+
+    cases = [
+        (grad_norm_sq_xt(s, x, t),
+         lambda hh: oracles.fd_grad_norm_sq(norm_xt, s, x, t, hh)),
+        (sub_laplacian_norm_xt(s, x, t),
+         lambda hh: oracles.fd_sub_laplacian(norm_xt, s, x, t, hh)),
+        (potential_value_xt(alpha, s, x, t), fd_potential),
+    ]
+    for exact, fd in cases:
+        e1, e2 = oracles.richardson_ratios(float(exact), fd, 1e-2)
+        # where the h^2 term of the difference happens to vanish, the ratio
+        # says nothing, but an error already this small does
+        assert e1 <= 1e-7 * max(1.0, abs(float(exact))) or e1 / e2 == pytest.approx(4.0, abs=0.5)
+
+
+def test_kernels_reject_non_finite_alpha(heis):
+    x, t = random_points(heis, 10, seed=12)
+    for alpha in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        for kernel in (potential_value_xt, grad_weight_xt, laplacian_weight_xt):
+            with pytest.raises(ValueError, match="alpha"):
+                kernel(alpha, heis, x, t)
+        with pytest.raises(ValueError, match="alpha"):
+            potential_bounds(alpha, None, heis)
+        with pytest.raises(ValueError, match="alpha"):
+            cylinder_sup_potential(alpha, heis)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from srlab.group import GroupPoint, point
+from srlab import group, sublevel
+from srlab.group import GroupPoint, MetivierStructure, point
 from srlab.norms import norm_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             bounding_cylinder, cylinder_radius, in_sublevel,
@@ -224,3 +225,70 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 3
     monkeypatch.delenv("SRL_THREADS")
     assert worker_count() >= 1
+
+
+def test_spec_rejects_non_finite():
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            SublevelSpec(alpha, 1.0)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="level"):
+            SublevelSpec(3.0, level)
+
+
+def _quaternion_scaled():
+    """n = m = 2, not H-type: D L_i D and D L_j D with D = diag(1, 1, 2, 2).
+
+    L_i, L_j are left multiplications by the quaternion units, so J_t stays
+    invertible for t != 0 (Metivier) while J_t^2 != -|t|^2 Id.
+    """
+    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
+    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
+    d = np.diag([1.0, 1.0, 2.0, 2.0])
+    return MetivierStructure(n=2, m=2, maps=np.stack([d @ li @ d, d @ lj @ d]))
+
+
+@pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
+def test_thinness_computes_invariants_once(name, heis, monkeypatch):
+    """One integral runs the cylinder scan and the sampled (c0, C0) at most once."""
+    s = heis if name == "heis" else _quaternion_scaled()
+    calls = {"scan": 0, "verify": 0, "member": 0}
+    envelope = sublevel.lower_envelope
+    verify = group.verify_metivier
+    member = sublevel.ball_intersection_volume
+
+    def counting_envelope(const, u):
+        calls["scan"] += np.size(u) > 1
+        return envelope(const, u)
+
+    def counting_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return verify(*args, **kwargs)
+
+    def counting_member(*args, **kwargs):
+        calls["member"] += 1
+        return member(*args, **kwargs)
+
+    monkeypatch.setattr(sublevel, "lower_envelope", counting_envelope)
+    monkeypatch.setattr(group, "verify_metivier", counting_verify)
+    monkeypatch.setattr(sublevel, "ball_intersection_volume", counting_member)
+    sublevel._envelope_inverse.cache_clear()
+    thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
+    assert calls["member"] > 1
+    assert calls["scan"] == 1
+    assert calls["verify"] == (0 if s.h_type else 1)
+
+
+def test_worker_count_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("SRL_THREADS", "abc")
+    with pytest.raises(ValueError, match="SRL_THREADS"):
+        worker_count()
+
+
+def test_clamp_workers():
+    huge = 10 ** 12
+    assert sublevel._clamp_workers(huge, huge, 2) == 2
+    assert sublevel._clamp_workers(huge, 3, 64) == 3
+    assert sublevel._clamp_workers(4, huge, None) == 1
+    assert sublevel._clamp_workers(1, 0, 8) == 1
+    assert sublevel._clamp_workers(3, huge, 8) == 3
