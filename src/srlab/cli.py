@@ -299,7 +299,7 @@ def _run_weyl(args) -> int:
 
 def _run_spectrum(args) -> int:
     s = _load_structure(args.structure)
-    grid = spectral.Grid3(s, lx=args.lx, lt=args.lt, nx=args.nx, nt=args.nt)
+    grid = spectral.Grid3(s, args.lx, args.lt, args.nx, args.nt)
     op = spectral.assemble_operator(args.alpha, s, grid)
     result = spectral.lanczos_lowest(op, k=args.k, tol=args.tol,
                                      max_iter=args.max_iter, seed=args.seed, grid=grid)
@@ -331,8 +331,7 @@ def _run_thinness(args) -> int:
     config = {"command": "thinness", "structure": args.structure, "alpha": args.alpha,
               "m_level": args.m_level, "r": args.r, "ell": args.ell,
               "truncation": args.truncation, "outer": args.outer,
-              "inner": args.inner, "seed": args.seed,
-              "workers": sublevel.worker_count()}
+              "inner": args.inner, "seed": args.seed}
     if args.format == "json":
         _emit(_json(config, {"estimate": asdict(est)}), args.output)
     else:

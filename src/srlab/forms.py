@@ -22,6 +22,7 @@ import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite
 from .norms import norm_xt, weight_xt
+from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import grad_kaplan_xt, potential_value_xt
 
 
@@ -118,7 +119,7 @@ class TranslatedBump:
         xc = self.translation.x
         # |t_q| <= b with t_q = t - tc - (1/2) sum_k (J_k xc, x) u_k widens the
         # t-extent by the largest possible twist over the x-support.
-        sv = np.array([np.linalg.svd(j, compute_uv=False)[0] for j in s.maps])
+        sv = s._map_singular_values[:, 0]
         twist = 0.5 * sv * np.linalg.norm(xc) * (np.linalg.norm(xc) + self.bump.x_radius)
         return bx + np.abs(xc), bt + twist
 
@@ -187,10 +188,15 @@ def apply_sub_laplacian(s: MetivierStructure, f, p: GroupPoint) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor-product midpoint rule on a box centred at a group point.
+    """Cell-midpoint tensor grid on the box
 
-    Horizontal axes share half-width `x_half` and count `nx`; central axes
-    share `t_half` and count `nt`.  Nodes are cell midpoints.
+        center + [-x_half, x_half]^{2n} x [-t_half, t_half]^m,
+
+    with `nx` points on each horizontal axis and `nt` on each central one.
+    It carries both the midpoint quadrature rule here and the
+    finite-difference operator in `spectral` (as `Grid3`).  V_alpha has no
+    value at the identity, so a box centred there with every axis count odd,
+    which puts a node on it, is refused.
     """
 
     s: MetivierStructure
@@ -202,12 +208,15 @@ class QuadratureGrid:
     center_t: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.nx < 2 or self.nt < 2:
-            raise ValueError("need at least 2 points per axis")
+        if self.nx < 3 or self.nt < 3:
+            raise ValueError("need at least 3 points per axis")
         _require_finite("x_half", self.x_half, positive=True)
         _require_finite("t_half", self.t_half, positive=True)
         cx = np.zeros(self.s.horizontal_dim) if self.center_x is None else np.asarray(self.center_x, float)
         ct = np.zeros(self.s.m) if self.center_t is None else np.asarray(self.center_t, float)
+        if self.nx % 2 == 1 and self.nt % 2 == 1 and not (np.any(cx) or np.any(ct)):
+            raise ValueError("all axis counts odd would place a node at the identity; "
+                             "use an even count on at least one axis")
         object.__setattr__(self, "center_x", cx)
         object.__setattr__(self, "center_t", ct)
 
@@ -220,24 +229,33 @@ class QuadratureGrid:
         return 2.0 * self.t_half / self.nt
 
     @property
+    def shape(self) -> tuple:
+        return (self.nx,) * self.s.horizontal_dim + (self.nt,) * self.s.m
+
+    @property
+    def dim(self) -> int:
+        return int(np.prod(self.shape))
+
+    @property
     def cell_volume(self) -> float:
         return self.hx ** self.s.horizontal_dim * self.ht ** self.s.m
 
-    def axis_nodes(self, half: float, count: int) -> np.ndarray:
+    def axis_nodes(self, axis: int) -> np.ndarray:
+        d = self.s.horizontal_dim
+        if axis < d:
+            half, count, c = self.x_half, self.nx, self.center_x[axis]
+        else:
+            half, count, c = self.t_half, self.nt, self.center_t[axis - d]
         h = 2.0 * half / count
-        return -half + (np.arange(count) + 0.5) * h
+        return -half + (np.arange(count) + 0.5) * h + c
 
     def nodes(self):
-        """Flattened node coordinates (x of shape (Nd, 2n), t of shape (Nd, m))."""
-        ax_x = [self.axis_nodes(self.x_half, self.nx) + self.center_x[i]
-                for i in range(self.s.horizontal_dim)]
-        ax_t = [self.axis_nodes(self.t_half, self.nt) + self.center_t[k]
-                for k in range(self.s.m)]
-        mesh = np.meshgrid(*ax_x, *ax_t, indexing="ij")
+        """Flattened (x, t) node coordinates in C order over the axis tuple."""
+        mesh = np.meshgrid(*(self.axis_nodes(a) for a in range(len(self.shape))),
+                           indexing="ij")
         flat = [m.reshape(-1) for m in mesh]
-        x = np.stack(flat[: self.s.horizontal_dim], axis=-1)
-        t = np.stack(flat[self.s.horizontal_dim:], axis=-1)
-        return x, t
+        d = self.s.horizontal_dim
+        return np.stack(flat[:d], axis=-1), np.stack(flat[d:], axis=-1)
 
     def covers(self, f) -> bool:
         bx, bt = f.support_box(self.s)
@@ -258,6 +276,10 @@ class QuadratureGrid:
         """Shift of the box along the centre; node sets translate exactly."""
         return QuadratureGrid(self.s, self.x_half, self.t_half, self.nx, self.nt,
                               self.center_x, self.center_t + np.asarray(dt, float))
+
+    def describe(self) -> dict:
+        return {"lx": self.x_half, "lt": self.t_half, "nx": self.nx, "nt": self.nt,
+                "hx": self.hx, "ht": self.ht, "dim": self.dim}
 
 
 def _require_cover(grid: QuadratureGrid, f):
@@ -290,8 +312,6 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
     _require_cover(grid, f)
     x, t = grid.nodes()
     n = norm_xt(x, t)
-    if np.any(n == 0.0):
-        raise ValueError("grid places a node at the identity; shift counts or center")
     val = f.value(x, t)
     hg = horizontal_gradient(s, f, x, t)
     w = weight_xt(alpha, x, t)
@@ -336,18 +356,15 @@ def _translated_nodes(grid: QuadratureGrid, s: MetivierStructure, n: int):
 
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
                   lam: float, grid: QuadratureGrid,
-                  overlap_partner: int | None = None,
                   _overlap: float | None = None) -> WeylRecord:
     """Quadrature residual ||(lam + L + V_alpha) psi_n||_2 on a grid riding
     with the translate.
 
     `grid` is the base grid for psi around the identity; it is translated by
     (0, n u_1) so bump and sub-Laplacian values are exact shifts (the
-    translation has no horizontal part).  The overlap check evaluates
-    ||psi_n - psi_m||^2 for m = overlap_partner (default n + 2 ceil(t_radius),
-    which makes the supports disjoint) on a common aligned grid; by the same
-    shift-exactness it does not depend on n, and a precomputed value may be
-    passed through `_overlap`.
+    translation has no horizontal part).  The overlap check is
+    `_overlap_norm_sq`; by the same shift-exactness it does not depend on n,
+    and a precomputed value may be passed through `_overlap`.
     """
     if n < 2:
         raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
@@ -363,24 +380,22 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     norm_sq = np.sum(val * val) * moved.cell_volume
 
     if _overlap is None:
-        if overlap_partner is None:
-            overlap_partner = n + max(2, int(math.ceil(2.0 * psi.t_radius)))
-        _overlap = _overlap_norm_sq(s, psi, n, overlap_partner, grid)
+        _overlap = _overlap_norm_sq(s, psi, n, grid)
     return WeylRecord(n_index=n, residual=float(np.sqrt(res_sq)),
                       psi_norm=float(np.sqrt(norm_sq)),
                       overlap_check=float(_overlap), lam=lam)
 
 
-def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int, m: int,
+def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
                      grid: QuadratureGrid) -> float:
-    """||psi_n - psi_m||_2^2 on one grid covering both supports.
+    """||psi_n - psi_m||_2^2 on one grid covering both supports, for
+    m = n + max(2, ceil(2 t_radius)), which makes the supports disjoint.
 
     The common grid keeps the base spacing; for integer shifts and even axis
     counts its nodes around each translate coincide exactly with the base
     grid's nodes around the identity.
     """
-    if m <= n:
-        raise ValueError("need m > n")
+    m = n + max(2, int(math.ceil(2.0 * psi.t_radius)))
     lo = float(n) - grid.t_half
     hi = float(m) + grid.t_half
     span = hi - lo
@@ -433,18 +448,9 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     l_psi_norm = float(np.sqrt(np.sum(lpsi * lpsi) * grid.cell_volume))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     n_values = [int(n) for n in n_values]
-    gap = max(2, int(math.ceil(2.0 * psi.t_radius)))
-    overlap = _overlap_norm_sq(s, psi, n_values[0], n_values[0] + gap, grid)
+    overlap = _overlap_norm_sq(s, psi, n_values[0], grid)
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _overlap=overlap)
                for n in n_values]
     return WeylScan(alpha=alpha, lam=float(lam), sup_cylinder=float(sup_c),
                     psi_norm=psi_norm, l_psi_norm=l_psi_norm, bound=float(bound),
                     records=records)
-
-
-def fit_loglog_slope(ns, values) -> float:
-    """Least-squares slope of log(values) against log(ns)."""
-    ln = np.log(np.asarray(ns, dtype=float))
-    lv = np.log(np.asarray(values, dtype=float))
-    ln = ln - ln.mean()
-    return float((ln @ (lv - lv.mean())) / (ln @ ln))

@@ -92,6 +92,11 @@ class MetivierStructure:
         return np.tensordot(np.asarray(t, dtype=float), self.maps, axes=(-1, 0))
 
     @cached_property
+    def _map_singular_values(self) -> np.ndarray:
+        """Singular values of each map, shape (m, 2n), descending; one SVD per structure."""
+        return np.linalg.svd(self.maps, compute_uv=False)
+
+    @cached_property
     def _condition_extremes(self) -> tuple:
         """(c0, C0) when no estimate is supplied, computed once per structure.
 
@@ -249,6 +254,6 @@ def exact_condition_extremes(s: MetivierStructure):
     if s.h_type:
         return 1.0, 1.0
     if s.m == 1:
-        sv = np.linalg.svd(s.maps[0], compute_uv=False)
+        sv = s._map_singular_values[0]
         return float(sv[-1] ** 2), float(sv[0] ** 2)
     return None

@@ -374,14 +374,12 @@ def _shell_points(s: MetivierStructure, rng: np.random.Generator,
     return x * radius, t * radius * radius
 
 
-def _log_slope(radii: np.ndarray, sups: np.ndarray) -> float:
-    mask = sups > 0
-    if mask.sum() < 2:
-        return 0.0
-    lr = np.log(radii[mask])
-    ls = np.log(sups[mask])
-    lr = lr - lr.mean()
-    return float((lr @ (ls - ls.mean())) / (lr @ lr))
+def fit_loglog_slope(ns, values) -> float:
+    """Least-squares slope of log(values) against log(ns)."""
+    ln = np.log(np.asarray(ns, dtype=float))
+    lv = np.log(np.asarray(values, dtype=float))
+    ln = ln - ln.mean()
+    return float((ln @ (lv - lv.mean())) / (ln @ ln))
 
 
 @dataclass(frozen=True)
@@ -431,15 +429,21 @@ def admissibility_report(alpha: float, s: MetivierStructure,
         # cancels exactly and would underflow for large N if kept.
         ratio_sup[i] = float((alpha * n ** (alpha - 1.0) * np.sqrt(gns) / (1.0 + n)).max())
 
+    def slope(radii, sups, part):
+        keep = sups[part] > 0    # a vanishing sup carries no slope
+        if keep.sum() < 2:
+            return 0.0
+        return fit_loglog_slope(radii[part][keep], sups[part][keep])
+
     # slope of sup vs radius toward r -> 0: negative slope means blow-up
     small = slice(len(inner_radii) - 8, len(inner_radii))
-    grad_ok = _log_slope(inner_radii[small], grad_sup[small]) >= -slope_tol
-    lap_ok = _log_slope(inner_radii[small], lap_sup[small]) >= -slope_tol
+    grad_ok = slope(inner_radii, grad_sup, small) >= -slope_tol
+    lap_ok = slope(inner_radii, lap_sup, small) >= -slope_tol
     k = len(ratio_radii)
     low = slice(0, 8)          # radii 2^{-depth} .. : boundedness near identity
     high = slice(k - 8, k)     # radii .. 2^{depth}: boundedness at infinity
-    ratio_ok = (_log_slope(ratio_radii[low], ratio_sup[low]) >= -slope_tol
-                and _log_slope(ratio_radii[high], ratio_sup[high]) <= slope_tol)
+    ratio_ok = (slope(ratio_radii, ratio_sup, low) >= -slope_tol
+                and slope(ratio_radii, ratio_sup, high) <= slope_tol)
     return AdmissibilityReport(
         alpha=alpha,
         inner_radii=inner_radii, grad_sup=grad_sup, lap_sup=lap_sup,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .forms import QuadratureGrid, horizontal_coefficients
 from .group import MetivierStructure, _require_finite
 from .potential import potential_value_xt
 
@@ -32,65 +33,7 @@ from .potential import potential_value_xt
 # that never solve an eigenproblem.
 
 
-@dataclass(frozen=True)
-class Grid3:
-    """Cell-midpoint tensor grid on [-Lx, Lx]^{2n} x [-Lt, Lt]^m.
-
-    The origin must not be a node (the potential is only defined by
-    extension there), which fails exactly when every axis count is odd.
-    """
-
-    s: MetivierStructure
-    lx: float
-    lt: float
-    nx: int
-    nt: int
-
-    def __post_init__(self):
-        if self.nx < 3 or self.nt < 3:
-            raise ValueError("need at least 3 points per axis")
-        _require_finite("lx", self.lx, positive=True)
-        _require_finite("lt", self.lt, positive=True)
-        if self.nx % 2 == 1 and self.nt % 2 == 1:
-            raise ValueError("all axis counts odd would place a node at the identity; "
-                             "use an even count on at least one axis")
-
-    @property
-    def hx(self) -> float:
-        return 2.0 * self.lx / self.nx
-
-    @property
-    def ht(self) -> float:
-        return 2.0 * self.lt / self.nt
-
-    @property
-    def shape(self) -> tuple:
-        return (self.nx,) * self.s.horizontal_dim + (self.nt,) * self.s.m
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.shape))
-
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        if axis < self.s.horizontal_dim:
-            half, count = self.lx, self.nx
-        else:
-            half, count = self.lt, self.nt
-        h = 2.0 * half / count
-        return -half + (np.arange(count) + 0.5) * h
-
-    def nodes(self):
-        """Flattened (x, t) node coordinates in C order over the axis tuple."""
-        axes = [self.axis_nodes(a) for a in range(len(self.shape))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        x = np.stack(flat[: self.s.horizontal_dim], axis=-1)
-        t = np.stack(flat[self.s.horizontal_dim:], axis=-1)
-        return x, t
-
-    def describe(self) -> dict:
-        return {"lx": self.lx, "lt": self.lt, "nx": self.nx, "nt": self.nt,
-                "hx": self.hx, "ht": self.ht, "dim": self.dim}
+Grid3 = QuadratureGrid   # the cell-midpoint grid, shared with the quadrature rules
 
 
 def _forward_difference(count: int, h: float) -> sp.csr_matrix:
@@ -127,11 +70,11 @@ def assemble_derivative(s: MetivierStructure, grid: Grid3, j: int) -> sp.csr_mat
     if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
         raise ValueError("grid was built for a structure of different dimensions")
     x, _ = grid.nodes()
+    c = horizontal_coefficients(s, x)[:, j]   # c[:, k] multiplies d/dt_k
     d = _axis_operator(grid, j)
     for k in range(s.m):
-        c = 0.5 * np.einsum("ji,si->sj", s.maps[k], x)[:, j]
         dt = _axis_operator(grid, s.horizontal_dim + k)
-        d = d + sp.diags(c, format="csr") @ dt
+        d = d + sp.diags(c[:, k], format="csr") @ dt
     d = d.tocsr()
 
     shape = grid.shape
@@ -139,10 +82,9 @@ def assemble_derivative(s: MetivierStructure, grid: Grid3, j: int) -> sp.csr_mat
     cols = [np.nonzero(idx[j] == 0)[0]]
     vals = [np.full(cols[0].size, 1.0 / grid.hx)]
     for k in range(s.m):
-        c = 0.5 * np.einsum("ji,si->sj", s.maps[k], x)[:, j]
         edge_t = np.nonzero(idx[s.horizontal_dim + k] == 0)[0]
         cols.append(edge_t)
-        vals.append(c[edge_t] / grid.ht)
+        vals.append(c[edge_t, k] / grid.ht)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
     boundary = sp.coo_matrix((vals, (np.arange(cols.size), cols)),
@@ -366,7 +308,7 @@ def box_convergence_study(alpha: float, s: MetivierStructure, grids,
     """
     grids = list(grids)
     for g0, g1 in zip(grids, grids[1:]):
-        if g1.lx < g0.lx or g1.lt < g0.lt:
+        if g1.x_half < g0.x_half or g1.t_half < g0.t_half:
             raise ValueError("grids must be nested (non-decreasing half-widths)")
     rows = []
     prev = None

@@ -25,8 +25,8 @@ import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite
 from .norms import norm_xt, quasi_distance_xt
-from .potential import (PotentialConstants, potential_bounds,
-                        potential_value_xt)
+from .potential import (PotentialConstants, fit_loglog_slope,
+                        potential_bounds, potential_value_xt)
 
 
 def worker_count() -> int:
@@ -159,26 +159,27 @@ def _envelope_inverse(const: PotentialConstants, level: float) -> float:
     return float(hi * (1.0 + 1e-9))
 
 
-def _twist_bound(s: MetivierStructure) -> float:
-    """kappa with |sum_k (J_k a, b) u_k| <= kappa |a| |b|, via singular values."""
-    sv = np.array([np.linalg.svd(j, compute_uv=False)[0] for j in s.maps])
-    return float(np.sqrt(np.sum(sv ** 2)))
+def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
+    """Central extent r^2/4 + (kappa/2) |xc| (|xc| + r) of a ball B((xc, tc), r).
+
+    The ball's own central reach plus the largest twist of the group product
+    over the x-range, with kappa the bound |sum_k (J_k a, b) u_k| <= kappa |a| |b|
+    from the maps' largest singular values.
+    """
+    kappa = float(np.sqrt(np.sum(s._map_singular_values[:, 0] ** 2)))
+    return 0.25 * r * r + 0.5 * kappa * xc_norm * (xc_norm + r)
 
 
 def bounding_cylinder(s: MetivierStructure, center: GroupPoint, r: float):
     """(rho_x, rho_t): B(center, r) lies inside {|xi| <= rho_x, |tau - tc| <= rho_t}.
 
-    The x-part is |xc| + r; the central part combines the ball's own central
-    reach r^2/4 with the largest possible twist of the group product over
-    the x-range, bounded through the maps' singular values (no unproven
-    quasi-triangle constant is needed).
+    The x-part is |xc| + r; the central part is `_central_reach` (no
+    unproven quasi-triangle constant is needed).
     """
     if r <= 0:
         raise ValueError("radius must be positive")
     xc_norm = float(np.linalg.norm(center.x))
-    rho_x = xc_norm + r
-    rho_t = 0.25 * r * r + 0.5 * _twist_bound(s) * xc_norm * rho_x
-    return rho_x, rho_t
+    return xc_norm + r, _central_reach(s, xc_norm, r)
 
 
 def _tube_radius(const: PotentialConstants, level: float, n_min: float):
@@ -266,8 +267,7 @@ def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
     """
     const = potential_bounds(spec.alpha, None, s)
     c = cylinder_radius(spec, s)
-    xc = min(center_x_norm, c)
-    rho_t = 0.25 * r * r + 0.5 * _twist_bound(s) * xc * (xc + r)
+    rho_t = _central_reach(s, min(center_x_norm, c), r)
     return rho_t + (2.0 * const.c_a2 / const.c_a1) ** (2.0 / const.alpha)
 
 
@@ -299,7 +299,7 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     c = cylinder_radius(spec, s)
     if c == 0.0:
         return 0.0
-    rho_t = 0.25 * r * r + 0.5 * _twist_bound(s) * c * (c + r)
+    rho_t = _central_reach(s, c, r)
     k = threshold_k(spec, s, r, center_x_norm=c)
     t_eff = max(t_from, k)
     dim_x = s.horizontal_dim
@@ -458,12 +458,11 @@ def scaling_fit(spec: SublevelSpec, s: MetivierStructure, r: float,
             raise RuntimeError(f"no sublevel mass found near t = {tv}; widen samples")
         estimates.append(est.value)
         std_errors.append(est.std_error)
+    slope = fit_loglog_slope(t_values, estimates)
     lx = np.log(np.asarray(t_values))
-    ly = np.log(np.asarray(estimates))
     xbar = lx.mean()
     sxx = float(np.sum((lx - xbar) ** 2))
-    slope = float(np.sum((lx - xbar) * (ly - ly.mean())) / sxx)
-    intercept = float(ly.mean() - slope * xbar)
+    intercept = float(np.log(np.asarray(estimates)).mean() - slope * xbar)
     sigma_log = np.asarray(std_errors) / np.asarray(estimates)
     slope_se = float(np.sqrt(np.sum(((lx - xbar) / sxx) ** 2 * sigma_log ** 2)))
     return ScalingFit(slope=slope, intercept=intercept, slope_stderr=slope_se,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from srlab.group import MetivierStructure, make_heisenberg
 
@@ -26,6 +27,21 @@ def degenerate():
     j = np.zeros((1, 4, 4))
     j[0, :2, :2] = ROT
     return MetivierStructure(n=2, m=1, maps=j)
+
+
+@st.composite
+def skew_structures(draw):
+    """Random skew maps with n, m <= 2; the h_type flag stays off."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 2))
+    d = 2 * n
+    upper = np.triu_indices(d, 1)
+    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * upper[0].size,
+                            max_size=m * upper[0].size))
+    maps = np.zeros((m, d, d))
+    for k in range(m):
+        maps[k][upper] = entries[k * upper[0].size:(k + 1) * upper[0].size]
+    return MetivierStructure(n=n, m=m, maps=maps - np.swapaxes(maps, 1, 2))
 
 
 def random_points(s, count, seed, box=2.0, min_norm=0.0):

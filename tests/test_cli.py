@@ -163,7 +163,7 @@ def test_byte_reproducibility(tmp_path):
 
 def test_non_finite_alpha_and_level_exit(tmp_path):
     cmds = {
-        "potential": ["potential", "--alpha", "nan", "--nx", "2", "--nt", "2"],
+        "potential": ["potential", "--alpha", "nan", "--nx", "4", "--nt", "4"],
         "weyl": ["weyl", "--alpha", "nan", "--n-max", "4", "--grid", "8"],
         "thinness": ["thinness", "--alpha", "3", "--m-level", "nan", "--ell", "2",
                      "--outer", "50", "--inner", "10"],
@@ -171,7 +171,7 @@ def test_non_finite_alpha_and_level_exit(tmp_path):
     for name, cmd in cmds.items():
         code, payload = invoke(cmd, tmp_path, f"{name}.csv")
         assert code == 1 and payload == b"", name
-    code, payload = invoke(["potential", "--alpha", "inf", "--nx", "2", "--nt", "2"],
+    code, payload = invoke(["potential", "--alpha", "inf", "--nx", "4", "--nt", "4"],
                            tmp_path, "inf.csv")
     assert code == 1 and payload == b""
 
@@ -181,3 +181,14 @@ def test_malformed_srl_threads_is_usage_error(tmp_path, monkeypatch):
     code, payload = invoke(["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
                             "--outer", "50", "--inner", "10"], tmp_path, "t.json")
     assert code == 64 and payload == b""
+
+
+def test_thinness_stdout_independent_of_workers(monkeypatch, capsysbinary):
+    cmd = ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+           "--truncation", "8", "--outer", "400", "--inner", "60", "--seed", "3"]
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SRL_THREADS", threads)
+        assert run(cmd) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0]) > 0

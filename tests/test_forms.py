@@ -305,5 +305,7 @@ def test_quadrature_grid_validation(heis):
             QuadratureGrid(heis, bad, 1.0, 4, 4)
         with pytest.raises(ValueError, match="t_half"):
             QuadratureGrid(heis, 1.0, bad, 4, 4)
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="at least 3"):
         QuadratureGrid(heis, 1.0, 1.0, 1, 4)
+    with pytest.raises(ValueError, match="identity"):
+        QuadratureGrid(heis, 1, 1, 5, 5)

@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlab.group import (GroupPoint, MetivierStructure, dilate,
                          exact_condition_extremes, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
                          product, verify_metivier)
 
-from conftest import ROT, random_points
+from conftest import ROT, random_points, skew_structures
 
 
 def test_heisenberg_canonical(heis):
@@ -115,6 +117,35 @@ def test_dilations_are_automorphisms(heis):
     qx, qt = product(heis, x1, t1, x2, t2)
     assert np.max(np.abs(px - r * qx)) <= 1e-12
     assert np.max(np.abs(pt - r * r * qt)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=skew_structures(), r=st.floats(0.1, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_group_axioms_random_structures(s, r, seed):
+    """Associativity, identity, inverses and dilation automorphisms, to 1e-12 relative."""
+    rng = np.random.default_rng(seed)
+    (x1, x2, x3), (t1, t2, t3) = (rng.uniform(-10.0, 10.0, size=(3, 50, s.horizontal_dim)),
+                                  rng.uniform(-10.0, 10.0, size=(3, 50, s.m)))
+
+    def close(a, b, scale=None):
+        scale = np.max(np.abs(b)) if scale is None else scale
+        return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, scale)
+
+    ax, at = product(s, *product(s, x1, t1, x2, t2), x3, t3)
+    bx, bt = product(s, x1, t1, *product(s, x2, t2, x3, t3))
+    assert close(ax, bx) and close(at, bt)
+    e = identity(s)
+    for x, t in (product(s, x1, t1, e.x, e.t), product(s, e.x, e.t, x1, t1)):
+        assert close(x, x1) and close(t, t1)
+    for i in range(3):
+        p = GroupPoint(x1[i], t1[i])
+        inv = inverse(s, p)
+        for q in (multiply(s, p, inv), multiply(s, inv, p)):
+            # the central part cancels terms of size |J| |x|^2
+            assert close(q.x, e.x) and close(q.t, e.t, np.max(np.abs(s.maps)) * x1[i] @ x1[i])
+    px, pt = product(s, r * x1, r * r * t1, r * x2, r * r * t2)
+    qx, qt = product(s, x1, t1, x2, t2)
+    assert close(px, r * qx) and close(pt, r * r * qt)
 
 
 def test_left_translation_unimodular(heis):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlab.group import MetivierStructure, identity, point, verify_metivier
+from srlab.group import identity, point, verify_metivier
 from srlab.norms import norm_xt, weight_xt
 from srlab.potential import (admissibility_report, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
@@ -19,7 +19,7 @@ from srlab.potential import (admissibility_report, check_sandwich,
                              sub_laplacian_norm_xt)
 
 import oracles
-from conftest import random_points
+from conftest import random_points, skew_structures
 
 
 def test_grad_norm_sq_examples(heis):
@@ -282,21 +282,6 @@ def test_scaling_law_along_orbits(heis):
 def test_cylinder_sup(heis):
     assert cylinder_sup_potential(2.0, heis) == pytest.approx(3.0, abs=1e-6)
     assert math.isinf(cylinder_sup_potential(3.0, heis))
-
-
-@st.composite
-def skew_structures(draw):
-    """Random skew maps with n, m <= 2; the h_type flag stays off."""
-    n = draw(st.integers(1, 2))
-    m = draw(st.integers(1, 2))
-    d = 2 * n
-    upper = np.triu_indices(d, 1)
-    entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * upper[0].size,
-                            max_size=m * upper[0].size))
-    maps = np.zeros((m, d, d))
-    for k in range(m):
-        maps[k][upper] = entries[k * upper[0].size:(k + 1) * upper[0].size]
-    return MetivierStructure(n=n, m=m, maps=maps - np.swapaxes(maps, 1, 2))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from srlab import forms, spectral
 from srlab.forms import SmoothBump, sub_laplacian_apply
 from srlab.potential import potential_value_xt
 from srlab.spectral import (Grid3, SparseSymmetricOperator, assemble_derivative,
@@ -51,10 +52,11 @@ def test_grid_validation(heis):
     from srlab.norms import norm_xt
     assert np.min(norm_xt(x, t)) > 0.0
     for bad in (np.nan, np.inf, -1.0):
-        with pytest.raises(ValueError, match="lx"):
+        with pytest.raises(ValueError, match="x_half"):
             Grid3(heis, bad, 1.0, 4, 4)
-        with pytest.raises(ValueError, match="lt"):
+        with pytest.raises(ValueError, match="t_half"):
             Grid3(heis, 1.0, bad, 4, 4)
+    assert spectral.Grid3 is forms.QuadratureGrid
 
 
 def test_derivative_probes(heis):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srlab import group, sublevel
-from srlab.group import GroupPoint, MetivierStructure, point
+from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
 from srlab.norms import norm_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             bounding_cylinder, cylinder_radius, in_sublevel,
@@ -277,6 +277,29 @@ def test_thinness_computes_invariants_once(name, heis, monkeypatch):
     assert calls["member"] > 1
     assert calls["scan"] == 1
     assert calls["verify"] == (0 if s.h_type else 1)
+
+
+@pytest.mark.parametrize("make", [make_heisenberg, _quaternion_scaled])
+def test_thinness_takes_one_maps_svd(make, monkeypatch):
+    """The maps' singular values come from one SVD per structure, not one per member."""
+    s = make()  # fresh, so nothing is cached on it yet
+    calls = {"svd": 0, "member": 0}
+    svd = np.linalg.svd
+    member = sublevel.ball_intersection_volume
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_member(*args, **kwargs):
+        calls["member"] += 1
+        return member(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(sublevel, "ball_intersection_volume", counting_member)
+    thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
+    assert calls["member"] > 1
+    assert calls["svd"] <= 1
 
 
 def test_worker_count_rejects_non_integer(monkeypatch):
