@@ -3,8 +3,8 @@
 Subcommands: verify, potential, gamma, weyl, spectrum, thinness.  Every run
 echoes its fully resolved configuration (defaults included) into the output
 header, CSV numbers carry 17 significant digits, JSON numbers are raw
-doubles (infinities as the strings "inf"/"-inf"; a NaN bound for JSON
-output is a validation failure), and identical seeded invocations produce
+doubles (infinities as the strings "inf"/"-inf"), a NaN bound for either
+format is a validation failure, and identical seeded invocations produce
 byte-identical output.  `spectrum` reports `iterations` as the number of
 operator applications of the eigensolver.
 
@@ -26,8 +26,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import forms, potential, spectral, sublevel
-from .group import MetivierStructure, make_heisenberg, verify_metivier
-from .norms import estimate_gamma, norm_xt, quasi_distance_xt, weight_xt
+from .group import MetivierStructure, make_heisenberg, product, verify_metivier
+from .norms import _weight, estimate_gamma, norm_xt, quasi_distance_xt, weight_xt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -50,6 +50,8 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
+        if math.isnan(x):
+            raise ValueError("NaN in CSV output")
         return f"{x:.17g}"
     return str(x)
 
@@ -177,7 +179,6 @@ def _run_verify(args) -> int:
         t = rng.uniform(-10.0, 10.0, size=(count, s.m))
         return x, t
 
-    from .group import product
     x1, t1 = draw(n_pts)
     x2, t2 = draw(n_pts)
     x3, t3 = draw(n_pts)
@@ -205,7 +206,7 @@ def _run_verify(args) -> int:
     d1 = quasi_distance_xt(s, lx_, lt_, mx, mt)
     checks.append(("distance_left_invariance", float(np.max(np.abs(d0 - d1))), 1e-12))
 
-    wt = np.exp(-(r * norm_xt(x1, t1)) ** 2)
+    wt = _weight(2.0, r * norm_xt(x1, t1))
     checks.append(("weight_homogeneity_transfer",
                    float(np.max(np.abs(weight_xt(2.0, dx, dt_) - wt))), 1e-12))
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite
-from .norms import norm_xt, weight_xt
+from .norms import _weight, weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
-from .potential import grad_kaplan_xt, potential_value_xt
+from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
+                        potential_value_xt)
 
 
 def bump_profile(sq: np.ndarray):
@@ -55,8 +56,8 @@ class SmoothBump:
     t_radius: float
 
     def __post_init__(self):
-        if self.x_radius <= 0 or self.t_radius <= 0:
-            raise ValueError("bump radii must be positive")
+        _require_finite("x_radius", self.x_radius, positive=True)
+        _require_finite("t_radius", self.t_radius, positive=True)
 
     def center(self, s: MetivierStructure) -> GroupPoint:
         return GroupPoint(np.zeros(s.horizontal_dim), np.zeros(s.m))
@@ -195,8 +196,8 @@ class QuadratureGrid:
     with `nx` points on each horizontal axis and `nt` on each central one.
     It carries both the midpoint quadrature rule here and the
     finite-difference operator in `spectral` (as `Grid3`).  V_alpha has no
-    value at the identity, so a box centred there with every axis count odd,
-    which puts a node on it, is refused.
+    value at the identity, so a grid with the identity as a node is refused:
+    every axis has a node at 0, to within 1e-9 of its spacing.
     """
 
     s: MetivierStructure
@@ -214,11 +215,12 @@ class QuadratureGrid:
         _require_finite("t_half", self.t_half, positive=True)
         cx = np.zeros(self.s.horizontal_dim) if self.center_x is None else np.asarray(self.center_x, float)
         ct = np.zeros(self.s.m) if self.center_t is None else np.asarray(self.center_t, float)
-        if self.nx % 2 == 1 and self.nt % 2 == 1 and not (np.any(cx) or np.any(ct)):
-            raise ValueError("all axis counts odd would place a node at the identity; "
-                             "use an even count on at least one axis")
         object.__setattr__(self, "center_x", cx)
         object.__setattr__(self, "center_t", ct)
+        h = (self.hx,) * self.s.horizontal_dim + (self.ht,) * self.s.m
+        if all(np.abs(self.axis_nodes(a)).min() <= 1e-9 * h[a] for a in range(len(h))):
+            raise ValueError("a grid node falls on the identity, where V_alpha has no "
+                             "value; shift the box or use an even count on some axis")
 
     @property
     def hx(self) -> float:
@@ -311,20 +313,18 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         raise ValueError("conjugation residual requires alpha >= 2 (V bounded below)")
     _require_cover(grid, f)
     x, t = grid.nodes()
-    n = norm_xt(x, t)
     val = f.value(x, t)
     hg = horizontal_gradient(s, f, x, t)
-    w = weight_xt(alpha, x, t)
+    jet = _norm_jet(s, x, t)   # after f's Hessians, so the two are not held at once
+    w = _weight(alpha, jet.n)
     lhs = np.einsum("si,si->s", hg, hg) @ w * grid.cell_volume
 
-    sqrt_w = np.sqrt(w)
-    grad_n = grad_kaplan_xt(s, x, t)
-    # X_j (f sqrt(w)) = sqrt(w) (X_j f - (alpha/2) N^{alpha-1} (X_j N) f)
-    shifted = hg - 0.5 * alpha * (n ** (alpha - 1.0) * val)[:, None] * grad_n
-    phi = val * sqrt_w
-    v = potential_value_xt(alpha, s, x, t)
+    # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
+    g = _weight_terms(alpha, jet)[0]
+    shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(jet)
+    phi = val * np.sqrt(w)
     rhs = (np.einsum("si,si->s", shifted, shifted) @ w
-           + (phi * phi) @ v) * grid.cell_volume
+           + (phi * phi) @ _potential(alpha, jet)) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
 
 
@@ -334,9 +334,7 @@ def weyl_sequence(s: MetivierStructure, psi: SmoothBump, n: int) -> "TranslatedB
         raise ValueError("translation index must be nonnegative")
     if n == 0:
         return psi
-    shift = np.zeros(s.m)
-    shift[0] = float(n)
-    return TranslatedBump(psi, s, GroupPoint(np.zeros(s.horizontal_dim), shift))
+    return TranslatedBump(psi, s, GroupPoint(np.zeros(s.horizontal_dim), n * np.eye(s.m)[0]))
 
 
 @dataclass(frozen=True)
@@ -346,12 +344,6 @@ class WeylRecord:
     psi_norm: float
     overlap_check: float
     lam: float
-
-
-def _translated_nodes(grid: QuadratureGrid, s: MetivierStructure, n: int):
-    shift = np.zeros(s.m)
-    shift[0] = float(n)
-    return grid.translated(shift)
 
 
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
@@ -368,9 +360,10 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     """
     if n < 2:
         raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
+    _require_finite("lam", lam)
     _require_cover(grid, psi)
-    moved = _translated_nodes(grid, s, n)
     psi_n = weyl_sequence(s, psi, n)
+    moved = grid.translated(psi_n.translation.t)
     _require_cover(moved, psi_n)
     x, t = moved.nodes()
     val = psi_n.value(x, t)
@@ -441,6 +434,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
             lam = 1.0 + max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
         else:
             lam = 1.0 + sup_c
+    _require_finite("lam", lam)
     x, t = grid.nodes()
     val = psi.value(x, t)
     lpsi = sub_laplacian_apply(s, psi, x, t)

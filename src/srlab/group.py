@@ -87,10 +87,6 @@ class MetivierStructure:
     def horizontal_dim(self) -> int:
         return 2 * self.n
 
-    def j_of(self, t: np.ndarray) -> np.ndarray:
-        """J_t = sum_k t_k J_k for a batch of central vectors t (..., m)."""
-        return np.tensordot(np.asarray(t, dtype=float), self.maps, axes=(-1, 0))
-
     @cached_property
     def _map_singular_values(self) -> np.ndarray:
         """Singular values of each map, shape (m, 2n), descending; one SVD per structure."""

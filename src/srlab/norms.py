@@ -16,13 +16,18 @@ import numpy as np
 from .group import GroupPoint, MetivierStructure, _require_finite, product
 
 
-def norm_xt(x, t) -> np.ndarray:
-    """N on raw coordinate arrays (..., 2n) and (..., m)."""
+def _radial(x, t):
+    """(x, t, |x|^2, N) as float arrays: the one place N is computed."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
     x2 = np.einsum("...i,...i->...", x, x)
     t2 = np.einsum("...i,...i->...", t, t)
-    return (x2 * x2 + 16.0 * t2) ** 0.25
+    return x, t, x2, (x2 * x2 + 16.0 * t2) ** 0.25
+
+
+def norm_xt(x, t) -> np.ndarray:
+    """N on raw coordinate arrays (..., 2n) and (..., m)."""
+    return _radial(x, t)[3]
 
 
 def kaplan_norm(s: MetivierStructure, p: GroupPoint) -> float:
@@ -42,9 +47,14 @@ def quasi_distance(s: MetivierStructure, p: GroupPoint, q: GroupPoint) -> float:
     return float(quasi_distance_xt(s, p.x, p.t, q.x, q.t))
 
 
-def weight_xt(alpha: float, x, t) -> np.ndarray:
+def _weight(alpha: float, n) -> np.ndarray:
+    """w_alpha = exp(-N^alpha) from N; alpha must be finite and positive."""
     _require_finite("alpha", alpha, positive=True)
-    return np.exp(-norm_xt(x, t) ** alpha)
+    return np.exp(-n ** alpha)
+
+
+def weight_xt(alpha: float, x, t) -> np.ndarray:
+    return _weight(alpha, norm_xt(x, t))
 
 
 def weight(alpha: float, s: MetivierStructure, p: GroupPoint) -> float:
@@ -60,8 +70,7 @@ class BallSpec:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        _require_finite("radius", self.radius, positive=True)
 
 
 def in_ball_xt(s: MetivierStructure, ball: BallSpec, x, t) -> np.ndarray:

@@ -12,10 +12,14 @@ its two-sided polynomial sandwich with explicit constants, and diagnostics
 (essential infimum, admissibility probes for uniqueness of the self-adjoint
 extension, sup of |V_alpha| on the unit cylinder).
 
+Every consumer, here and in `forms` and `sublevel`, evaluates the norm jet
+`_norm_jet` at most once per batch, and each formula is written once.
+
 Conventions at degenerate points: values carrying a |x|^2 factor extend
 continuously to 0 on the set {x = 0}, while the identity itself is a hard
-error.  sign(0) = 0, which the formulas below realise without branching
-because |J_t x|^2 already vanishes with x or t.
+error (`sublevel.in_sublevel_xt` alone reads V_alpha as 0 there when
+alpha >= 2).  sign(0) = 0, which the formulas below realise without
+branching because |J_t x|^2 already vanishes with x or t.
 """
 
 from __future__ import annotations
@@ -29,18 +33,18 @@ import numpy as np
 from .group import (ConditionEstimate, GroupPoint, MetivierStructure,
                     _require_finite, exact_condition_extremes,
                     homogeneous_dimension, unit_sample)
-from .norms import norm_xt
+from .norms import _radial, _weight, norm_xt
 
 
-def _radial(x, t):
-    """(x, t, |x|^2, N) as arrays; the identity is a hard error."""
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(t, dtype=float)
-    x2 = np.einsum("...i,...i->...", x, x)
-    t2 = np.einsum("...i,...i->...", t, t)
-    n = (x2 * x2 + 16.0 * t2) ** 0.25
+class _AtIdentity(ValueError):
+    """A batch holds the group identity, where N = 0 and the formulas have no value."""
+
+
+def _off_identity(x, t):
+    """`norms._radial` (x, t, |x|^2, N); the identity is a hard error."""
+    x, t, x2, n = _radial(x, t)
     if np.any(n == 0.0):
-        raise ValueError("formula undefined at the group identity (N = 0)")
+        raise _AtIdentity("formula undefined at the group identity (N = 0)")
     return x, t, x2, n
 
 
@@ -62,7 +66,7 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
     LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2);
     J_t x = sum_k t_k J_k x reuses the J_k x of the sum.
     """
-    x, t, x2, n = _radial(x, t)
+    x, t, x2, n = _off_identity(x, t)
     jk_x = np.einsum("kij,...j->...ki", s.maps, x)
     jt_x = np.einsum("...k,...ki->...i", t, jk_x)
     n3 = n * n * n
@@ -76,21 +80,21 @@ def _grad_kaplan(jet: _NormJet) -> np.ndarray:
     return (jet.x2[..., None] * jet.x + 4.0 * jet.jt_x) / (jet.n ** 3)[..., None]
 
 
-def _alpha_power(alpha: float, jet: _NormJet) -> np.ndarray:
-    """alpha N^{alpha-2}; every kernel taking alpha checks it here (finite, > 0)."""
-    _require_finite("alpha", alpha, positive=True)
-    return alpha * jet.n ** (alpha - 2.0)
-
-
 def _weight_terms(alpha: float, jet: _NormJet):
-    """(|grad_H w|^2 / w^2, (L w) / w) for w = w_alpha, from one power of N."""
-    u = _alpha_power(alpha, jet)
+    """(g, |grad_H w|^2 / w^2, (L w) / w) for w = w_alpha, from one power of N.
+
+    g = alpha N^{alpha-1} is the slope of the log-gradient,
+    grad_H log w = -g grad_H N, so |grad_H w|^2 / w^2 = g^2 |grad_H N|^2.
+    Every kernel taking alpha checks it here (finite, > 0).
+    """
+    _require_finite("alpha", alpha, positive=True)
+    u = alpha * jet.n ** (alpha - 2.0)
     grad_sq = u * u * (jet.n * jet.n) * jet.gns
-    return grad_sq, u * ((alpha - 1.0) * jet.gns - jet.n * jet.ln) - grad_sq
+    return u * jet.n, grad_sq, u * ((alpha - 1.0) * jet.gns - jet.n * jet.ln) - grad_sq
 
 
 def _potential(alpha: float, jet: _NormJet) -> np.ndarray:
-    grad_sq, lw = _weight_terms(alpha, jet)
+    _, grad_sq, lw = _weight_terms(alpha, jet)
     return -0.25 * grad_sq - 0.5 * lw
 
 
@@ -115,8 +119,8 @@ def sub_laplacian_norm_xt(s: MetivierStructure, x, t) -> np.ndarray:
 def grad_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """grad_H w_alpha = -alpha w_alpha N^{alpha-1} grad_H N, shape (..., 2n)."""
     jet = _norm_jet(s, x, t)
-    coeff = -_alpha_power(alpha, jet) * jet.n * np.exp(-jet.n ** alpha)
-    return coeff[..., None] * _grad_kaplan(jet)
+    g = _weight_terms(alpha, jet)[0]
+    return (-g * _weight(alpha, jet.n))[..., None] * _grad_kaplan(jet)
 
 
 def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -130,8 +134,7 @@ def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     finite-difference oracle tests (and by consistency with V_alpha below).
     """
     jet = _norm_jet(s, x, t)
-    _, lw = _weight_terms(alpha, jet)
-    return np.exp(-jet.n ** alpha) * lw
+    return _weight(alpha, jet.n) * _weight_terms(alpha, jet)[2]
 
 
 def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -139,12 +142,22 @@ def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     return _potential(alpha, _norm_jet(s, x, t))
 
 
+def _envelope_factor(c1: float, c2: float, alpha: float, n):
+    """c1 N^{2a-4} - c2 N^{a-4}: the sandwich bounds and the H-type closed form
+    of V_alpha are |x|^2 times this factor."""
+    return c1 * n ** (2.0 * alpha - 4.0) - c2 * n ** (alpha - 4.0)
+
+
+def _closed_form_factor(alpha: float, s: MetivierStructure, n):
+    """H-type V_alpha / |x|^2 = (a^2/4) N^{2a-4} - (a/2)(Q+a-2) N^{a-4}."""
+    q = homogeneous_dimension(s)
+    return _envelope_factor(0.25 * alpha * alpha, 0.5 * alpha * (q + alpha - 2.0), alpha, n)
+
+
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2."""
-    _, _, x2, n = _radial(x, t)
-    q = homogeneous_dimension(s)
-    return (0.25 * alpha * alpha * n ** (2.0 * alpha - 4.0) * x2
-            - 0.5 * alpha * (q + alpha - 2.0) * n ** (alpha - 4.0) * x2)
+    _, _, x2, n = _off_identity(x, t)
+    return x2 * _closed_form_factor(alpha, s, n)
 
 
 # scalar wrappers on GroupPoint
@@ -227,8 +240,11 @@ def potential_bounds(alpha: float, est: ConditionEstimate | None,
     (1, 1); a one-dimensional centre gives the squared extreme singular
     values of the single map) the exact values override the sampled
     estimate, so the resulting bounds are rigorous rather than
-    sample-dependent.  Otherwise the sampled (c0, C0) are used, without an
-    estimate those of a 10,000-pair sample drawn once per structure.
+    sample-dependent.  Otherwise (a non-H-type structure with m >= 2) the
+    sampled (c0, C0) are used, without an estimate those of a 10,000-pair
+    sample drawn once per structure.  Those constants are heuristic, not
+    rigorous: a sample can miss the true extremes, and the sandwich built
+    from it can fail at some points.
     """
     if est is None:
         c0, C0 = s._condition_extremes
@@ -238,15 +254,14 @@ def potential_bounds(alpha: float, est: ConditionEstimate | None,
 
 
 def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
-    p = n ** (const.alpha - 2.0)
-    shell = p * p * x2
-    n_a = p * n * n
-    return shell * (const.c_a1 - const.c_a2 / n_a), shell * (const.c_a3 - const.c_a4 / n_a)
+    a = const.alpha
+    return (x2 * _envelope_factor(const.c_a1, const.c_a2, a, n),
+            x2 * _envelope_factor(const.c_a3, const.c_a4, a, n))
 
 
 def sandwich_bounds_xt(const: PotentialConstants, x, t):
     """Pointwise (lower, upper) sandwich values for V_alpha."""
-    _, _, x2, n = _radial(x, t)
+    _, _, x2, n = _off_identity(x, t)
     return _sandwich(const, x2, n)
 
 
@@ -345,9 +360,7 @@ def essential_inf_estimate(alpha: float, s: MetivierStructure,
     for r in scales:
         x, t = _shell_points(s, rng, per_scale, r)
         running_min = min(running_min, float(potential_value_xt(alpha, s, x, t).min()))
-    floor = None
-    if alpha >= 2:
-        floor = sandwich_floor(potential_bounds(alpha, None, s))
+    floor = sandwich_floor(potential_bounds(alpha, None, s)) if alpha >= 2 else None
     return EssentialInfEstimate(
         sampled_min=running_min,
         analytic_floor=floor,
@@ -414,20 +427,19 @@ def admissibility_report(alpha: float, s: MetivierStructure,
     grad_sup = np.empty_like(inner_radii)
     lap_sup = np.empty_like(inner_radii)
     for i, r in enumerate(inner_radii):
-        x, t = _shell_points(s, rng, per_shell, r)
-        g = grad_weight_xt(alpha, s, x, t)
-        grad_sup[i] = float(np.sqrt(np.einsum("si,si->s", g, g)).max())
-        lap_sup[i] = float(np.abs(laplacian_weight_xt(alpha, s, x, t)).max())
+        jet = _norm_jet(s, *_shell_points(s, rng, per_shell, r))
+        w = _weight(alpha, jet.n)
+        _, grad_sq, lw = _weight_terms(alpha, jet)
+        grad_sup[i] = float((w * np.sqrt(grad_sq)).max())   # |grad w| = w |grad log w|
+        lap_sup[i] = float(np.abs(w * lw).max())
 
     ratio_radii = 2.0 ** np.arange(-depth, depth + 1, dtype=float)
     ratio_sup = np.empty_like(ratio_radii)
     for i, r in enumerate(ratio_radii):
-        x, t = _shell_points(s, rng, per_shell, r)
-        jet = _norm_jet(s, x, t)
-        n, gns = jet.n, jet.gns
-        # |grad w| / ((1+N) w) = alpha N^{alpha-1} |grad N| / (1+N); the weight
-        # cancels exactly and would underflow for large N if kept.
-        ratio_sup[i] = float((alpha * n ** (alpha - 1.0) * np.sqrt(gns) / (1.0 + n)).max())
+        jet = _norm_jet(s, *_shell_points(s, rng, per_shell, r))
+        # |grad w| / ((1+N) w) = |grad log w| / (1+N); the weight cancels
+        # exactly and would underflow for large N if kept.
+        ratio_sup[i] = float((np.sqrt(_weight_terms(alpha, jet)[1]) / (1.0 + jet.n)).max())
 
     def slope(radii, sups, part):
         keep = sups[part] > 0    # a vanishing sup carries no slope
@@ -470,10 +482,7 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
         return math.inf
     if s.h_type:
         n_grid = np.geomspace(1.0, max(t_cap, 10.0) ** 2, 200_001)
-        q = homogeneous_dimension(s)
-        g = (0.25 * alpha * alpha * n_grid ** (2.0 * alpha - 4.0)
-             - 0.5 * alpha * (q + alpha - 2.0) * n_grid ** (alpha - 4.0))
-        sup = float(np.abs(g).max())
+        sup = float(np.abs(_closed_form_factor(alpha, s, n_grid)).max())
         if alpha == 2.0:
             sup = max(sup, 0.25 * alpha * alpha)  # N -> infinity limit
         return sup
@@ -481,7 +490,8 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
     x = unit_sample(rng, samples, s.horizontal_dim)
     x *= rng.uniform(0.0, 1.0, size=(samples, 1)) ** (1.0 / s.horizontal_dim)
     t = unit_sample(rng, samples, s.m) * rng.uniform(0.0, t_cap, size=(samples, 1))
-    keep = norm_xt(x, t) >= 1.0
+    jet = _norm_jet(s, x, t)
+    keep = jet.n >= 1.0
     if not np.any(keep):
         raise RuntimeError("no cylinder samples with N >= 1; increase samples")
-    return float(np.abs(potential_value_xt(alpha, s, x[keep], t[keep])).max())
+    return float(np.abs(_potential(alpha, jet)[keep]).max())

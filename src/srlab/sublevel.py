@@ -25,8 +25,8 @@ import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite
 from .norms import norm_xt, quasi_distance_xt
-from .potential import (PotentialConstants, fit_loglog_slope,
-                        potential_bounds, potential_value_xt)
+from .potential import (PotentialConstants, _AtIdentity, _envelope_factor,
+                        fit_loglog_slope, potential_bounds, potential_value_xt)
 
 
 def worker_count() -> int:
@@ -76,24 +76,22 @@ class SublevelSpec:
 
 
 def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray:
-    """Membership V_alpha(x, t) <= level, batched.
+    """Membership V_alpha(x, t) <= level, batched, from one norm jet.
 
     At the identity V extends by 0 when alpha >= 2; for alpha < 2 the
     identity is rejected (the potential has no value there).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    n = norm_xt(x, t)
-    at_identity = n == 0.0
-    if np.any(at_identity):
+    try:
+        return potential_value_xt(spec.alpha, s, x, t) <= spec.level
+    except _AtIdentity:
         if spec.alpha < 2:
-            raise ValueError("V_alpha undefined at the identity for alpha < 2")
-        out = np.empty(n.shape, dtype=bool)
-        out[at_identity] = 0.0 <= spec.level
-        ok = ~at_identity
-        out[ok] = potential_value_xt(spec.alpha, s, x[ok], t[ok]) <= spec.level
-        return out
-    return potential_value_xt(spec.alpha, s, x, t) <= spec.level
+            raise ValueError("V_alpha undefined at the identity for alpha < 2") from None
+    off = norm_xt(x, t) != 0.0
+    out = np.full(off.shape, 0.0 <= spec.level)
+    out[off] = potential_value_xt(spec.alpha, s, x[off], t[off]) <= spec.level
+    return out
 
 
 def in_sublevel(spec: SublevelSpec, s: MetivierStructure, p: GroupPoint) -> bool:
@@ -104,22 +102,26 @@ def in_sublevel(spec: SublevelSpec, s: MetivierStructure, p: GroupPoint) -> bool
 def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
     """phi(u) = inf over N >= u of the sandwich lower bound at |x| = u.
 
-    The bound L(u, N) = u^2 (c_a1 N^{2a-4} - c_a2 N^{a-4}) is increasing in
-    N for 2 < a <= 4, so the infimum sits at N = u; for a > 4 it sits at
-    max(u, N_s) with N_s^a = c_a2 (a-4) / (c_a1 (2a-4)).
+    The bound L(u, N) = u^2 ell(N), with the envelope factor
+    ell(N) = c_a1 N^{2a-4} - c_a2 N^{a-4}, is smallest over N >= u at
+    N = max(u, `_envelope_turn`).
     """
-    a = const.alpha
-    if a <= 2:
+    if const.alpha <= 2:
         raise ValueError("lower envelope needs alpha > 2")
     u = np.asarray(u, dtype=float)
-    n_star = u.copy()
-    if a > 4:
-        ns = (const.c_a2 * (a - 4.0) / (const.c_a1 * (2.0 * a - 4.0))) ** (1.0 / a)
-        n_star = np.maximum(u, ns)
+    n_star = np.maximum(u, _envelope_turn(const))
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = u * u * (const.c_a1 * n_star ** (2.0 * a - 4.0)
-                       - const.c_a2 * n_star ** (a - 4.0))
+        val = u * u * _envelope_factor(const.c_a1, const.c_a2, const.alpha, n_star)
     return np.where(u == 0.0, 0.0, val)
+
+
+def _envelope_turn(const: PotentialConstants) -> float:
+    """Minimiser N_s of ell(N) on N > 0: N_s^a = c_a2 (a-4) / (c_a1 (2a-4)) for
+    a > 4, and 0 for 2 < a <= 4, where ell is increasing."""
+    a = const.alpha
+    if a <= 4:
+        return 0.0
+    return (const.c_a2 * (a - 4.0) / (const.c_a1 * (2.0 * a - 4.0))) ** (1.0 / a)
 
 
 def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
@@ -176,8 +178,7 @@ def bounding_cylinder(s: MetivierStructure, center: GroupPoint, r: float):
     The x-part is |xc| + r; the central part is `_central_reach` (no
     unproven quasi-triangle constant is needed).
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    _require_finite("r", r, positive=True)
     xc_norm = float(np.linalg.norm(center.x))
     return xc_norm + r, _central_reach(s, xc_norm, r)
 
@@ -185,16 +186,13 @@ def bounding_cylinder(s: MetivierStructure, center: GroupPoint, r: float):
 def _tube_radius(const: PotentialConstants, level: float, n_min: float):
     """Largest |x| compatible with membership when every point has N >= n_min.
 
-    Valid when the envelope factor ell(N) = c_a1 N^{2a-4} - c_a2 N^{a-4} is
-    positive and nondecreasing beyond n_min; returns None when unusable and
-    0.0 when membership is impossible (level below the floor on the region).
+    Valid when the envelope factor ell(N) is positive and nondecreasing
+    beyond n_min; returns None when unusable and 0.0 when membership is
+    impossible (level below the floor on the region).
     """
-    a = const.alpha
-    if a > 4:
-        ns = (const.c_a2 * (a - 4.0) / (const.c_a1 * (2.0 * a - 4.0))) ** (1.0 / a)
-        if n_min < ns:
-            return None
-    ell = const.c_a1 * n_min ** (2.0 * a - 4.0) - const.c_a2 * n_min ** (a - 4.0)
+    if n_min < _envelope_turn(const):
+        return None
+    ell = _envelope_factor(const.c_a1, const.c_a2, const.alpha, n_min)
     if ell <= 0.0:
         return None
     if level < 0.0:
@@ -232,7 +230,7 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
         rho_x = min(rho_x, cylinder_radius(spec, s))
         t_norm = float(np.linalg.norm(center.t))
         if t_norm > rho_t:
-            n_min = (16.0 * (t_norm - rho_t) ** 2) ** 0.25
+            n_min = float(norm_xt([0.0], [t_norm - rho_t]))   # N >= N(0, |t| - rho_t)
             tube = _tube_radius(const, spec.level, n_min)
             if tube is not None:
                 rho_x = min(rho_x, tube * (1.0 + 1e-12))
@@ -244,12 +242,9 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     tau = uniform_ball(rng, n_samples, s.m, rho_t) + center.t
     vol = ball_volume(s.horizontal_dim, rho_x) * ball_volume(s.m, rho_t)
     hits = quasi_distance_xt(s, center.x, center.t, xi, tau) < r
+    score = np.zeros(n_samples)
     if np.any(hits):
-        sub = np.zeros(n_samples, dtype=bool)
-        sub[hits] = in_sublevel_xt(spec, s, xi[hits], tau[hits])
-        score = (hits & sub).astype(float)
-    else:
-        score = np.zeros(n_samples)
+        score[hits] = in_sublevel_xt(spec, s, xi[hits], tau[hits])
     mean = float(score.mean())
     se = float(score.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return VolumeEstimate(value=vol * mean, std_error=vol * se,
@@ -317,20 +312,19 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     delta = -(ell * s.n * (2.0 - spec.alpha) + m)
     if delta <= 0:
         return math.inf
+    if spec.level <= 0:
+        return band
     y_max = 60.0 / delta + 10.0
     ys = y * y_max
     svals = t_eff * np.exp(ys)
-    n_min = (16.0 * (svals - rho_t) ** 2) ** 0.25
-    # ell(N) in log space: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
+    n_min = norm_xt(np.zeros((svals.size, 1)), (svals - rho_t)[:, None])
+    # the envelope factor ell(N) of `_tube_radius` in log space, which does not
+    # overflow: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
     a = const.alpha
     log_n = np.log(n_min)
     log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
                  + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
-    log_tube_sq = math.log(max(spec.level, 0.0)) - log_ell_n if spec.level > 0 else None
-    if log_tube_sq is None:
-        return band
-    log_tube = 0.5 * log_tube_sq
-    log_tube = np.minimum(log_tube, math.log(c))
+    log_tube = np.minimum(0.5 * (math.log(spec.level) - log_ell_n), math.log(c))
     log_vol_coeff = math.log(math.pi ** (dim_x / 2.0) / math.gamma(dim_x / 2.0 + 1.0))
     log_beta = math.log(slab) + log_vol_coeff + dim_x * log_tube
     surface_m = m * math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
@@ -355,8 +349,9 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     """
     if spec.alpha <= 2:
         raise ValueError("thinness experiment requires alpha > 2")
-    if ell <= 0:
-        raise ValueError("ell must be positive")
+    _require_finite("r", r, positive=True)
+    _require_finite("ell", ell, positive=True)
+    _require_finite("truncation_T", truncation_T, positive=True)
     if outer_samples < 1 or inner_samples < 1:
         raise ValueError("sample counts must be >= 1")
     ell_threshold = s.m / (s.n * (spec.alpha - 2.0))
@@ -384,17 +379,12 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
                                        rng=substream(seed, 1, i))
         return est.value ** ell
 
-    if idx.size:
-        results = np.zeros(idx.size)
-        workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
-        if workers > 1 and idx.size > 8:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for pos, val in enumerate(pool.map(run_member, range(idx.size))):
-                    results[pos] = val
-        else:
-            for pos in range(idx.size):
-                results[pos] = run_member(pos)
-        scores[idx] = results
+    workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
+    if workers > 1 and idx.size > 8:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scores[idx] = list(pool.map(run_member, range(idx.size)))
+    else:
+        scores[idx] = [run_member(pos) for pos in range(idx.size)]
 
     value = outer_volume * float(scores.mean())
     se = outer_volume * float(scores.std(ddof=1) / math.sqrt(outer_samples))
@@ -446,9 +436,7 @@ def scaling_fit(spec: SublevelSpec, s: MetivierStructure, r: float,
         raise ValueError(f"all central heights must exceed the threshold k = {kval:.3f}")
     estimates, std_errors = [], []
     for pos, tv in enumerate(t_values):
-        tc = np.zeros(s.m)
-        tc[0] = tv
-        center = GroupPoint(center_x, tc)
+        center = GroupPoint(center_x, tv * np.eye(s.m)[0])
         est = ball_intersection_volume(spec, s, center, r, samples,
                                        rng=substream(seed, 2, pos))
         if est.value == 0.0:

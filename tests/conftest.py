@@ -30,10 +30,10 @@ def degenerate():
 
 
 @st.composite
-def skew_structures(draw):
-    """Random skew maps with n, m <= 2; the h_type flag stays off."""
-    n = draw(st.integers(1, 2))
-    m = draw(st.integers(1, 2))
+def skew_structures(draw, n_range=(1, 2), m_range=(1, 2)):
+    """Random skew maps with n, m in the inclusive ranges; the h_type flag stays off."""
+    n = draw(st.integers(*n_range))
+    m = draw(st.integers(*m_range))
     d = 2 * n
     upper = np.triu_indices(d, 1)
     entries = draw(st.lists(st.floats(-2.0, 2.0), min_size=m * upper[0].size,
@@ -42,6 +42,21 @@ def skew_structures(draw):
     for k in range(m):
         maps[k][upper] = entries[k * upper[0].size:(k + 1) * upper[0].size]
     return MetivierStructure(n=n, m=m, maps=maps - np.swapaxes(maps, 1, 2))
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap `name` in every module that has it; the returned list grows by one per call."""
+    calls = []
+    for mod in modules:
+        if hasattr(mod, name):
+            real = getattr(mod, name)
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def random_points(s, count, seed, box=2.0, min_norm=0.0):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from srlab import cli
 from srlab.cli import run
 from srlab.group import MetivierStructure
 
@@ -174,6 +175,21 @@ def test_non_finite_alpha_and_level_exit(tmp_path):
     code, payload = invoke(["potential", "--alpha", "inf", "--nx", "4", "--nt", "4"],
                            tmp_path, "inf.csv")
     assert code == 1 and payload == b""
+    thinness = ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+                "--outer", "50", "--inner", "10", "--format", "csv"]
+    weyl = ["weyl", "--alpha", "3", "--n-max", "4", "--grid", "8"]
+    bad = [thinness + ["--ell", "nan"], thinness + ["--r", "nan"],
+           thinness + ["--truncation", "nan"], thinness + ["--truncation", "inf"],
+           weyl + ["--lambda", "nan"], weyl + ["--lambda", "inf"]]
+    for i, cmd in enumerate(bad):
+        code, payload = invoke(cmd, tmp_path, f"bad{i}.csv")
+        assert code == 1 and payload == b"", cmd
+
+
+def test_csv_output_refuses_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        cli._csv({"alpha": 3.0}, ["value"], [(float("nan"),)])
+    assert cli._csv({}, ["value"], [(float("inf"),)]) == "value\ninf\n"
 
 
 def test_malformed_srl_threads_is_usage_error(tmp_path, monkeypatch):

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from srlab import forms, norms, potential
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
-                         apply_sub_laplacian, apply_xj, bump_profile,
-                         conjugation_residual, dirichlet_form,
+                         _overlap_norm_sq, apply_sub_laplacian, apply_xj,
+                         bump_profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
 from srlab.group import GroupPoint, point, product
 
 import oracles
-from conftest import random_points
+from conftest import count_calls, random_points
 
 
 class CentralCoordinate:
@@ -71,6 +72,14 @@ def test_bump_support_and_center(heis):
     assert bump.value(np.array([0.5, 0.5]), np.array([1.2])) == 0.0
     val, gx, gt, hxx, hxt, htt = bump.derivatives(np.array([[0.999, 0.0]]), np.array([[0.0]]))
     assert abs(gx[0, 0]) < 1e-200  # flat at the support edge
+
+
+def test_bump_radii_must_be_finite():
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="x_radius"):
+            SmoothBump(bad, 1.0)
+        with pytest.raises(ValueError, match="t_radius"):
+            SmoothBump(1.0, bad)
 
 
 def test_apply_xj_examples(heis):
@@ -233,6 +242,16 @@ def test_conjugation_residual_validation(heis):
         conjugation_residual(1.5, heis, bump, grid)
 
 
+def test_conjugation_residual_evaluates_one_jet(heis, monkeypatch):
+    """N, the weight, grad_H N and V_alpha all come from one norm jet of the nodes."""
+    jets = count_calls(monkeypatch, "_norm_jet", potential, forms)
+    norm_passes = count_calls(monkeypatch, "norm_xt", norms, potential, forms)
+    weights = count_calls(monkeypatch, "weight_xt", norms, forms)
+    conjugation_residual(3.0, heis, SmoothBump(1.0, 1.0), QuadratureGrid(heis, 1.0, 1.0, 8, 8))
+    assert len(jets) == 1
+    assert norm_passes == [] and weights == []
+
+
 def test_weyl_sequence_translates(heis):
     bump = SmoothBump(1.0, 1.0)
     assert weyl_sequence(heis, bump, 0) is bump
@@ -309,3 +328,10 @@ def test_quadrature_grid_validation(heis):
         QuadratureGrid(heis, 1.0, 1.0, 1, 4)
     with pytest.raises(ValueError, match="identity"):
         QuadratureGrid(heis, 1, 1, 5, 5)
+    # off-centre, but every axis still has a node at 0
+    with pytest.raises(ValueError, match="identity"):
+        QuadratureGrid(heis, 1.0, 1.0, 5, 4, center_t=[0.25])
+    # the translates and the union grid of the Weyl experiment stay clear of it
+    base = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
+    assert base.translated([2.0]).nodes()[1].min() > 0.0
+    _overlap_norm_sq(heis, SmoothBump(1.0, 1.0), 2, QuadratureGrid(heis, 1.0, 1.0, 7, 8))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,9 @@ def test_in_ball(heis):
     inside = point(heis, [0.0, 0.0], [5.2])
     assert abs(quasi_distance(heis, ball.center, inside) - 2.0 * 0.2 ** 0.5) <= 1e-12
     assert in_ball(heis, ball, inside)
-    with pytest.raises(ValueError):
-        BallSpec(c, 0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BallSpec(c, bad)
 
 
 def test_gamma_lower_bound_properties(heis):

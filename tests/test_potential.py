@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srlab.group import identity, point, verify_metivier
+from srlab import potential
+from srlab.group import exact_condition_extremes, identity, point, verify_metivier
 from srlab.norms import norm_xt, weight_xt
 from srlab.potential import (admissibility_report, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
@@ -19,7 +20,7 @@ from srlab.potential import (admissibility_report, check_sandwich,
                              sub_laplacian_norm_xt)
 
 import oracles
-from conftest import random_points, skew_structures
+from conftest import count_calls, random_points, skew_structures
 
 
 def test_grad_norm_sq_examples(heis):
@@ -256,6 +257,13 @@ def test_essential_inf_alpha_below_two(heis):
     assert shallow.sentinel_hit
 
 
+def test_admissibility_one_jet_per_shell(heis, monkeypatch):
+    """Each probed shell is evaluated once, for the gradient, L w and the ratio alike."""
+    jets = count_calls(monkeypatch, "_norm_jet", potential)
+    rep = admissibility_report(3.0, heis, depth=6, per_shell=50)
+    assert len(jets) == rep.inner_radii.size + rep.ratio_radii.size
+
+
 def test_admissibility_classification(heis):
     assert admissibility_report(1.0, heis).condition_b
     rep3 = admissibility_report(3.0, heis)
@@ -318,6 +326,23 @@ def test_norm_jet_matches_fd_oracles(s, alpha, seed):
         # where the h^2 term of the difference happens to vanish, the ratio
         # says nothing, but an error already this small does
         assert e1 <= 1e-7 * max(1.0, abs(float(exact))) or e1 / e2 == pytest.approx(4.0, abs=0.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=skew_structures(n_range=(1, 3), m_range=(1, 1)), alpha=st.floats(1.5, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sandwich_random_one_dimensional_centre(s, alpha, seed):
+    """The sandwich holds on random non-H-type structures with m = 1.
+
+    There `exact_condition_extremes` gives (c0, C0) exactly, so the
+    constants are rigorous; points span dilation scales 2^-4 .. 2^4.
+    """
+    assume(exact_condition_extremes(s)[0] > 1e-6)   # Metivier: J invertible
+    rng = np.random.default_rng(seed)
+    r = 2.0 ** rng.integers(-4, 5, size=(2000, 1))
+    x = rng.uniform(-1.0, 1.0, size=(2000, s.horizontal_dim)) * r
+    t = rng.uniform(-1.0, 1.0, size=(2000, s.m)) * r * r
+    assert check_sandwich(alpha, s, (x, t)).n_violations == 0
 
 
 def test_kernels_reject_non_finite_alpha(heis):

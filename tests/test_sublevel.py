@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from srlab import group, sublevel
+from srlab import group, norms, potential, sublevel
 from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
 from srlab.norms import norm_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
@@ -13,7 +13,7 @@ from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             uniform_ball, worker_count)
 from srlab.potential import potential_bounds, potential_value_xt
 
-from conftest import random_points
+from conftest import count_calls, random_points
 
 
 def test_spec_validation():
@@ -36,6 +36,24 @@ def test_identity_handling(heis):
     assert not in_sublevel(SublevelSpec(2.0, -0.5), heis, e)
     with pytest.raises(ValueError):
         in_sublevel(SublevelSpec(1.5, 0.0), heis, e)
+    # a batch holding the identity answers as point by point
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+    t = np.array([[0.0], [0.0], [0.0], [2.0]])
+    for spec in (SublevelSpec(3.0, 0.0), SublevelSpec(2.0, -0.5)):
+        expected = [in_sublevel(spec, heis, point(heis, xi, ti)) for xi, ti in zip(x, t)]
+        assert in_sublevel_xt(spec, heis, x, t).tolist() == expected
+    assert in_sublevel_xt(SublevelSpec(3.0, 0.0), heis, x, t).tolist() == [True, True, False, True]
+    with pytest.raises(ValueError, match="identity"):
+        in_sublevel_xt(SublevelSpec(1.5, 0.0), heis, x, t)
+
+
+def test_in_sublevel_evaluates_one_jet(heis, monkeypatch):
+    """Membership reads V_alpha off one norm jet, with no separate pass over N."""
+    x, t = random_points(heis, 200, seed=4)
+    jets = count_calls(monkeypatch, "_norm_jet", potential)
+    norm_passes = count_calls(monkeypatch, "norm_xt", norms, potential, sublevel)
+    in_sublevel_xt(SublevelSpec(3.0, 2.0), heis, x, t)
+    assert len(jets) == 1 and norm_passes == []
 
 
 def test_lower_envelope_is_lower_bound(heis, aniso):
