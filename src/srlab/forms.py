@@ -346,37 +346,35 @@ class WeylRecord:
     lam: float
 
 
+def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
+    """(psi, L psi) at the base nodes and the overlap check for translate n."""
+    _require_cover(grid, psi)
+    x, t = grid.nodes()
+    return psi.value(x, t), sub_laplacian_apply(s, psi, x, t), _overlap_norm_sq(s, psi, n, grid)
+
+
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
-                  lam: float, grid: QuadratureGrid,
-                  _overlap: float | None = None) -> WeylRecord:
+                  lam: float, grid: QuadratureGrid, _base=None) -> WeylRecord:
     """Quadrature residual ||(lam + L + V_alpha) psi_n||_2 on a grid riding
     with the translate.
 
-    `grid` is the base grid for psi around the identity; it is translated by
-    (0, n u_1) so bump and sub-Laplacian values are exact shifts (the
-    translation has no horizontal part).  The overlap check is
-    `_overlap_norm_sq`; by the same shift-exactness it does not depend on n,
-    and a precomputed value may be passed through `_overlap`.
+    `grid` is the base grid for psi around the identity; the riding grid is
+    its translate by the central element (0, n u_1), so by left invariance
+    psi_n and L psi_n there are exactly psi and L psi on `grid`, and only
+    V_alpha is evaluated at the riding nodes.  The overlap check is
+    `_overlap_norm_sq`, which for the same reason does not depend on n.
+    `weyl_scan` passes all three through `_base`.
     """
     if n < 2:
         raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
     _require_finite("lam", lam)
-    _require_cover(grid, psi)
-    psi_n = weyl_sequence(s, psi, n)
-    moved = grid.translated(psi_n.translation.t)
-    _require_cover(moved, psi_n)
-    x, t = moved.nodes()
-    val = psi_n.value(x, t)
-    lpsi = sub_laplacian_apply(s, psi_n, x, t)
-    v = potential_value_xt(alpha, s, x, t)
+    val, lpsi, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
+    moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
+    v = potential_value_xt(alpha, s, *moved.nodes())
     res_sq = np.sum((lam * val + lpsi + v * val) ** 2) * moved.cell_volume
     norm_sq = np.sum(val * val) * moved.cell_volume
-
-    if _overlap is None:
-        _overlap = _overlap_norm_sq(s, psi, n, grid)
-    return WeylRecord(n_index=n, residual=float(np.sqrt(res_sq)),
-                      psi_norm=float(np.sqrt(norm_sq)),
-                      overlap_check=float(_overlap), lam=lam)
+    return WeylRecord(n_index=n, residual=float(np.sqrt(res_sq)), psi_norm=float(np.sqrt(norm_sq)),
+                      overlap_check=float(overlap), lam=lam)
 
 
 def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
@@ -425,9 +423,14 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     which controls every n >= 2 when alpha <= 2.  When lam is None it
     defaults to 1 + max(0, -floor(V_alpha)) for alpha >= 2 and to 1 + C for
     alpha < 2 (any resolvent-set shift works; the choice is recorded).
+    psi, L psi and the overlap check are computed once, on `grid`, for all
+    translates; an empty `n_values` raises ValueError.
     """
     from .potential import cylinder_sup_potential, potential_bounds, sandwich_floor
 
+    n_values = [int(n) for n in n_values]
+    if not n_values:
+        raise ValueError("need at least one translate index in n_values")
     sup_c = cylinder_sup_potential(alpha, s, samples=sup_samples, seed=seed)
     if lam is None:
         if alpha >= 2:
@@ -435,16 +438,12 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
         else:
             lam = 1.0 + sup_c
     _require_finite("lam", lam)
-    x, t = grid.nodes()
-    val = psi.value(x, t)
-    lpsi = sub_laplacian_apply(s, psi, x, t)
+    base = _weyl_base(s, psi, n_values[0], grid)
+    val, lpsi, _ = base
     psi_norm = float(np.sqrt(np.sum(val * val) * grid.cell_volume))
     l_psi_norm = float(np.sqrt(np.sum(lpsi * lpsi) * grid.cell_volume))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
-    n_values = [int(n) for n in n_values]
-    overlap = _overlap_norm_sq(s, psi, n_values[0], grid)
-    records = [weyl_residual(alpha, s, psi, n, lam, grid, _overlap=overlap)
-               for n in n_values]
+    records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]
     return WeylScan(alpha=alpha, lam=float(lam), sup_cylinder=float(sup_c),
                     psi_norm=psi_norm, l_psi_norm=l_psi_norm, bound=float(bound),
                     records=records)

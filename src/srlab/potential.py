@@ -218,6 +218,8 @@ class PotentialConstants:
 def constants_from_condition(alpha: float, c0: float, C0: float,
                              n: int, m: int) -> PotentialConstants:
     _require_finite("alpha", alpha, positive=True)
+    _require_finite("c0", c0)
+    _require_finite("C0", C0)
     if c0 <= 0:
         raise ValueError("c0 must be positive (Metivier condition failed)")
     if C0 < c0:
@@ -291,6 +293,7 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
     else:
         x = np.array([p.x for p in points], dtype=float)
         t = np.array([p.t for p in points], dtype=float)
+    _require_finite("slack", slack)
     const = potential_bounds(alpha, est, s)
     jet = _norm_jet(s, x, t)
     v = _potential(alpha, jet)
@@ -478,6 +481,7 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
     dense deterministic grid; otherwise the cylinder is sampled.
     """
     _require_finite("alpha", alpha, positive=True)
+    _require_finite("t_cap", t_cap, positive=True)
     if alpha > 2:
         return math.inf
     if s.h_type:

@@ -94,44 +94,32 @@ def assemble_derivative(s: MetivierStructure, grid: Grid3, j: int) -> sp.csr_mat
 
 @dataclass(frozen=True)
 class SparseSymmetricOperator:
-    """Compressed-row symmetric operator; exact symmetry is enforced on build."""
+    """A scipy CSR matrix that is exactly symmetric, checked once on build.
 
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    The input is copied to CSR with duplicates summed and indices sorted;
+    ValueError is raised unless it equals its transpose entry for entry.
+    """
 
-    @classmethod
-    def from_scipy(cls, a: sp.spmatrix) -> "SparseSymmetricOperator":
-        a = a.tocsr()
+    matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        a = sp.csr_matrix(self.matrix, copy=True)
         a.sum_duplicates()
         a.sort_indices()
-        return cls(dim=a.shape[0], indptr=a.indptr.copy(),
-                   indices=a.indices.copy(), data=a.data.copy())
+        if a.shape[0] != a.shape[1] or (a != a.T).nnz:
+            raise ValueError("operator is not exactly symmetric")
+        object.__setattr__(self, "matrix", a)
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix((self.data, self.indices, self.indptr),
-                             shape=(self.dim, self.dim))
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ v
-
-    def symmetry_defect(self) -> float:
-        a = self.to_scipy()
-        d = a - a.T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-
-    def assert_symmetric(self, tol: float = 0.0):
-        defect = self.symmetry_defect()
-        if defect > tol:
-            raise ValueError(f"operator is not symmetric (defect {defect:.3e})")
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
-        return int(self.data.size)
+        return int(self.matrix.nnz)
+
+    def to_dense(self) -> np.ndarray:
+        return self.matrix.toarray()
 
 
 def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
@@ -162,10 +150,7 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
         kin = kin[idx][:, idx]
         v = v[idx]
     h = kin + sp.diags(v, format="csr")
-    h = ((h + h.T) * 0.5).tocsr()
-    op = SparseSymmetricOperator.from_scipy(h)
-    op.assert_symmetric()
-    return op
+    return SparseSymmetricOperator((h + h.T) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -195,13 +180,12 @@ def lanczos_lowest(h: SparseSymmetricOperator, k: int, tol: float = 1e-8,
     `converged=False`, not as an exception: pairs ARPACK did not deliver
     read +inf in both `eigenvalues` and `residual_norms`.
     """
-    h.assert_symmetric()
     n = h.dim
     if k < 1 or k >= n:
         raise ValueError("need 1 <= k < dimension")
     _require_finite("tol", tol, positive=True)
     import scipy.sparse.linalg as spla  # deferred, see the module imports
-    a = h.to_scipy()
+    a = h.matrix
     applications = 0
 
     def matvec(v):
@@ -261,11 +245,10 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     the former Lanczos count and do not affect the result; `tol` must still
     be finite and positive.
     """
-    h.assert_symmetric()
     _require_finite("lam", lam)
     _require_finite("tol", tol, positive=True)
     import scipy.sparse.linalg as spla  # deferred, see the module imports
-    shifted = (h.to_scipy() - lam * sp.identity(h.dim, format="csr")).tocsc()
+    shifted = (h.matrix - lam * sp.identity(h.dim, format="csr")).tocsc()
     on_eigenvalue = f"lam = {lam} sits on an eigenvalue to working precision"
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,

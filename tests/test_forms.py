@@ -278,6 +278,43 @@ def test_weyl_residual_record(heis):
     assert rec.overlap_check == pytest.approx(2.0 * rec.psi_norm ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         weyl_residual(2.0, heis, bump, 1, 5.0, grid)
+    # x nodes at 0 and a t node at -2: the translate by 2 has the identity as a node
+    off = QuadratureGrid(heis, 1.0, 3.0, 5, 8, center_t=[0.625])
+    with pytest.raises(ValueError, match="identity"):
+        weyl_residual(2.0, heis, bump, 2, 5.0, off)
+
+
+def test_weyl_scan_evaluates_bump_once(heis, monkeypatch):
+    """Each translate reads psi and L psi off the base grid; only V_alpha moves."""
+    laplacians = count_calls(monkeypatch, "sub_laplacian_apply", forms)
+    residuals = count_calls(monkeypatch, "weyl_residual", forms)
+    # the overlap check is the one place translates are evaluated; stub it out
+    overlaps = []
+    monkeypatch.setattr(forms, "_overlap_norm_sq", lambda *a: overlaps.append(a) or 0.0)
+    translated = [count_calls(monkeypatch, name, TranslatedBump)
+                  for name in ("value", "derivatives")]
+    n_values = [2, 3, 5, 8]
+    weyl_scan(2.0, heis, SmoothBump(1.0, 1.0), n_values, QuadratureGrid(heis, 1.0, 1.0, 8, 8))
+    assert len(laplacians) == 1 and len(overlaps) == 1
+    assert len(residuals) == len(n_values)
+    assert translated == [[], []]
+
+
+def test_weyl_residual_alone_matches_scan(heis):
+    """A lone residual takes the scan's path: same bits, and psi_n's norm is psi's.
+
+    The overlap check is computed at each call's own n, so it is compared in
+    full only for the first translate, where the scan computes it too.
+    """
+    bump = SmoothBump(1.0, 1.0)
+    grid = QuadratureGrid(heis, 1.0, 1.0, 24, 24)
+    scan = weyl_scan(1.5, heis, bump, [2, 5, 17], grid)
+    for rec in scan.records:
+        alone = weyl_residual(1.5, heis, bump, rec.n_index, scan.lam, grid)
+        assert (alone.residual, alone.psi_norm) == (rec.residual, rec.psi_norm)
+        assert rec.psi_norm == scan.psi_norm
+    first = scan.records[0]
+    assert weyl_residual(1.5, heis, bump, first.n_index, scan.lam, grid) == first
 
 
 def test_weyl_norms_left_invariant(heis):
@@ -306,6 +343,8 @@ def test_weyl_bound_small_alpha(heis):
     scan = weyl_scan(1.0, heis, bump, [2, 3, 4, 8], grid)
     assert all(r.residual <= scan.bound for r in scan.records)
     assert scan.lam == pytest.approx(1.0 + scan.sup_cylinder)
+    with pytest.raises(ValueError, match="n_values"):
+        weyl_scan(1.0, heis, bump, [], grid)
 
 
 def test_weyl_residual_growth(heis):

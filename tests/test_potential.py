@@ -191,6 +191,11 @@ def test_c_a2_positive_random():
 def test_constants_reject_degenerate():
     with pytest.raises(ValueError, match="c0"):
         constants_from_condition(2.0, 0.0, 1.0, 2, 1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="c0 must be finite"):
+            constants_from_condition(3.0, bad, 1.0, 1, 1)
+        with pytest.raises(ValueError, match="C0 must be finite"):
+            constants_from_condition(3.0, 0.5, bad, 1, 1)
 
 
 def test_sandwich_heisenberg_equality(heis):
@@ -355,3 +360,11 @@ def test_kernels_reject_non_finite_alpha(heis):
             potential_bounds(alpha, None, heis)
         with pytest.raises(ValueError, match="alpha"):
             cylinder_sup_potential(alpha, heis)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="t_cap"):
+            cylinder_sup_potential(1.5, heis, t_cap=bad)
+    # a NaN slack made every comparison false, hiding real violations
+    assert check_sandwich(3.0, heis, (x, t), slack=-1.0).n_violations > 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="slack"):
+            check_sandwich(3.0, heis, (x, t), slack=bad)
