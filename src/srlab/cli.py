@@ -170,6 +170,8 @@ def build_parser() -> _Parser:
 
 def _run_verify(args) -> int:
     s = _load_structure(args.structure)
+    if args.samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(args.seed)
     n_pts = args.samples
     checks = []

@@ -27,7 +27,6 @@ import numpy as np
 
 SKEW_TOL = 1e-14
 HTYPE_TOL = 1e-12
-_HTYPE_CHECK_SAMPLES = 64
 
 
 def _require_finite(name: str, value: float, positive: bool = False):
@@ -48,8 +47,9 @@ class MetivierStructure:
     """Dimensions (n, m) and the m skew maps acting on the horizontal layer.
 
     ``maps`` has shape (m, 2n, 2n).  ``h_type`` records that the stronger
-    J_t^2 = -|t|^2 Id identity was requested and verified on a sample of
-    unit central directions at construction time.
+    J_t^2 = -|t|^2 Id identity was requested and verified exactly at
+    construction time, through the equivalent Clifford relations
+    (J_k J_l + J_l J_k) / 2 = -delta_kl Id, to HTYPE_TOL.
     """
 
     n: int
@@ -72,16 +72,11 @@ class MetivierStructure:
             self._check_h_type()
 
     def _check_h_type(self):
-        rng = np.random.default_rng(0)
-        units = rng.standard_normal((_HTYPE_CHECK_SAMPLES, self.m))
-        units = np.concatenate([units, np.eye(self.m)], axis=0)
-        units /= np.linalg.norm(units, axis=1, keepdims=True)
-        eye = np.eye(2 * self.n)
-        for u in units:
-            jt = np.tensordot(u, self.maps, axes=(0, 0))
-            defect = np.max(np.abs(jt @ jt + eye))
-            if defect > HTYPE_TOL:
-                raise ValueError(f"h_type requested but J_t^2 != -|t|^2 Id (defect {defect:.3e})")
+        prods = np.einsum("kij,ljh->klih", self.maps, self.maps)
+        clifford = np.einsum("kl,ih->klih", np.eye(self.m), np.eye(2 * self.n))
+        defect = np.max(np.abs(0.5 * (prods + prods.transpose(1, 0, 2, 3)) + clifford))
+        if defect > HTYPE_TOL:
+            raise ValueError(f"h_type requested but J_t^2 != -|t|^2 Id (defect {defect:.3e})")
 
     @property
     def horizontal_dim(self) -> int:
@@ -130,7 +125,7 @@ class MetivierStructure:
 
 @dataclass(frozen=True)
 class GroupPoint:
-    """Element (x, t) of the group in exponential coordinates."""
+    """Element (x, t) of the group in exponential coordinates; finite coordinates only."""
 
     x: np.ndarray
     t: np.ndarray
@@ -138,6 +133,8 @@ class GroupPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", _as_readonly(np.atleast_1d(self.x)))
         object.__setattr__(self, "t", _as_readonly(np.atleast_1d(self.t)))
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.t))):
+            raise ValueError(f"point coordinates must be finite, got x={self.x}, t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -215,6 +212,13 @@ def unit_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     # a Gaussian draw is never exactly zero in practice; guard anyway
     norms[norms == 0.0] = 1.0
     return v / norms
+
+
+def uniform_ball(rng: np.random.Generator, count: int, dim: int,
+                 radius: float) -> np.ndarray:
+    """Uniform points in the ball of `radius` in R^dim: `unit_sample` directions
+    scaled by radius U^(1/dim)."""
+    return unit_sample(rng, count, dim) * rng.uniform(size=(count, 1)) ** (1.0 / dim) * radius
 
 
 def verify_metivier(s: MetivierStructure, samples: int, seed: int = 0) -> ConditionEstimate:

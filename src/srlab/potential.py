@@ -32,7 +32,7 @@ import numpy as np
 
 from .group import (ConditionEstimate, GroupPoint, MetivierStructure,
                     _require_finite, exact_condition_extremes,
-                    homogeneous_dimension, unit_sample)
+                    homogeneous_dimension, uniform_ball, unit_sample)
 from .norms import _radial, _weight, norm_xt
 
 
@@ -148,16 +148,28 @@ def _envelope_factor(c1: float, c2: float, alpha: float, n):
     return c1 * n ** (2.0 * alpha - 4.0) - c2 * n ** (alpha - 4.0)
 
 
-def _closed_form_factor(alpha: float, s: MetivierStructure, n):
-    """H-type V_alpha / |x|^2 = (a^2/4) N^{2a-4} - (a/2)(Q+a-2) N^{a-4}."""
+def _turning_point(c1: float, c2: float, alpha: float, k: int) -> float:
+    """Minimiser of N^k (c1 N^{2a-4} - c2 N^{a-4}) on N > 0 for alpha > 2, k in {0, 2}.
+
+    The stationary point N^a = c2 (a-4+k) / (c1 (2a-4+k)) when a > 4 - k;
+    0.0 when a <= 4 - k, where N^k times the factor is increasing.
+    """
+    if alpha <= 4.0 - k:
+        return 0.0
+    return (c2 * (alpha - 4.0 + k) / (c1 * (2.0 * alpha - 4.0 + k))) ** (1.0 / alpha)
+
+
+def _closed_form_coeffs(alpha: float, s: MetivierStructure):
+    """(c1, c2) with H-type V_alpha / |x|^2 = c1 N^{2a-4} - c2 N^{a-4}:
+    c1 = a^2/4, c2 = (a/2)(Q+a-2)."""
     q = homogeneous_dimension(s)
-    return _envelope_factor(0.25 * alpha * alpha, 0.5 * alpha * (q + alpha - 2.0), alpha, n)
+    return 0.25 * alpha * alpha, 0.5 * alpha * (q + alpha - 2.0)
 
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2."""
     _, _, x2, n = _off_identity(x, t)
-    return x2 * _closed_form_factor(alpha, s, n)
+    return x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n)
 
 
 # scalar wrappers on GroupPoint
@@ -283,16 +295,12 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
                    slack: float = 1e-12) -> SandwichReport:
     """Assert lower <= V_alpha <= upper at each supplied point.
 
-    `points` is a pair of arrays (x of shape (N, 2n), t of shape (N, m)) or a
-    sequence of GroupPoint.  A point violates if it exceeds a bound by more
-    than `slack * max(1, scale)` (pure float headroom; the inequality itself
-    is rigorous for exact constants).
+    `points` is a pair of arrays (x of shape (N, 2n), t of shape (N, m)).  A
+    point violates if it exceeds a bound by more than `slack * max(1, scale)`
+    (pure float headroom; the inequality itself is rigorous for exact
+    constants).
     """
-    if isinstance(points, tuple):
-        x, t = points
-    else:
-        x = np.array([p.x for p in points], dtype=float)
-        t = np.array([p.t for p in points], dtype=float)
+    x, t = points
     _require_finite("slack", slack)
     const = potential_bounds(alpha, est, s)
     jet = _norm_jet(s, x, t)
@@ -327,7 +335,7 @@ def sandwich_floor(const: PotentialConstants) -> float:
         raise ValueError("no finite sandwich floor for alpha < 2")
     if a == 2:
         return -const.c_a2
-    n_star = (const.c_a2 * (a - 2.0) / (const.c_a1 * (2.0 * a - 2.0))) ** (1.0 / a)
+    n_star = _turning_point(const.c_a1, const.c_a2, a, 2)
     phi = const.c_a1 * n_star ** (2.0 * a - 2.0) - const.c_a2 * n_star ** (a - 2.0)
     return min(0.0, phi)
 
@@ -476,23 +484,21 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
                            t_cap: float = 100.0) -> float:
     """sup |V_alpha| over the cylinder {|x| <= 1, N >= 1}.
 
-    Finite precisely when alpha <= 2.  On H-type structures the closed form
-    reduces the sup to a one-dimensional search over N at |x| = 1, done on a
-    dense deterministic grid; otherwise the cylinder is sampled.
+    Finite precisely when alpha <= 2.  On H-type structures it is exact:
+    |V_alpha| = |x|^2 |f(N)| with f = c1 N^{2a-4} - c2 N^{a-4} the closed
+    form, which on N >= 1 rises from f(1) = c1 - c2 < 0 to one positive peak
+    below c1 (the limit c1 at a = 2), and c1 <= c2 - c1 because Q >= 2.  So
+    the sup is |f(1)|, attained at |x| = N = 1.  Otherwise the cylinder,
+    with |t| <= t_cap, is sampled.
     """
     _require_finite("alpha", alpha, positive=True)
     _require_finite("t_cap", t_cap, positive=True)
     if alpha > 2:
         return math.inf
     if s.h_type:
-        n_grid = np.geomspace(1.0, max(t_cap, 10.0) ** 2, 200_001)
-        sup = float(np.abs(_closed_form_factor(alpha, s, n_grid)).max())
-        if alpha == 2.0:
-            sup = max(sup, 0.25 * alpha * alpha)  # N -> infinity limit
-        return sup
+        return abs(_envelope_factor(*_closed_form_coeffs(alpha, s), alpha, 1.0))
     rng = np.random.default_rng(seed)
-    x = unit_sample(rng, samples, s.horizontal_dim)
-    x *= rng.uniform(0.0, 1.0, size=(samples, 1)) ** (1.0 / s.horizontal_dim)
+    x = uniform_ball(rng, samples, s.horizontal_dim, 1.0)
     t = unit_sample(rng, samples, s.m) * rng.uniform(0.0, t_cap, size=(samples, 1))
     jet = _norm_jet(s, x, t)
     keep = jet.n >= 1.0

@@ -23,10 +23,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, _require_finite
+from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, _AtIdentity, _envelope_factor,
-                        fit_loglog_slope, potential_bounds, potential_value_xt)
+                        _turning_point, fit_loglog_slope, potential_bounds,
+                        potential_value_xt)
 
 
 def worker_count() -> int:
@@ -57,12 +58,11 @@ def ball_volume(dim: int, radius: float) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius ** dim
 
 
-def uniform_ball(rng: np.random.Generator, count: int, dim: int,
-                 radius: float) -> np.ndarray:
-    v = rng.standard_normal((count, dim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    u = rng.uniform(size=(count, 1)) ** (1.0 / dim)
-    return v * u * radius
+def _mean_and_error(scores: np.ndarray, scale: float):
+    """scale times (the mean of the scores, its standard error); one score has error 0."""
+    n = scores.size
+    se = float(scores.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return scale * float(scores.mean()), scale * se
 
 
 @dataclass(frozen=True)
@@ -104,35 +104,29 @@ def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
 
     The bound L(u, N) = u^2 ell(N), with the envelope factor
     ell(N) = c_a1 N^{2a-4} - c_a2 N^{a-4}, is smallest over N >= u at
-    N = max(u, `_envelope_turn`).
+    N = max(u, N_s), N_s the k = 0 `_turning_point` (0 for a <= 4, where
+    ell is increasing).
     """
     if const.alpha <= 2:
         raise ValueError("lower envelope needs alpha > 2")
     u = np.asarray(u, dtype=float)
-    n_star = np.maximum(u, _envelope_turn(const))
+    n_star = np.maximum(u, _turning_point(const.c_a1, const.c_a2, const.alpha, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         val = u * u * _envelope_factor(const.c_a1, const.c_a2, const.alpha, n_star)
     return np.where(u == 0.0, 0.0, val)
-
-
-def _envelope_turn(const: PotentialConstants) -> float:
-    """Minimiser N_s of ell(N) on N > 0: N_s^a = c_a2 (a-4) / (c_a1 (2a-4)) for
-    a > 4, and 0 for 2 < a <= 4, where ell is increasing."""
-    a = const.alpha
-    if a <= 4:
-        return 0.0
-    return (const.c_a2 * (a - 4.0) / (const.c_a1 * (2.0 * a - 4.0))) ** (1.0 / a)
 
 
 def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
                     est=None) -> float:
     """Radius c with |x| <= c for every member of the sublevel set.
 
-    Inverts the lower envelope: c = sup { u : phi(u) <= level }, located by a
-    dense scan plus bisection, with a relative safety margin so the bound
-    stays an enclosure under floating point.  Returns 0 when the envelope
-    never dips to the level (empty sublevel set).  The inversion depends
-    only on the sandwich constants and the level and is memoised on them.
+    Inverts the lower envelope: c = sup { u : phi(u) <= level }.  phi falls
+    to its minimum, the sandwich floor, at the k = 2 `_turning_point` u_m
+    and rises after it, so c is 0 (empty sublevel set) when the level is
+    below phi(u_m), and otherwise the one crossing beyond u_m, bracketed by
+    doubling and bisected, with a relative safety margin so the bound stays
+    an enclosure under floating point.  The inversion depends only on the
+    sandwich constants and the level and is memoised on them.
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
@@ -141,20 +135,15 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
 
 @lru_cache(maxsize=256)
 def _envelope_inverse(const: PotentialConstants, level: float) -> float:
-    u_hi = 1.0
-    while lower_envelope(const, np.array([u_hi]))[0] <= max(level, 0.0) and u_hi < 1e12:
-        u_hi *= 2.0
-    u_hi *= 2.0
-    grid = np.linspace(0.0, u_hi, 16385)[1:]
-    ok = lower_envelope(const, grid) <= level
-    if not np.any(ok):
+    lo = _turning_point(const.c_a1, const.c_a2, const.alpha, 2)
+    if level < lower_envelope(const, lo):
         return 0.0
-    i = int(np.nonzero(ok)[0][-1])
-    lo = grid[i]
-    hi = grid[i + 1] if i + 1 < grid.size else u_hi
+    hi = 2.0 * lo
+    while lower_envelope(const, hi) <= level:
+        lo, hi = hi, 2.0 * hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if lower_envelope(const, np.array([mid]))[0] <= level:
+        if lower_envelope(const, mid) <= level:
             lo = mid
         else:
             hi = mid
@@ -190,7 +179,7 @@ def _tube_radius(const: PotentialConstants, level: float, n_min: float):
     beyond n_min; returns None when unusable and 0.0 when membership is
     impossible (level below the floor on the region).
     """
-    if n_min < _envelope_turn(const):
+    if n_min < _turning_point(const.c_a1, const.c_a2, const.alpha, 0):
         return None
     ell = _envelope_factor(const.c_a1, const.c_a2, const.alpha, n_min)
     if ell <= 0.0:
@@ -245,9 +234,8 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     score = np.zeros(n_samples)
     if np.any(hits):
         score[hits] = in_sublevel_xt(spec, s, xi[hits], tau[hits])
-    mean = float(score.mean())
-    se = float(score.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return VolumeEstimate(value=vol * mean, std_error=vol * se,
+    value, se = _mean_and_error(score, vol)
+    return VolumeEstimate(value=value, std_error=se,
                           n_samples=n_samples, region_volume=vol,
                           hit_count=int(score.sum()), seed=seed)
 
@@ -325,9 +313,8 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
                  + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
     log_tube = np.minimum(0.5 * (math.log(spec.level) - log_ell_n), math.log(c))
-    log_vol_coeff = math.log(math.pi ** (dim_x / 2.0) / math.gamma(dim_x / 2.0 + 1.0))
-    log_beta = math.log(slab) + log_vol_coeff + dim_x * log_tube
-    surface_m = m * math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
+    log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
+    surface_m = m * ball_volume(m, 1.0)
     log_integrand = ell * log_beta + m * (math.log(t_eff) + ys)
     peak = float(np.max(log_integrand))
     tail = math.exp(peak) * float(np.sum(np.exp(log_integrand - peak))) * (y_max / 20000.0)
@@ -357,39 +344,34 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     ell_threshold = s.m / (s.n * (spec.alpha - 2.0))
     c = cylinder_radius(spec, s)
     kval = threshold_k(spec, s, r, center_x_norm=c)
-    if c == 0.0:
-        return ThinnessEstimate(ell=ell, r=r, value=0.0, std_error=0.0,
-                                outer_samples=outer_samples,
-                                inner_samples=inner_samples,
-                                truncation_T=truncation_T, tail_bound=0.0,
-                                tail_finite=True, ell_threshold=ell_threshold,
-                                threshold_k=kval, seed=seed)
-    rng = substream(seed, 0)
-    xi = uniform_ball(rng, outer_samples, s.horizontal_dim, c)
-    tau = uniform_ball(rng, outer_samples, s.m, truncation_T)
-    outer_volume = ball_volume(s.horizontal_dim, c) * ball_volume(s.m, truncation_T)
-    member = in_sublevel_xt(spec, s, xi, tau)
-    idx = np.nonzero(member)[0]
-    scores = np.zeros(outer_samples)
+    value = se = tail = 0.0
+    tail_finite = True     # an empty sublevel set has no tail
+    if c > 0.0:
+        rng = substream(seed, 0)
+        xi = uniform_ball(rng, outer_samples, s.horizontal_dim, c)
+        tau = uniform_ball(rng, outer_samples, s.m, truncation_T)
+        outer_volume = ball_volume(s.horizontal_dim, c) * ball_volume(s.m, truncation_T)
+        member = in_sublevel_xt(spec, s, xi, tau)
+        idx = np.nonzero(member)[0]
+        scores = np.zeros(outer_samples)
 
-    def run_member(pos: int) -> float:
-        i = int(idx[pos])
-        center = GroupPoint(xi[i], tau[i])
-        est = ball_intersection_volume(spec, s, center, r, inner_samples,
-                                       rng=substream(seed, 1, i))
-        return est.value ** ell
+        def run_member(pos: int) -> float:
+            i = int(idx[pos])
+            center = GroupPoint(xi[i], tau[i])
+            est = ball_intersection_volume(spec, s, center, r, inner_samples,
+                                           rng=substream(seed, 1, i))
+            return est.value ** ell
 
-    workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
-    if workers > 1 and idx.size > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores[idx] = list(pool.map(run_member, range(idx.size)))
-    else:
-        scores[idx] = [run_member(pos) for pos in range(idx.size)]
+        workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
+        if workers > 1 and idx.size > 8:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                scores[idx] = list(pool.map(run_member, range(idx.size)))
+        else:
+            scores[idx] = [run_member(pos) for pos in range(idx.size)]
 
-    value = outer_volume * float(scores.mean())
-    se = outer_volume * float(scores.std(ddof=1) / math.sqrt(outer_samples))
-    tail_finite = ell > ell_threshold
-    tail = _tail_bound(spec, s, r, ell, truncation_T) if tail_finite else math.inf
+        value, se = _mean_and_error(scores, outer_volume)
+        tail_finite = ell > ell_threshold
+        tail = _tail_bound(spec, s, r, ell, truncation_T) if tail_finite else math.inf
     return ThinnessEstimate(ell=ell, r=r, value=value, std_error=se,
                             outer_samples=outer_samples,
                             inner_samples=inner_samples,

@@ -21,6 +21,19 @@ def aniso():
     return MetivierStructure(n=2, m=1, maps=j)
 
 
+def quaternion_maps():
+    """Left multiplications by the quaternion units i, j, k on R^4."""
+    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
+    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
+    return np.stack([li, lj, li @ lj])
+
+
+@pytest.fixture(scope="session")
+def quaternion():
+    """H-type with n = 2, m = 3 (Q = 10): the quaternionic Heisenberg group."""
+    return MetivierStructure(n=2, m=3, maps=quaternion_maps(), h_type=True)
+
+
 @pytest.fixture(scope="session")
 def degenerate():
     """Fails the Metivier condition: J annihilates the second block."""

@@ -19,11 +19,14 @@ def test_unknown_command_usage_exit():
     assert run(["spectrum", "--alpha", "3", "--bogus-flag", "1"]) == 64
 
 
-def test_validation_exit(tmp_path):
+def test_validation_exit(tmp_path, capsys):
     code = run(["potential", "--alpha", "-1"])
     assert code == 1
     code = run(["potential", "--alpha", "2", "--structure", str(tmp_path / "missing.json")])
     assert code == 1
+    capsys.readouterr()
+    assert run(["verify", "--samples", "0"]) == 1
+    assert "samples must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_runs_clean(tmp_path):
@@ -133,6 +136,11 @@ def test_thinness_json(tmp_path):
     assert est["tail_finite"] is True
     assert est["value"] >= 0.0
     assert doc["config"]["truncation"] == 16
+    # one outer sample: standard error 0, not a NaN that strict JSON refuses
+    code, payload = invoke(
+        ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+         "--truncation", "16", "--outer", "1", "--inner", "60"], tmp_path, "t1.json")
+    assert code == 0 and json.loads(payload)["estimate"]["std_error"] == 0.0
 
 
 def test_weyl_csv(tmp_path):

@@ -38,9 +38,16 @@ def test_skew_validation_rejected():
         MetivierStructure(n=1, m=1, maps=bad)
 
 
-def test_h_type_flag_validated(aniso):
+def test_h_type_flag_validated(aniso, quaternion):
     with pytest.raises(ValueError, match="h_type"):
         MetivierStructure(n=2, m=1, maps=aniso.maps, h_type=True)
+    # a skew perturbation of one map breaks the Clifford relations
+    maps = quaternion.maps.copy()
+    maps[2, 0, 3] += 1e-9
+    maps[2, 3, 0] -= 1e-9
+    with pytest.raises(ValueError, match="h_type"):
+        MetivierStructure(n=2, m=3, maps=maps, h_type=True)
+    assert not MetivierStructure(n=2, m=3, maps=maps).h_type
 
 
 def test_group_product_example(heis):
@@ -74,6 +81,12 @@ def test_dimension_mismatch_rejected(heis, aniso):
     p = point(aniso, [1.0, 0, 0, 0], [0.0])
     with pytest.raises(ValueError, match="dims"):
         multiply(heis, p, p)
+    # a non-finite centre made ball_intersection_volume return 0.0 silently
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            point(heis, [0.3, 0.0], [bad])
+        with pytest.raises(ValueError, match="finite"):
+            GroupPoint(np.array([bad, 0.0]), np.zeros(1))
 
 
 def test_dilation_examples(heis):

@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srlab import potential
-from srlab.group import exact_condition_extremes, identity, point, verify_metivier
+from srlab.group import (exact_condition_extremes, identity, point, uniform_ball,
+                         verify_metivier)
 from srlab.norms import norm_xt, weight_xt
 from srlab.potential import (admissibility_report, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
@@ -292,9 +293,26 @@ def test_scaling_law_along_orbits(heis):
         assert np.max(np.abs(w - const.c_a1)) <= 1e-10
 
 
-def test_cylinder_sup(heis):
+def test_cylinder_sup(heis, quaternion):
     assert cylinder_sup_potential(2.0, heis) == pytest.approx(3.0, abs=1e-6)
     assert math.isinf(cylinder_sup_potential(3.0, heis))
+    # exact on H-type: (a/2)(Q - 2 + a/2), at |x| = N = 1; no point of the
+    # cylinder exceeds it, on a dense N-grid at |x| = 1 or sampled with V_alpha itself
+    rng = np.random.default_rng(13)
+    x = uniform_ball(rng, 20_000, 4, 1.0)
+    t = rng.uniform(-30.0, 30.0, size=(20_000, 3))
+    keep = norm_xt(x, t) >= 1.0
+    ns = np.geomspace(1.0, 1e6, 100_001)
+    e1 = np.zeros((ns.size, 4))
+    e1[:, 0] = 1.0
+    t_line = np.outer(np.sqrt(ns ** 4 - 1.0) / 4.0, [1.0, 0.0, 0.0])   # N = ns at |x| = 1
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        sup = cylinder_sup_potential(alpha, quaternion)
+        assert sup == pytest.approx(0.5 * alpha * (8.0 + 0.5 * alpha), rel=1e-14)
+        on_line = np.abs(potential_value_xt(alpha, quaternion, e1, t_line))
+        assert np.max(on_line) == pytest.approx(sup, rel=1e-12)
+        sampled = np.abs(potential_value_xt(alpha, quaternion, x[keep], t[keep]))
+        assert np.max(sampled) <= sup * (1.0 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlab import group, norms, potential, sublevel
 from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
@@ -11,9 +13,9 @@ from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             in_sublevel_xt, lower_envelope, scaling_fit,
                             substream, thinness_integral, threshold_k,
                             uniform_ball, worker_count)
-from srlab.potential import potential_bounds, potential_value_xt
+from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
 
-from conftest import count_calls, random_points
+from conftest import count_calls, quaternion_maps, random_points
 
 
 def test_spec_validation():
@@ -87,6 +89,42 @@ def test_cylinder_contains_members(heis):
     member = in_sublevel_xt(spec, heis, x, t)
     assert np.any(member)
     assert np.all(np.linalg.norm(x[member], axis=1) <= c)
+
+
+@pytest.mark.parametrize("alpha", [3.0, 5.0])
+def test_cylinder_encloses_near_floor_member(heis, alpha):
+    """Just above the floor the sublevel set is a thin shell around the axis point
+    (N*, 0; 0) where the sandwich floor is attained; the radius must enclose it."""
+    const = potential_bounds(alpha, None, heis)
+    floor = sandwich_floor(const)
+    spec = SublevelSpec(alpha, floor + 1e-9 * abs(floor))
+    n_star = (const.c_a2 * (alpha - 2.0) / (const.c_a1 * (2.0 * alpha - 2.0))) ** (1.0 / alpha)
+    assert in_sublevel(spec, heis, point(heis, [n_star, 0.0], [0.0]))
+    assert n_star <= cylinder_radius(spec, heis)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(alpha=st.floats(2.0, 8.0, exclude_min=True), frac=st.floats(0.0, 1.0))
+def test_cylinder_radius_is_envelope_sup(heis, aniso, alpha, frac):
+    """For levels from 1e-9 |floor| above the floor to 100: the envelope exceeds
+    the level at and beyond c, and c is the sup of the envelope's sublevel set
+    within the 1e-9 margin, both to the rounding of the envelope (8 ulp of the
+    two terms c_a1 u^(2a-2) and c_a2 u^(a-2) it subtracts).  Closer to the
+    floor the set is narrower than that rounding across the flat bottom."""
+    for s in (heis, aniso):
+        const = potential_bounds(alpha, None, s)
+        floor = sandwich_floor(const)
+        level = floor + 1e-9 * abs(floor) + frac * (100.0 - floor)
+        c = cylinder_radius(SublevelSpec(alpha, level), s)
+
+        def rounding(u):
+            return 8.0 * np.finfo(float).eps * (const.c_a1 * u ** (2.0 * alpha - 2.0)
+                                                 + const.c_a2 * u ** (alpha - 2.0))
+
+        beyond = c * np.geomspace(1.0, 1e3, 200)
+        assert np.all(lower_envelope(const, beyond) > level - rounding(beyond))
+        inside = c * (1.0 - 2e-9)
+        assert lower_envelope(const, inside) <= level + rounding(inside)
 
 
 def test_bounding_cylinder_encloses_ball(heis, aniso):
@@ -166,6 +204,11 @@ def test_scaling_fit_validation(heis):
         scaling_fit(spec, heis, 1.0, [2, 4, 8, 16], 1000)
     with pytest.raises(ValueError):
         scaling_fit(SublevelSpec(2.0, 1.0), heis, 1.0, [8, 16, 32, 64], 1000)
+    # a NaN centre gave a NaN slope, a NaN height a misleading "no sublevel mass"
+    with pytest.raises(ValueError, match="finite"):
+        scaling_fit(spec, heis, 1.0, [8, 16, 32, 64], 1000, center_x=[math.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        scaling_fit(spec, heis, 1.0, [8, 16, math.nan, 64], 1000)
 
 
 def test_scaling_fit_slope(heis):
@@ -189,6 +232,10 @@ def test_thinness_validation(heis):
         thinness_integral(SublevelSpec(2.0, 1.0), heis, 1.0, 2.0)
     with pytest.raises(ValueError):
         thinness_integral(SublevelSpec(3.0, 1.0), heis, 1.0, 0.0)
+    # one outer sample has standard error 0, as one inner sample does (not NaN)
+    est = thinness_integral(SublevelSpec(3.0, 10.0), heis, 1.0, 2.0, 16.0,
+                            outer_samples=1, inner_samples=10)
+    assert est.std_error == 0.0 and math.isfinite(est.value)
 
 
 def test_thinness_empty(heis):
@@ -260,24 +307,17 @@ def _quaternion_scaled():
     L_i, L_j are left multiplications by the quaternion units, so J_t stays
     invertible for t != 0 (Metivier) while J_t^2 != -|t|^2 Id.
     """
-    li = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], float)
-    lj = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], float)
     d = np.diag([1.0, 1.0, 2.0, 2.0])
-    return MetivierStructure(n=2, m=2, maps=np.stack([d @ li @ d, d @ lj @ d]))
+    return MetivierStructure(n=2, m=2, maps=d @ quaternion_maps()[:2] @ d)
 
 
 @pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
 def test_thinness_computes_invariants_once(name, heis, monkeypatch):
-    """One integral runs the cylinder scan and the sampled (c0, C0) at most once."""
+    """One integral inverts the envelope and draws the sampled (c0, C0) at most once."""
     s = heis if name == "heis" else _quaternion_scaled()
-    calls = {"scan": 0, "verify": 0, "member": 0}
-    envelope = sublevel.lower_envelope
+    calls = {"verify": 0, "member": 0}
     verify = group.verify_metivier
     member = sublevel.ball_intersection_volume
-
-    def counting_envelope(const, u):
-        calls["scan"] += np.size(u) > 1
-        return envelope(const, u)
 
     def counting_verify(*args, **kwargs):
         calls["verify"] += 1
@@ -287,13 +327,12 @@ def test_thinness_computes_invariants_once(name, heis, monkeypatch):
         calls["member"] += 1
         return member(*args, **kwargs)
 
-    monkeypatch.setattr(sublevel, "lower_envelope", counting_envelope)
     monkeypatch.setattr(group, "verify_metivier", counting_verify)
     monkeypatch.setattr(sublevel, "ball_intersection_volume", counting_member)
     sublevel._envelope_inverse.cache_clear()
     thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
     assert calls["member"] > 1
-    assert calls["scan"] == 1
+    assert sublevel._envelope_inverse.cache_info().misses == 1
     assert calls["verify"] == (0 if s.h_type else 1)
 
 
