@@ -56,14 +56,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv(config: dict, header: list, rows: list) -> str:
     lines = [f"# {k} = {_fmt(v)}" for k, v in config.items()]
     lines.append(",".join(header))
@@ -168,8 +160,7 @@ def build_parser() -> _Parser:
     return p
 
 
-def _run_verify(args) -> int:
-    s = _load_structure(args.structure)
+def _run_verify(args, s):
     if args.samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -223,30 +214,21 @@ def _run_verify(args) -> int:
     ok = all(v <= b for _, v, b in checks)
     config = {"command": "verify", "structure": args.structure, "samples": args.samples,
               "seed": args.seed, "c0": est.c0, "C0": est.C0}
-    if args.format == "csv":
-        _emit(_csv(config, ["check", "value", "bound", "status"], rows), args.output)
-    else:
-        _emit(_json(config, {"checks": [dict(zip(("check", "value", "bound", "status"), r))
-                                        for r in rows]}), args.output)
-    return EXIT_OK if ok else EXIT_VALIDATION
+    header = ["check", "value", "bound", "status"]
+    return (config, header, rows, {"checks": [dict(zip(header, r)) for r in rows]},
+            EXIT_OK if ok else EXIT_VALIDATION)
 
 
-def _run_gamma(args) -> int:
-    s = _load_structure(args.structure)
+def _run_gamma(args, s):
     est = estimate_gamma(s, args.samples, seed=args.seed)
     config = {"command": "gamma", "structure": args.structure,
               "samples": args.samples, "seed": args.seed,
               "note": "gamma_hat is a sampled lower bound on the true constant"}
-    if args.format == "json":
-        _emit(_json(config, {"gamma_hat": est.gamma_hat}), args.output)
-    else:
-        _emit(_csv(config, ["gamma_hat", "samples", "seed"],
-                   [(est.gamma_hat, est.samples, est.seed)]), args.output)
-    return EXIT_OK
+    return (config, ["gamma_hat", "samples", "seed"],
+            [(est.gamma_hat, est.samples, est.seed)], {"gamma_hat": est.gamma_hat}, EXIT_OK)
 
 
-def _run_potential(args) -> int:
-    s = _load_structure(args.structure)
+def _run_potential(args, s):
     const = potential.potential_bounds(args.alpha, None, s)
     if args.points:
         data = np.loadtxt(args.points, delimiter=",", ndmin=2)
@@ -268,15 +250,10 @@ def _run_potential(args) -> int:
               + [f"t{k+1}" for k in range(s.m)]
               + ["N", "grad_norm_sq", "LN", "V_alpha", "lower_bound", "upper_bound"])
     rows = np.column_stack([x, t, jet.n, jet.gns, jet.ln, v, lo, hi]).tolist()
-    if args.format == "csv":
-        _emit(_csv(config, header, rows), args.output)
-    else:
-        _emit(_json(config, {"columns": header, "rows": rows}), args.output)
-    return EXIT_OK
+    return config, header, rows, {"columns": header, "rows": rows}, EXIT_OK
 
 
-def _run_weyl(args) -> int:
-    s = _load_structure(args.structure)
+def _run_weyl(args, s):
     if args.n_max < 2:
         raise ValueError("need --n-max >= 2")
     bump = forms.SmoothBump(args.x_radius, args.t_radius)
@@ -291,17 +268,12 @@ def _run_weyl(args) -> int:
               "x_radius": args.x_radius, "t_radius": args.t_radius,
               "seed": args.seed, "sup_cylinder": scan.sup_cylinder,
               "psi_norm": scan.psi_norm, "L_psi_norm": scan.l_psi_norm}
+    header = ["n", "residual", "bound", "psi_norm"]
     rows = [(r.n_index, r.residual, scan.bound, r.psi_norm) for r in scan.records]
-    if args.format == "csv":
-        _emit(_csv(config, ["n", "residual", "bound", "psi_norm"], rows), args.output)
-    else:
-        _emit(_json(config, {"records": [dict(zip(("n", "residual", "bound", "psi_norm"), r))
-                                         for r in rows]}), args.output)
-    return EXIT_OK
+    return config, header, rows, {"records": [dict(zip(header, r)) for r in rows]}, EXIT_OK
 
 
-def _run_spectrum(args) -> int:
-    s = _load_structure(args.structure)
+def _run_spectrum(args, s):
     grid = spectral.Grid3(s, args.lx, args.lt, args.nx, args.nt)
     op = spectral.assemble_operator(args.alpha, s, grid)
     result = spectral.lanczos_lowest(op, k=args.k, tol=args.tol,
@@ -310,22 +282,16 @@ def _run_spectrum(args) -> int:
               "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,
               "k": args.k, "tol": args.tol, "max_iter": args.max_iter,
               "seed": args.seed, "dim": op.dim}
-    payload = {"grid": grid.describe(),
-               "eigenvalues": result.eigenvalues,
-               "residuals": result.residual_norms,
-               "iterations": result.iterations,
+    payload = {"grid": grid.describe(), "eigenvalues": result.eigenvalues,
+               "residuals": result.residual_norms, "iterations": result.iterations,
                "converged": result.converged}
-    if args.format == "json":
-        _emit(_json(config, payload), args.output)
-    else:
-        rows = [(i, result.eigenvalues[i], result.residual_norms[i])
-                for i in range(len(result.eigenvalues))]
-        _emit(_csv(config, ["index", "eigenvalue", "residual"], rows), args.output)
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    rows = [(i, ev, res) for i, (ev, res)
+            in enumerate(zip(result.eigenvalues, result.residual_norms))]
+    return (config, ["index", "eigenvalue", "residual"], rows, payload,
+            EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
-def _run_thinness(args) -> int:
-    s = _load_structure(args.structure)
+def _run_thinness(args, s):
     spec = sublevel.SublevelSpec(args.alpha, args.m_level)
     est = sublevel.thinness_integral(spec, s, r=args.r, ell=args.ell,
                                      truncation_T=args.truncation,
@@ -335,15 +301,11 @@ def _run_thinness(args) -> int:
               "m_level": args.m_level, "r": args.r, "ell": args.ell,
               "truncation": args.truncation, "outer": args.outer,
               "inner": args.inner, "seed": args.seed}
-    if args.format == "json":
-        _emit(_json(config, {"estimate": asdict(est)}), args.output)
-    else:
-        d = asdict(est)
-        keys = list(d.keys())
-        _emit(_csv(config, keys, [tuple(d[k] for k in keys)]), args.output)
-    return EXIT_OK
+    d = asdict(est)
+    return config, list(d), [tuple(d.values())], {"estimate": d}, EXIT_OK
 
 
+# Each runner maps (args, structure) to (config, CSV header, CSV rows, JSON payload, exit code).
 _RUNNERS = {
     "verify": _run_verify,
     "gamma": _run_gamma,
@@ -364,7 +326,15 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _RUNNERS[args.command](args)
+        s = _load_structure(args.structure)
+        config, header, rows, payload, code = _RUNNERS[args.command](args, s)
+        text = _csv(config, header, rows) if args.format == "csv" else _json(config, payload)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

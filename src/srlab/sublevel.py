@@ -124,9 +124,11 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
     to its minimum, the sandwich floor, at the k = 2 `_turning_point` u_m
     and rises after it, so c is 0 (empty sublevel set) when the level is
     below phi(u_m), and otherwise the one crossing beyond u_m, bracketed by
-    doubling and bisected, with a relative safety margin so the bound stays
-    an enclosure under floating point.  The inversion depends only on the
-    sandwich constants and the level and is memoised on them.
+    doubling and bisected.  So that c stays an enclosure in floating point,
+    its relative margin starts at 1e-9 and doubles until phi(c) exceeds the
+    level by phi's rounding, 8 ulp of c_a1 c^(2a-2) + c_a2 c^(a-2), then
+    narrows until the radius 2e-9 below c does not.  The inversion depends
+    only on the sandwich constants and the level and is memoised on them.
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
@@ -147,7 +149,24 @@ def _envelope_inverse(const: PotentialConstants, level: float) -> float:
             lo = mid
         else:
             hi = mid
-    return float(hi * (1.0 + 1e-9))
+
+    def clears(u):   # phi(u) above the level by more than 8 ulp of its two terms
+        a = const.alpha
+        return lower_envelope(const, u) > level + 8.0 * np.finfo(float).eps * (
+            const.c_a1 * u ** (2.0 * a - 2.0) + const.c_a2 * u ** (a - 2.0))
+
+    inner, margin = hi, 1e-9
+    while not clears(hi * (1.0 + margin)):
+        inner, margin = hi * (1.0 + margin), 2.0 * margin
+    outer = hi * (1.0 + margin)
+    while outer > inner * (1.0 + 1e-9):
+        mid = 0.5 * (inner + outer)
+        inner, outer = (inner, mid) if clears(mid) else (mid, outer)
+    # where phi is flat to its rounding, `clears` is not monotone: step down
+    # while the radius 2e-9 below still clears (never below hi, where phi > level)
+    while margin > 1e-9 and outer * (1.0 - 2e-9) > hi and clears(outer * (1.0 - 2e-9)):
+        outer *= 1.0 - 2e-9
+    return float(outer)
 
 
 def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
@@ -272,11 +291,15 @@ class ThinnessEstimate:
 
 def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
                 ell: float, t_from: float) -> float:
-    """Rigorous bound for the thinness integrand beyond |t| = t_from.
+    """Upper bound for the thinness integral beyond |t| = t_from.
 
-    Uses |Omega cap B(y, r)| <= vol_2n(tube(|t|)) * vol_m(rho_t) pointwise and
-    integrates the ell-th power over {|x| <= c, |t| > max(t_from, k)} in log
-    space; the finite band [t_from, k] is bounded by the cylinder measure.
+    Integrates beta^ell, beta(|t|) = vol_2n(min(c, tube)) vol_m(rho_t) >=
+    |Omega cap B(y, r)|, over {|x| <= c, |t| > t_eff = max(t_from, k)} in
+    y = log(|t| / t_eff); the band [t_from, k] takes the cylinder measure.
+    beta does not increase, so the log-integrand rises with slope <= m: each
+    cell is at most its left node times expm1(m dy) / m.  Once the tube is
+    below c (by y_max, as tube <= sqrt(2 level / c_a1) N^(2-a)), the slope
+    is <= -delta = m - ell n (a - 2), so the rest is f(y_max) / delta at most.
     """
     const = potential_bounds(spec.alpha, None, s)
     c = cylinder_radius(spec, s)
@@ -287,6 +310,7 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     t_eff = max(t_from, k)
     dim_x = s.horizontal_dim
     m = s.m
+    a = const.alpha
     box_measure = ball_volume(dim_x, c)
     slab = ball_volume(m, rho_t)
 
@@ -295,20 +319,21 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
         beta_max = box_measure * slab
         band = box_measure * beta_max ** ell * (ball_volume(m, t_eff) - ball_volume(m, t_from))
 
-    # log beta(s) = log slab + log vol_2n(min(c, tube(s)))
-    y = (np.arange(20000) + 0.5) * (1.0 / 20000.0)
     delta = -(ell * s.n * (2.0 - spec.alpha) + m)
     if delta <= 0:
         return math.inf
     if spec.level <= 0:
         return band
-    y_max = 60.0 / delta + 10.0
-    ys = y * y_max
+    # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
+    log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
+    log_u_c = 2.0 * (log_n_c - math.log(float(norm_xt([0.0], [1.0]))))
+    y_max = max(60.0 / delta + 10.0, float(np.logaddexp(math.log(rho_t), log_u_c))
+                - math.log(t_eff))
+    ys = np.linspace(0.0, y_max, 20000)
     svals = t_eff * np.exp(ys)
     n_min = norm_xt(np.zeros((svals.size, 1)), (svals - rho_t)[:, None])
     # the envelope factor ell(N) of `_tube_radius` in log space, which does not
     # overflow: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
-    a = const.alpha
     log_n = np.log(n_min)
     log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
                  + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
@@ -317,7 +342,9 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     surface_m = m * ball_volume(m, 1.0)
     log_integrand = ell * log_beta + m * (math.log(t_eff) + ys)
     peak = float(np.max(log_integrand))
-    tail = math.exp(peak) * float(np.sum(np.exp(log_integrand - peak))) * (y_max / 20000.0)
+    f = np.exp(log_integrand - peak)
+    cells = float(np.sum(f[:-1])) * math.expm1(m * ys[1]) / m
+    tail = math.exp(peak) * (cells + float(f[-1]) / delta)
     return band + box_measure * surface_m * tail
 
 
@@ -331,8 +358,10 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
 
     outer points uniform in the confining cylinder {|x| <= c, |t| <= T},
     inner measures by `ball_intersection_volume` with per-member substreams.
-    The tail beyond T is bounded analytically and is finite exactly when
-    ell > m / (n (alpha - 2)).
+    The tail beyond T gets an upper bound, finite exactly when
+    ell > m / (n (alpha - 2)): `_tail_bound` sums the pointwise tube bound on
+    a log grid at left nodes times each cell's largest rise, and bounds the
+    part beyond the grid by its geometric decay.
     """
     if spec.alpha <= 2:
         raise ValueError("thinness experiment requires alpha > 2")

@@ -6,6 +6,8 @@ left-invariant fields and not the Euclidean partials.  None of these call
 the closed-form derivative code they are checking.
 """
 
+import math
+
 import numpy as np
 
 from srlab.group import MetivierStructure, product
@@ -100,3 +102,46 @@ def dense_operator_oracle(alpha, s, grid, potential_fn):
     x, t = grid.nodes()
     dense += np.diag(potential_fn(x, t))
     return dense
+
+
+def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
+                       t_from: float) -> float:
+    """The thinness tail beyond |t| = t_from by adaptive quadrature (positive level).
+
+    The same integrand as `sublevel._tail_bound`: the band [t_from, k] by the
+    cylinder measure, and beyond t_eff = max(t_from, k) the ell-th power of the
+    pointwise bound vol_2n(min(c, tube(|t|))) vol_m(rho_t), integrated over
+    {|x| <= c} x {|t| > t_eff}.  The tube is sqrt(level / ell(N)) with
+    ell(N) = c_a1 N^(2a-4) - c_a2 N^(a-4) at N = N(0, |t| - rho_t) = 2 |t - rho_t|^(1/2).
+    scipy quad runs in y = log(|t| / t_eff), split where the tube meets c.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    from srlab import potential, sublevel
+
+    const = potential.potential_bounds(spec.alpha, None, s)
+    c = sublevel.cylinder_radius(spec, s)
+    rho_t = sublevel._central_reach(s, c, r)
+    k = sublevel.threshold_k(spec, s, r, center_x_norm=c)
+    t_eff = max(t_from, k)
+    a, dim_x, m = spec.alpha, s.horizontal_dim, s.m
+    vol = sublevel.ball_volume
+    slab = vol(m, rho_t)
+    band = vol(dim_x, c) * (vol(dim_x, c) * slab) ** ell * (vol(m, t_eff) - vol(m, t_from))
+
+    def excess(y):   # log tube - log c, in logs so that y may be large
+        log_n = math.log(2.0) + 0.5 * (y + math.log(t_eff)
+                                       + math.log1p(-rho_t / t_eff * math.exp(-y)))
+        log_env = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
+                   + math.log1p(-(const.c_a2 / const.c_a1) * math.exp(-a * log_n)))
+        return 0.5 * (math.log(spec.level) - log_env) - math.log(c)
+
+    def f(y):
+        log_beta = math.log(slab * vol(dim_x, c)) + dim_x * min(excess(y), 0.0)
+        return math.exp(ell * log_beta + m * (math.log(t_eff) + y))
+
+    split = 0.0 if excess(0.0) <= 0.0 else brentq(excess, 0.0, 1e3, xtol=1e-14)
+    tail = (quad(f, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=500)[0]
+            + quad(f, split, math.inf, epsabs=0.0, epsrel=1e-12, limit=500)[0])
+    return band + vol(dim_x, c) * m * vol(m, 1.0) * tail

@@ -60,7 +60,7 @@ def test_potential_csv_columns(tmp_path):
     assert f"{val:.17g}" == first[6]
 
 
-def test_potential_points_file(tmp_path):
+def test_potential_points_file(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("1.0,0.0,0.0\n0.0,0.0,1.0\n")
     code, payload = invoke(["potential", "--alpha", "2", "--points", str(pts)],
@@ -69,6 +69,11 @@ def test_potential_points_file(tmp_path):
     rows = [ln for ln in payload.decode().splitlines() if not ln.startswith("#")][1:]
     v = float(rows[0].split(",")[6])
     assert v == pytest.approx(-3.0, abs=1e-12)
+    pts.write_text("1.0,0.0\n")
+    code, payload = invoke(["potential", "--alpha", "2", "--points", str(pts)],
+                           tmp_path, "p3.csv")
+    assert code == 1 and payload == b""
+    assert "points file must have 3 columns" in capsys.readouterr().err
 
 
 def test_structure_json_loading(tmp_path):
@@ -151,6 +156,13 @@ def test_weyl_csv(tmp_path):
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "n,residual,bound,psi_norm"
     assert any(ln.startswith("# lambda") for ln in lines)  # resolved default echoed
+    # the dyadic indices up to --n-max, and --n-max itself when it is not dyadic
+    code, payload = invoke(
+        ["weyl", "--alpha", "1", "--n-max", "6", "--grid", "8"], tmp_path, "w6.csv")
+    rows = [ln for ln in payload.decode().splitlines() if not ln.startswith("#")][1:]
+    assert code == 0 and [int(r.split(",")[0]) for r in rows] == [2, 4, 6]
+    code, payload = invoke(["weyl", "--alpha", "1", "--n-max", "1"], tmp_path, "w1.csv")
+    assert code == 1 and payload == b""
 
 
 def test_byte_reproducibility(tmp_path):
@@ -165,9 +177,10 @@ def test_byte_reproducibility(tmp_path):
          "--truncation", "8", "--outer", "200", "--inner", "40"],
     ]
     for i, cmd in enumerate(cmds):
-        _, a = invoke(cmd, tmp_path, f"a{i}.out")
-        _, b = invoke(cmd, tmp_path, f"b{i}.out")
-        assert a == b and len(a) > 0, cmd[0]
+        for fmt in ("csv", "json"):
+            _, a = invoke(cmd + ["--format", fmt], tmp_path, f"a{i}.{fmt}")
+            _, b = invoke(cmd + ["--format", fmt], tmp_path, f"b{i}.{fmt}")
+            assert a == b and len(a) > 0, (cmd[0], fmt)
 
 
 def test_non_finite_alpha_and_level_exit(tmp_path):

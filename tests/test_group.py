@@ -36,6 +36,11 @@ def test_skew_validation_rejected():
     bad = np.array([[[0.0, 1.0], [1.0, 0.0]]])
     with pytest.raises(ValueError, match="skew"):
         MetivierStructure(n=1, m=1, maps=bad)
+    for n, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="positive integers"):
+            MetivierStructure(n=n, m=m, maps=ROT[None])
+    with pytest.raises(ValueError, match="shape"):
+        MetivierStructure(n=1, m=2, maps=ROT[None])
 
 
 def test_h_type_flag_validated(aniso, quaternion):

@@ -112,3 +112,5 @@ def test_gamma_monotone_in_samples(heis):
     assert large.gamma_hat >= small.gamma_hat
     again = estimate_gamma(heis, 10_000, seed=11)
     assert again.gamma_hat == large.gamma_hat
+    with pytest.raises(ValueError, match="samples"):
+        estimate_gamma(heis, 0)

@@ -315,6 +315,17 @@ def test_cylinder_sup(heis, quaternion):
         assert np.max(sampled) <= sup * (1.0 + 1e-12)
 
 
+def test_cylinder_sup_sampled(aniso):
+    """Off H-type the cylinder is sampled: finite, seeded, and at least |V_alpha|
+    at the axis point |x| = N = 1."""
+    e1 = np.array([[1.0, 0.0, 0.0, 0.0]])
+    for alpha in (1.0, 2.0):
+        sup = cylinder_sup_potential(alpha, aniso, seed=4)
+        assert math.isfinite(sup)
+        assert cylinder_sup_potential(alpha, aniso, seed=4) == sup
+        assert sup >= abs(potential_value_xt(alpha, aniso, e1, np.zeros((1, 1)))[0])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(s=skew_structures(), alpha=st.floats(1.5, 3.5), seed=st.integers(0, 2 ** 32 - 1))
 def test_norm_jet_matches_fd_oracles(s, alpha, seed):

@@ -205,6 +205,9 @@ def test_eigen_count_refuses_shift_on_eigenvalue():
     op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 11.0)))
     with pytest.raises(ValueError, match="eigenvalue"):
         eigen_count_below(op, 3.0)
+    # a shift 1e-12 off an eigenvalue factors, but its pivot is below the guard
+    with pytest.raises(ValueError, match="smallest pivot 1.000e-12"):
+        eigen_count_below(op, 3.0 + 1e-12)
     assert eigen_count_below(op, 3.0 + 1e-6).count == 3
     assert eigen_count_below(op, 3.0 - 1e-6).count == 2
 

@@ -15,6 +15,7 @@ from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             uniform_ball, worker_count)
 from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
 
+import oracles
 from conftest import count_calls, quaternion_maps, random_points
 
 
@@ -127,6 +128,17 @@ def test_cylinder_radius_is_envelope_sup(heis, aniso, alpha, frac):
         assert lower_envelope(const, inside) <= level + rounding(inside)
 
 
+def test_cylinder_radius_clears_rounding_near_alpha_2(heis):
+    """One ulp above alpha = 2 the 1e-9 margin sat inside the envelope's rounding."""
+    alpha = 2.0 + 4e-16
+    const = potential_bounds(alpha, None, heis)
+    level = sandwich_floor(const) + 4e-9
+    c = cylinder_radius(SublevelSpec(alpha, level), heis)
+    rounding = 8.0 * np.finfo(float).eps * (const.c_a1 * c ** (2.0 * alpha - 2.0)
+                                            + const.c_a2 * c ** (alpha - 2.0))
+    assert lower_envelope(const, c) > level + rounding
+
+
 def test_bounding_cylinder_encloses_ball(heis, aniso):
     for s in (heis, aniso):
         rng = np.random.default_rng(2)
@@ -211,6 +223,26 @@ def test_scaling_fit_validation(heis):
         scaling_fit(spec, heis, 1.0, [8, 16, math.nan, 64], 1000)
 
 
+def test_scaling_fit_retries_then_fails(heis, monkeypatch):
+    """A zero estimate is retried once with 4x samples; a second zero is a failure."""
+    spec = SublevelSpec(3.0, 10.0)
+    calls = []
+
+    def stub(spec, s, center, r, n_samples, rng=None, seed=0):
+        calls.append(n_samples)
+        value = float(center.t[0]) ** -1.0 if n_samples > 1000 else 0.0
+        return sublevel.VolumeEstimate(value, 0.01 * value, n_samples, 1.0, 1, seed)
+
+    monkeypatch.setattr(sublevel, "ball_intersection_volume", stub)
+    fit = scaling_fit(spec, heis, 1.0, [8.0, 16.0, 32.0, 64.0], 1000)
+    assert calls == [1000, 4000] * 4
+    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    monkeypatch.setattr(sublevel, "ball_intersection_volume",
+                        lambda *a, **k: sublevel.VolumeEstimate(0.0, 0.0, 1, 1.0, 0, 0))
+    with pytest.raises(RuntimeError, match="no sublevel mass"):
+        scaling_fit(spec, heis, 1.0, [8.0, 16.0, 32.0, 64.0], 1000)
+
+
 def test_scaling_fit_slope(heis):
     spec = SublevelSpec(3.0, 10.0)
     fit = scaling_fit(spec, heis, 1.0, [8.0, 16.0, 32.0, 64.0], 60_000, seed=0)
@@ -254,6 +286,22 @@ def test_thinness_finite_case(heis):
     bigger_t = thinness_integral(spec, heis, 1.0, 2.0, truncation_T=64.0,
                                  outer_samples=1000, inner_samples=100, seed=0)
     assert bigger_t.tail_bound < est.tail_bound
+    # at a non-positive level the tube closes beyond k < T: no tail at all
+    below = thinness_integral(SublevelSpec(3.0, -0.5), heis, 1.0, 2.0, truncation_T=16.0,
+                              outer_samples=200, inner_samples=50)
+    assert below.value > 0.0 and below.tail_finite and below.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("alpha, level, ell, t_from", [
+    (3.0, 10.0, 2.0, 64.0), (3.0, 10.0, 2.0, 128.0), (3.0, 10.0, 2.0, 16.0),
+    (2.5, 5.0, 2.5, 16.0), (2.5, 10.0, 2.5, 16.0), (3.0, 5.0, 1.25, 16.0),
+    (4.0, 5.0, 0.625, 16.0)])
+def test_tail_bound_is_upper_bound(heis, alpha, level, ell, t_from):
+    """The tail bound lies above adaptive quadrature of its integrand, within 1 %."""
+    spec = SublevelSpec(alpha, level)
+    bound = sublevel._tail_bound(spec, heis, 1.0, ell, t_from)
+    exact = oracles.thinness_tail_quad(spec, heis, 1.0, ell, t_from)
+    assert exact <= bound <= 1.01 * exact
 
 
 def test_thinness_divergent_tail(heis):
