@@ -56,11 +56,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(config: dict, header: list, rows: list) -> str:
+def _csv(config: dict, header: list, rows) -> str:
+    """CSV text; `rows` is a list of mixed-type rows or a 2-D float ndarray,
+    which is checked for NaN and formatted as one block ("%.17g" % x is
+    f"{x:.17g}")."""
     lines = [f"# {k} = {_fmt(v)}" for k, v in config.items()]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(rows, np.ndarray):
+        if np.isnan(rows).any():
+            raise ValueError("NaN in CSV output")
+        if rows.size:
+            template = ",".join(["%.17g"] * rows.shape[1])
+            lines.append("\n".join([template] * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    else:
+        lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -249,7 +258,7 @@ def _run_potential(args, s):
     header = ([f"x{i+1}" for i in range(s.horizontal_dim)]
               + [f"t{k+1}" for k in range(s.m)]
               + ["N", "grad_norm_sq", "LN", "V_alpha", "lower_bound", "upper_bound"])
-    rows = np.column_stack([x, t, jet.n, jet.gns, jet.ln, v, lo, hi]).tolist()
+    rows = np.column_stack([x, t, jet.n, jet.gns, jet.ln, v, lo, hi])
     return config, header, rows, {"columns": header, "rows": rows}, EXIT_OK
 
 
@@ -305,7 +314,8 @@ def _run_thinness(args, s):
     return config, list(d), [tuple(d.values())], {"estimate": d}, EXIT_OK
 
 
-# Each runner maps (args, structure) to (config, CSV header, CSV rows, JSON payload, exit code).
+# Each runner maps (args, structure) to (config, CSV header, CSV rows, JSON payload,
+# exit code); the rows are a list of tuples or, for an all-float table, one ndarray.
 _RUNNERS = {
     "verify": _run_verify,
     "gamma": _run_gamma,

@@ -1,6 +1,8 @@
 """Analytic test functions, quadrature of the energy forms, and Weyl translates.
 
-Test functions expose exact Euclidean derivatives up to second order; the
+Test functions expose exact Euclidean derivatives by order: `value(x, t)`,
+`gradient(x, t)` -> (value, gx, gt) and `derivatives(x, t)`, which adds the
+Hessians (hxx, hxt, htt); each kernel calls the lowest order it reads.  The
 left-invariant calculus is then pure chain rule through the horizontal
 fields X_j = d/dx_j + (1/2) sum_k (J_k x, e_j) d/dt_k.  Because the
 coefficient of d/dt_k in X_j does not depend on x_j or t,
@@ -8,7 +10,9 @@ coefficient of d/dt_k in X_j does not depend on x_j or t,
     sum_j X_j^2 f = tr Hxx + 2 sum_{jk} c_{jk} Hxt_{jk}
                     + sum_{kl} (sum_j c_{jk} c_{jl}) Htt_{kl},
 
-with c_{jk}(x) = (1/2)(J_k x)_j.  Only integrals carry discretisation
+with c_{jk}(x) = (1/2)(J_k x)_j.  A `SmoothBump` contracts this from its
+profile derivatives without forming the Hessians; a left translate keeps
+the tensor form.  Only integrals carry discretisation
 error: the tensor midpoint rule is O(h^2) with positive weights, and numpy's
 pairwise summation makes every reduction bit-stable run to run.
 """
@@ -27,8 +31,8 @@ from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
                         potential_value_xt)
 
 
-def bump_profile(sq: np.ndarray):
-    """Flat profile g(s) = exp(-1/(1-s)) for s < 1, 0 otherwise, with g', g''.
+def _profile(sq, order: int):
+    """(g, g', g'')[:order + 1] of g(s) = exp(-1/(1-s)) for s < 1, 0 otherwise.
 
     g'  = -g / (1-s)^2
     g'' = g (2s - 1) / (1-s)^4
@@ -38,10 +42,17 @@ def bump_profile(sq: np.ndarray):
     sq = np.asarray(sq, dtype=float)
     inside = sq < 1.0 - 1e-9
     one_ms = np.where(inside, 1.0 - sq, 1.0)
-    g = np.where(inside, np.exp(-1.0 / one_ms), 0.0)
-    g1 = np.where(inside, -g / one_ms ** 2, 0.0)
-    g2 = np.where(inside, g * (2.0 * sq - 1.0) / one_ms ** 4, 0.0)
-    return g, g1, g2
+    out = [np.where(inside, np.exp(-1.0 / one_ms), 0.0)]
+    if order >= 1:
+        out.append(np.where(inside, -out[0] / one_ms ** 2, 0.0))
+    if order >= 2:
+        out.append(np.where(inside, out[0] * (2.0 * sq - 1.0) / one_ms ** 4, 0.0))
+    return out
+
+
+def bump_profile(sq: np.ndarray):
+    """Flat profile g(s) = exp(-1/(1-s)) for s < 1, 0 otherwise, with g', g''."""
+    return tuple(_profile(sq, 2))
 
 
 @dataclass(frozen=True)
@@ -67,23 +78,31 @@ class SmoothBump:
         return (np.full(s.horizontal_dim, self.x_radius),
                 np.full(s.m, self.t_radius))
 
-    def value(self, x, t) -> np.ndarray:
+    def _profiles(self, x, t, order: int):
+        """x, t as arrays and the profiles [u, u', ...] of |x|^2/a^2 and
+        [v, v', ...] of |t|^2/b^2, each to derivative `order`."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        gx, _, _ = bump_profile(np.einsum("...i,...i->...", x, x) / self.x_radius ** 2)
-        gt, _, _ = bump_profile(np.einsum("...i,...i->...", t, t) / self.t_radius ** 2)
-        return gx * gt
+        u = _profile(np.einsum("...i,...i->...", x, x) / self.x_radius ** 2, order)
+        v = _profile(np.einsum("...i,...i->...", t, t) / self.t_radius ** 2, order)
+        return x, t, u, v
+
+    def value(self, x, t) -> np.ndarray:
+        _, _, (u,), (v,) = self._profiles(x, t, 0)
+        return u * v
+
+    def gradient(self, x, t):
+        """(value, gx, gt): the first three entries of `derivatives`."""
+        x, t, (u, u1), (v, v1) = self._profiles(x, t, 1)
+        dx = 2.0 * x / self.x_radius ** 2
+        dt = 2.0 * t / self.t_radius ** 2
+        return u * v, (u1 * v)[..., None] * dx, (u * v1)[..., None] * dt
 
     def derivatives(self, x, t):
         """(value, gx, gt, hxx, hxt, htt) with batch shape (..., dims)."""
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
+        x, t, (u, u1, u2), (v, v1, v2) = self._profiles(x, t, 2)
         a2 = self.x_radius ** 2
         b2 = self.t_radius ** 2
-        sx = np.einsum("...i,...i->...", x, x) / a2
-        st = np.einsum("...i,...i->...", t, t) / b2
-        u, u1, u2 = bump_profile(sx)
-        v, v1, v2 = bump_profile(st)
         dx = 2.0 * x / a2                      # d s_x / d x
         dt = 2.0 * t / b2
         val = u * v
@@ -97,6 +116,26 @@ class SmoothBump:
                + (u * v1)[..., None, None] * (2.0 / b2) * eye_t)
         hxt = (u1 * v1)[..., None, None] * dx[..., :, None] * dt[..., None, :]
         return val, gx, gt, hxx, hxt, htt
+
+    def _sub_laplacian(self, s: MetivierStructure, x, t) -> np.ndarray:
+        """L psi from the profiles, without the Hessians of `derivatives`:
+        with c the X_j coefficients, dx, dt as there and |c|_F^2 = tr(c^T c),
+
+            -L psi = u'' v |dx|^2 + u' v (2/a^2) 2n + 2 u' v' dx . (c dt)
+                     + u v'' |c dt|^2 + u v' (2/b^2) |c|_F^2.
+        """
+        x, t, (u, u1, u2), (v, v1, v2) = self._profiles(x, t, 2)
+        a2 = self.x_radius ** 2
+        b2 = self.t_radius ** 2
+        dx = 2.0 * x / a2
+        dt = 2.0 * t / b2
+        c = horizontal_coefficients(s, x)
+        c_dt = np.einsum("...jk,...k->...j", c, dt)
+        return -(u2 * v * np.einsum("...j,...j->...", dx, dx)
+                 + u1 * v * (2.0 / a2) * x.shape[-1]
+                 + 2.0 * u1 * v1 * np.einsum("...j,...j->...", dx, c_dt)
+                 + u * v2 * np.einsum("...j,...j->...", c_dt, c_dt)
+                 + u * v1 * (2.0 / b2) * np.einsum("...jk,...jk->...", c, c))
 
 
 @dataclass(frozen=True)
@@ -138,6 +177,11 @@ class TranslatedBump:
         xq, tq = self._pullback(x, t)
         return self.bump.value(xq, tq)
 
+    def gradient(self, x, t):
+        xq, tq = self._pullback(x, t)
+        val, gx, gt = self.bump.gradient(xq, tq)
+        return val, gx + np.einsum("ki,...k->...i", self._jacobian_tx(), gt), gt
+
     def derivatives(self, x, t):
         xq, tq = self._pullback(x, t)
         val, gx, gt, hxx, hxt, htt = self.bump.derivatives(xq, tq)
@@ -159,11 +203,15 @@ def horizontal_coefficients(s: MetivierStructure, x) -> np.ndarray:
     return 0.5 * np.einsum("kji,...i->...jk", s.maps, np.asarray(x, dtype=float))
 
 
+def _value_and_horizontal_gradient(s: MetivierStructure, f, x, t):
+    """(f, (X_1 f, ..., X_{2n} f)) at each point, from one `f.gradient` call."""
+    val, gx, gt = f.gradient(x, t)
+    return val, gx + np.einsum("...jk,...k->...j", horizontal_coefficients(s, x), gt)
+
+
 def horizontal_gradient(s: MetivierStructure, f, x, t) -> np.ndarray:
     """(X_1 f, ..., X_{2n} f) at each point, shape (..., 2n)."""
-    _, gx, gt, _, _, _ = f.derivatives(x, t)
-    c = horizontal_coefficients(s, x)
-    return gx + np.einsum("...jk,...k->...j", c, gt)
+    return _value_and_horizontal_gradient(s, f, x, t)[1]
 
 
 def apply_xj(s: MetivierStructure, f, j: int, p: GroupPoint) -> float:
@@ -173,8 +221,14 @@ def apply_xj(s: MetivierStructure, f, j: int, p: GroupPoint) -> float:
 
 
 def sub_laplacian_apply(s: MetivierStructure, f, x, t) -> np.ndarray:
-    """L f = -sum_j X_j^2 f, exact chain rule, batched."""
-    _, gx, gt, hxx, hxt, htt = f.derivatives(x, t)
+    """L f = -sum_j X_j^2 f, exact chain rule, batched.
+
+    A `SmoothBump` contracts its own profile derivatives; any other f is
+    contracted from the Hessians of `f.derivatives`.
+    """
+    if isinstance(f, SmoothBump):
+        return f._sub_laplacian(s, x, t)
+    _, _, _, hxx, hxt, htt = f.derivatives(x, t)
     c = horizontal_coefficients(s, x)
     term1 = np.einsum("...jj->...", hxx)
     term2 = 2.0 * np.einsum("...jk,...jk->...", c, hxt)
@@ -313,9 +367,8 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         raise ValueError("conjugation residual requires alpha >= 2 (V bounded below)")
     _require_cover(grid, f)
     x, t = grid.nodes()
-    val = f.value(x, t)
-    hg = horizontal_gradient(s, f, x, t)
-    jet = _norm_jet(s, x, t)   # after f's Hessians, so the two are not held at once
+    val, hg = _value_and_horizontal_gradient(s, f, x, t)
+    jet = _norm_jet(s, x, t)
     w = _weight(alpha, jet.n)
     lhs = np.einsum("si,si->s", hg, hg) @ w * grid.cell_volume
 

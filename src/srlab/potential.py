@@ -488,8 +488,9 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
     |V_alpha| = |x|^2 |f(N)| with f = c1 N^{2a-4} - c2 N^{a-4} the closed
     form, which on N >= 1 rises from f(1) = c1 - c2 < 0 to one positive peak
     below c1 (the limit c1 at a = 2), and c1 <= c2 - c1 because Q >= 2.  So
-    the sup is |f(1)|, attained at |x| = N = 1.  Otherwise the cylinder,
-    with |t| <= t_cap, is sampled.
+    the sup is |f(1)|, attained at |x| = N = 1.  Otherwise the result is a
+    sampled lower estimate: the max of |V_alpha| over samples of the cylinder
+    with |t| <= t_cap and over the sphere {|x| = 1, t = 0}, where it is exact.
     """
     _require_finite("alpha", alpha, positive=True)
     _require_finite("t_cap", t_cap, positive=True)
@@ -497,6 +498,11 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
         return math.inf
     if s.h_type:
         return abs(_envelope_factor(*_closed_form_coeffs(alpha, s), alpha, 1.0))
+    # at t = 0 and |x| = 1, N = |grad_H N| = 1 and V_alpha is affine in
+    # x^T (sum_k J_k^T J_k) x, so its extremes on that sphere sit at the
+    # eigenvectors of the smallest and largest eigenvalue
+    axes = np.linalg.eigh(np.einsum("kji,kjl->il", s.maps, s.maps))[1][:, [0, -1]].T
+    exact = np.abs(_potential(alpha, _norm_jet(s, axes, np.zeros((2, s.m))))).max()
     rng = np.random.default_rng(seed)
     x = uniform_ball(rng, samples, s.horizontal_dim, 1.0)
     t = unit_sample(rng, samples, s.m) * rng.uniform(0.0, t_cap, size=(samples, 1))
@@ -504,4 +510,4 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure,
     keep = jet.n >= 1.0
     if not np.any(keep):
         raise RuntimeError("no cylinder samples with N >= 1; increase samples")
-    return float(np.abs(_potential(alpha, jet)[keep]).max())
+    return float(max(exact, np.abs(_potential(alpha, jet)[keep]).max()))

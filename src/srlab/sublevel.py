@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +29,8 @@ from .norms import norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, _AtIdentity, _envelope_factor,
                         _turning_point, fit_loglog_slope, potential_bounds,
                         potential_value_xt)
+
+_LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 
 def worker_count() -> int:
@@ -300,6 +303,9 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     cell is at most its left node times expm1(m dy) / m.  Once the tube is
     below c (by y_max, as tube <= sqrt(2 level / c_a1) N^(2-a)), the slope
     is <= -delta = m - ell n (a - 2), so the rest is f(y_max) / delta at most.
+    Where a factor is past the double range the sum is taken in logs, and a
+    bound past that range is inf: this happens on the finite side of the
+    threshold too (large ell near a = 2).
     """
     const = potential_bounds(spec.alpha, None, s)
     c = cylinder_radius(spec, s)
@@ -313,39 +319,46 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     a = const.alpha
     box_measure = ball_volume(dim_x, c)
     slab = ball_volume(m, rho_t)
-
-    band = 0.0
-    if t_eff > t_from:
-        beta_max = box_measure * slab
-        band = box_measure * beta_max ** ell * (ball_volume(m, t_eff) - ball_volume(m, t_from))
-
+    beta_max = box_measure * slab
+    band_volume = ball_volume(m, t_eff) - ball_volume(m, t_from)
     delta = -(ell * s.n * (2.0 - spec.alpha) + m)
     if delta <= 0:
         return math.inf
-    if spec.level <= 0:
-        return band
-    # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
-    log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
-    log_u_c = 2.0 * (log_n_c - math.log(float(norm_xt([0.0], [1.0]))))
-    y_max = max(60.0 / delta + 10.0, float(np.logaddexp(math.log(rho_t), log_u_c))
-                - math.log(t_eff))
-    ys = np.linspace(0.0, y_max, 20000)
-    svals = t_eff * np.exp(ys)
-    n_min = norm_xt(np.zeros((svals.size, 1)), (svals - rho_t)[:, None])
-    # the envelope factor ell(N) of `_tube_radius` in log space, which does not
-    # overflow: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
-    log_n = np.log(n_min)
-    log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
-                 + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
-    log_tube = np.minimum(0.5 * (math.log(spec.level) - log_ell_n), math.log(c))
-    log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
     surface_m = m * ball_volume(m, 1.0)
-    log_integrand = ell * log_beta + m * (math.log(t_eff) + ys)
-    peak = float(np.max(log_integrand))
-    f = np.exp(log_integrand - peak)
-    cells = float(np.sum(f[:-1])) * math.expm1(m * ys[1]) / m
-    tail = math.exp(peak) * (cells + float(f[-1]) / delta)
-    return band + box_measure * surface_m * tail
+    if spec.level > 0:
+        # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
+        log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
+        log_u_c = 2.0 * (log_n_c - math.log(float(norm_xt([0.0], [1.0]))))
+        y_max = max(60.0 / delta + 10.0, float(np.logaddexp(math.log(rho_t), log_u_c))
+                    - math.log(t_eff))
+        ys = np.linspace(0.0, y_max, 20000)
+        svals = t_eff * np.exp(ys)
+        n_min = norm_xt(np.zeros((svals.size, 1)), (svals - rho_t)[:, None])
+        # the envelope factor ell(N) of `_tube_radius` in log space, which does not
+        # overflow: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
+        log_n = np.log(n_min)
+        log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
+                     + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
+        log_tube = np.minimum(0.5 * (math.log(spec.level) - log_ell_n), math.log(c))
+        log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
+        log_integrand = ell * log_beta + m * (math.log(t_eff) + ys)
+        peak = float(np.max(log_integrand))
+        f = np.exp(log_integrand - peak)
+        scaled_tail = (float(np.sum(f[:-1])) * math.expm1(m * ys[1]) / m
+                       + float(f[-1]) / delta)
+    try:
+        band = box_measure * beta_max ** ell * band_volume if t_eff > t_from else 0.0
+        tail = math.exp(peak) * scaled_tail if spec.level > 0 else 0.0
+        return band + box_measure * surface_m * tail
+    except OverflowError:
+        # beta_max ** ell or exp(peak) is past the double range: sum in logs,
+        # and a bound past that range is inf, which still bounds the integral
+        log_band = (math.log(box_measure) + ell * math.log(beta_max) + math.log(band_volume)
+                    if t_eff > t_from else -math.inf)
+        log_tail = (math.log(box_measure) + math.log(surface_m) + peak + math.log(scaled_tail)
+                    if spec.level > 0 else -math.inf)
+        log_bound = float(np.logaddexp(log_band, log_tail))
+        return math.exp(log_bound) if log_bound < _LOG_MAX_DOUBLE else math.inf
 
 
 def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,40 @@ def test_csv_output_refuses_nan():
     with pytest.raises(ValueError, match="NaN"):
         cli._csv({"alpha": 3.0}, ["value"], [(float("nan"),)])
     assert cli._csv({}, ["value"], [(float("inf"),)]) == "value\ninf\n"
+
+
+def test_csv_block_matches_per_value_format(tmp_path):
+    """An ndarray block is formatted byte for byte as the per-value rows are."""
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, float("inf"),
+            float("-inf"), 1.0, -3.0, 2.0 ** 53, 1e16, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(0)
+    count = 100_000 - len(edge)
+    spread = rng.standard_normal(count) * 10.0 ** rng.uniform(-300, 300, count)
+    block = np.concatenate([edge, spread]).reshape(-1, 4)
+    header = ["a", "b", "c", "d"]
+    config = {"alpha": 2.5}
+    fast = cli._csv(config, header, block).splitlines()
+    slow = cli._csv(config, header, [tuple(r) for r in block.tolist()]).splitlines()
+    assert len(fast) == len(slow) == block.shape[0] + 2
+    assert [i for i, (a, b) in enumerate(zip(fast, slow)) if a != b][:3] == []
+    assert cli._csv(config, header, block[:0]) == cli._csv(config, header, [])
+    block[7, 2] = float("nan")
+    with pytest.raises(ValueError, match="NaN in CSV output"):
+        cli._csv(config, header, block)
+    code, payload = invoke(["potential", "--alpha", "nan", "--format", "csv"], tmp_path, "nan.csv")
+    assert code == 1 and payload == b""
+
+
+def test_thinness_tail_past_double_range():
+    """A tail bound past the double range is reported as inf, with no traceback."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "srlab.cli", "thinness", "--alpha", "2.01",
+                           "--m-level", "10", "--ell", "150", "--truncation", "16",
+                           "--outer", "200", "--inner", "20"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    estimate = json.loads(proc.stdout)["estimate"]
+    assert estimate["tail_bound"] == "inf" and estimate["tail_finite"] is True
 
 
 def test_malformed_srl_threads_is_usage_error(tmp_path, monkeypatch):

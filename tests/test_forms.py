@@ -34,6 +34,9 @@ class CentralCoordinate:
         return (val, gx, gt, np.zeros(batch + (d, d)), np.zeros(batch + (d, m)),
                 np.zeros(batch + (m, m)))
 
+    def gradient(self, x, t):
+        return self.derivatives(x, t)[:3]
+
 
 class HorizontalSquare:
     """Probe f(x, t) = |x|^2."""
@@ -50,6 +53,9 @@ class HorizontalSquare:
         hxx = np.broadcast_to(2.0 * np.eye(d), batch + (d, d)).copy()
         return (self.value(x, t), 2.0 * x, np.zeros_like(t), hxx,
                 np.zeros(batch + (d, m)), np.zeros(batch + (m, m)))
+
+    def gradient(self, x, t):
+        return self.derivatives(x, t)[:3]
 
 
 def test_profile_closed_forms():
@@ -157,6 +163,64 @@ def test_translated_bump_fd(heis):
     assert fd2 == pytest.approx(float(sub_laplacian_apply(heis, shifted, x, t)), abs=1e-6)
 
 
+def _support_sample(s, psi, seed):
+    """Points inside and outside the support of `psi` and within 1e-9 of its
+    boundary, in |x|^2 / a^2 and in |t|^2 / b^2."""
+    rng = np.random.default_rng(seed)
+    x, t = random_points(s, 300, seed, box=1.3)
+    x, t = x * psi.x_radius, t * psi.t_radius
+    offsets = np.array([-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9])
+    scale = np.sqrt(1.0 + offsets)[:, None]
+
+    def edge(dim, radius):
+        u = rng.standard_normal((offsets.size, dim))
+        return u / np.linalg.norm(u, axis=1, keepdims=True) * radius * scale
+
+    edge_x, edge_t = edge(s.horizontal_dim, psi.x_radius), edge(s.m, psi.t_radius)
+    return (np.concatenate([x, edge_x, 0.5 * edge_x]), np.concatenate([t, 0.5 * edge_t, edge_t]))
+
+
+@pytest.mark.parametrize("name", ["heis", "aniso", "quaternion"])
+def test_bump_orders_agree(name, request):
+    """value and gradient are the first entries of derivatives, bit for bit."""
+    s = request.getfixturevalue(name)
+    psi = SmoothBump(1.0, 1.5)
+    xq, tq = _support_sample(s, psi, seed=3)
+    val = psi.value(xq, tq)
+    assert np.any(val > 0.0) and np.any(val == 0.0)
+    shift = GroupPoint(np.linspace(-1.0, 1.0, s.horizontal_dim), np.linspace(2.0, 3.0, s.m))
+    for f, (x, t) in ((psi, (xq, tq)),
+                      (TranslatedBump(psi, s, shift), product(s, shift.x, shift.t, xq, tq))):
+        full = f.derivatives(x, t)
+        assert np.array_equal(f.value(x, t), full[0])
+        gradient = f.gradient(x, t)
+        assert len(gradient) == 3
+        for got, want in zip(gradient, full):
+            assert np.array_equal(got, want)
+
+
+def test_contracted_laplacian_matches_hessians(heis, aniso, quaternion):
+    """L psi of a bump, contracted from its profiles, equals the contraction of
+    its Hessian tensors to 1e-13 of the largest value."""
+
+    class Hessians:
+        """Not a SmoothBump, so sub_laplacian_apply contracts the tensors."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def derivatives(self, x, t):
+            return self.f.derivatives(x, t)
+
+    for s in (heis, aniso, quaternion):
+        for psi in (SmoothBump(1.0, 1.0), SmoothBump(3.0, 2.0), SmoothBump(0.7, 1.3)):
+            x, t = _support_sample(s, psi, seed=5)
+            got = sub_laplacian_apply(s, psi, x, t)
+            want = sub_laplacian_apply(s, Hessians(psi), x, t)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(got == 0.0, want == 0.0)
+
+
 def test_grid_cover_validation(heis):
     bump = SmoothBump(1.0, 1.0)
     small = QuadratureGrid(heis, 0.5, 1.0, 8, 8)
@@ -186,6 +250,9 @@ def test_dirichlet_form_basic(heis):
             return (z(b), z(b + (d,)), z(b + (m,)), z(b + (d, d)),
                     z(b + (d, m)), z(b + (m, m)))
 
+        def gradient(self, x, t):
+            return self.derivatives(x, t)[:3]
+
         def support_box(self, s):
             return np.zeros(s.horizontal_dim), np.zeros(s.m)
 
@@ -205,6 +272,9 @@ def test_dirichlet_form_basic(heis):
 
         def derivatives(self, x, t):
             return tuple(self.c * a for a in self.f.derivatives(x, t))
+
+        def gradient(self, x, t):
+            return self.derivatives(x, t)[:3]
 
         def support_box(self, s):
             return self.f.support_box(s)

@@ -317,13 +317,16 @@ def test_cylinder_sup(heis, quaternion):
 
 def test_cylinder_sup_sampled(aniso):
     """Off H-type the cylinder is sampled: finite, seeded, and at least |V_alpha|
-    at the axis point |x| = N = 1."""
+    at the axis points |x| = N = 1.  The largest of those, at x = e3 (the
+    eigenvector of the largest eigenvalue of sum_k J_k^T J_k), is 5.25 at
+    alpha 1 and 11 at alpha 2, which the samples alone missed (3.97, 8.59)."""
     e1 = np.array([[1.0, 0.0, 0.0, 0.0]])
-    for alpha in (1.0, 2.0):
+    for alpha, sphere_max in ((1.0, 5.25), (2.0, 11.0)):
         sup = cylinder_sup_potential(alpha, aniso, seed=4)
         assert math.isfinite(sup)
         assert cylinder_sup_potential(alpha, aniso, seed=4) == sup
         assert sup >= abs(potential_value_xt(alpha, aniso, e1, np.zeros((1, 1)))[0])
+        assert cylinder_sup_potential(alpha, aniso) >= sphere_max
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

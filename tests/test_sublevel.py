@@ -304,6 +304,13 @@ def test_tail_bound_is_upper_bound(heis, alpha, level, ell, t_from):
     assert exact <= bound <= 1.01 * exact
 
 
+def test_tail_bound_past_double_range_is_inf(heis):
+    """Large ell near alpha = 2: the bound is finite in exact arithmetic but past
+    the double range, so it reads inf instead of raising OverflowError."""
+    assert sublevel._tail_bound(SublevelSpec(2.01, 10.0), heis, 1.0, 150.0, 16.0) == math.inf
+    assert math.isfinite(sublevel._tail_bound(SublevelSpec(2.05, 10.0), heis, 1.0, 60.0, 16.0))
+
+
 def test_thinness_divergent_tail(heis):
     spec = SublevelSpec(3.0, 10.0)
     est = thinness_integral(spec, heis, 1.0, 0.5, truncation_T=16.0,
