@@ -79,63 +79,56 @@ class SmoothBump:
                 np.full(s.m, self.t_radius))
 
     def _profiles(self, x, t, order: int):
-        """x, t as arrays and the profiles [u, u', ...] of |x|^2/a^2 and
-        [v, v', ...] of |t|^2/b^2, each to derivative `order`."""
+        """The profiles [u, u', ...] of s_x = |x|^2/a^2 and [v, v', ...] of
+        s_t = |t|^2/b^2, each to derivative `order`, and for order >= 1 the
+        chain-rule factors dx = d s_x / d x = 2x/a^2 and dt = 2t/b^2."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         u = _profile(np.einsum("...i,...i->...", x, x) / self.x_radius ** 2, order)
         v = _profile(np.einsum("...i,...i->...", t, t) / self.t_radius ** 2, order)
-        return x, t, u, v
+        if order == 0:
+            return u, v, None, None
+        return u, v, 2.0 * x / self.x_radius ** 2, 2.0 * t / self.t_radius ** 2
 
     def value(self, x, t) -> np.ndarray:
-        _, _, (u,), (v,) = self._profiles(x, t, 0)
+        (u,), (v,), _, _ = self._profiles(x, t, 0)
         return u * v
 
     def gradient(self, x, t):
         """(value, gx, gt): the first three entries of `derivatives`."""
-        x, t, (u, u1), (v, v1) = self._profiles(x, t, 1)
-        dx = 2.0 * x / self.x_radius ** 2
-        dt = 2.0 * t / self.t_radius ** 2
+        (u, u1), (v, v1), dx, dt = self._profiles(x, t, 1)
         return u * v, (u1 * v)[..., None] * dx, (u * v1)[..., None] * dt
 
     def derivatives(self, x, t):
         """(value, gx, gt, hxx, hxt, htt) with batch shape (..., dims)."""
-        x, t, (u, u1, u2), (v, v1, v2) = self._profiles(x, t, 2)
-        a2 = self.x_radius ** 2
-        b2 = self.t_radius ** 2
-        dx = 2.0 * x / a2                      # d s_x / d x
-        dt = 2.0 * t / b2
+        (u, u1, u2), (v, v1, v2), dx, dt = self._profiles(x, t, 2)
         val = u * v
         gx = (u1 * v)[..., None] * dx
         gt = (u * v1)[..., None] * dt
-        eye_x = np.eye(x.shape[-1])
-        eye_t = np.eye(t.shape[-1])
+        eye_x = np.eye(dx.shape[-1])
+        eye_t = np.eye(dt.shape[-1])
         hxx = ((u2 * v)[..., None, None] * dx[..., :, None] * dx[..., None, :]
-               + (u1 * v)[..., None, None] * (2.0 / a2) * eye_x)
+               + (u1 * v)[..., None, None] * (2.0 / self.x_radius ** 2) * eye_x)
         htt = ((u * v2)[..., None, None] * dt[..., :, None] * dt[..., None, :]
-               + (u * v1)[..., None, None] * (2.0 / b2) * eye_t)
+               + (u * v1)[..., None, None] * (2.0 / self.t_radius ** 2) * eye_t)
         hxt = (u1 * v1)[..., None, None] * dx[..., :, None] * dt[..., None, :]
         return val, gx, gt, hxx, hxt, htt
 
     def _sub_laplacian(self, s: MetivierStructure, x, t) -> np.ndarray:
         """L psi from the profiles, without the Hessians of `derivatives`:
-        with c the X_j coefficients, dx, dt as there and |c|_F^2 = tr(c^T c),
+        with c the X_j coefficients, dx, dt as in `_profiles` and |c|_F^2 = tr(c^T c),
 
             -L psi = u'' v |dx|^2 + u' v (2/a^2) 2n + 2 u' v' dx . (c dt)
                      + u v'' |c dt|^2 + u v' (2/b^2) |c|_F^2.
         """
-        x, t, (u, u1, u2), (v, v1, v2) = self._profiles(x, t, 2)
-        a2 = self.x_radius ** 2
-        b2 = self.t_radius ** 2
-        dx = 2.0 * x / a2
-        dt = 2.0 * t / b2
+        (u, u1, u2), (v, v1, v2), dx, dt = self._profiles(x, t, 2)
         c = horizontal_coefficients(s, x)
         c_dt = np.einsum("...jk,...k->...j", c, dt)
         return -(u2 * v * np.einsum("...j,...j->...", dx, dx)
-                 + u1 * v * (2.0 / a2) * x.shape[-1]
+                 + u1 * v * (2.0 / self.x_radius ** 2) * dx.shape[-1]
                  + 2.0 * u1 * v1 * np.einsum("...j,...j->...", dx, c_dt)
                  + u * v2 * np.einsum("...j,...j->...", c_dt, c_dt)
-                 + u * v1 * (2.0 / b2) * np.einsum("...jk,...jk->...", c, c))
+                 + u * v1 * (2.0 / self.t_radius ** 2) * np.einsum("...jk,...jk->...", c, c))
 
 
 @dataclass(frozen=True)

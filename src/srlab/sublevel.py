@@ -62,10 +62,18 @@ def ball_volume(dim: int, radius: float) -> float:
 
 
 def _mean_and_error(scores: np.ndarray, scale: float):
-    """scale times (the mean of the scores, its standard error); one score has error 0."""
+    """scale times (the mean of the scores, its standard error); one score has error 0.
+
+    The scores are divided by a power of two near their largest magnitude, so
+    `std` cannot overflow squaring them; the division and the product back are
+    exact (bar scores below 2^-1022 of the largest), so the results are those
+    of the unscaled scores wherever those are finite.
+    """
     n = scores.size
-    se = float(scores.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return scale * float(scores.mean()), scale * se
+    unit = 2.0 ** math.frexp(float(np.max(np.abs(scores), initial=0.0)))[1]
+    scaled = scores / unit
+    se = float(scaled.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return scale * (unit * float(scaled.mean())), scale * (unit * se)
 
 
 @dataclass(frozen=True)
@@ -303,9 +311,9 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     cell is at most its left node times expm1(m dy) / m.  Once the tube is
     below c (by y_max, as tube <= sqrt(2 level / c_a1) N^(2-a)), the slope
     is <= -delta = m - ell n (a - 2), so the rest is f(y_max) / delta at most.
-    Where a factor is past the double range the sum is taken in logs, and a
-    bound past that range is inf: this happens on the finite side of the
-    threshold too (large ell near a = 2).
+    Every factor is taken in logs, as |t| = t_eff e^y and beta_max^ell can
+    pass the double range; a bound past that range is inf, also on the
+    finite side of the threshold (large ell near a = 2).
     """
     const = potential_bounds(spec.alpha, None, s)
     c = cylinder_radius(spec, s)
@@ -325,40 +333,38 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     if delta <= 0:
         return math.inf
     surface_m = m * ball_volume(m, 1.0)
+    log_band = (math.log(box_measure) + ell * math.log(beta_max) + math.log(band_volume)
+                if t_eff > t_from else -math.inf)
+    log_tail = -math.inf
     if spec.level > 0:
         # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
+        log_n1 = math.log(float(norm_xt([0.0], [1.0])))
         log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
-        log_u_c = 2.0 * (log_n_c - math.log(float(norm_xt([0.0], [1.0]))))
-        y_max = max(60.0 / delta + 10.0, float(np.logaddexp(math.log(rho_t), log_u_c))
-                    - math.log(t_eff))
+        log_u_c = 2.0 * (log_n_c - log_n1)
+        y_c = float(np.logaddexp(math.log(rho_t), log_u_c)) - math.log(t_eff)
+        # past y_c the slope is <= -delta and settles there within a few units,
+        # so f(y_max) / delta is close for any such y_max: the grid need not grow as 1 / delta
+        y_max = max(min(60.0 / delta, 60.0), y_c) + 10.0
         ys = np.linspace(0.0, y_max, 20000)
-        svals = t_eff * np.exp(ys)
-        n_min = norm_xt(np.zeros((svals.size, 1)), (svals - rho_t)[:, None])
-        # the envelope factor ell(N) of `_tube_radius` in log space, which does not
-        # overflow: log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
-        log_n = np.log(n_min)
+        # log N(0, |t| - rho_t) = log N(0, 1) + (1/2) log(|t| - rho_t), and the
+        # envelope factor of `_tube_radius`, log c_a1 + (2a-4) log N + log1p(-(c_a2/c_a1) N^-a)
+        log_t = math.log(t_eff) + ys
+        log_n = log_n1 + 0.5 * (log_t + np.log1p(-rho_t / t_eff * np.exp(-ys)))
         log_ell_n = (math.log(const.c_a1) + (2.0 * a - 4.0) * log_n
                      + np.log1p(-(const.c_a2 / const.c_a1) * np.exp(-a * log_n)))
         log_tube = np.minimum(0.5 * (math.log(spec.level) - log_ell_n), math.log(c))
         log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
-        log_integrand = ell * log_beta + m * (math.log(t_eff) + ys)
+        log_integrand = ell * log_beta + m * log_t
         peak = float(np.max(log_integrand))
         f = np.exp(log_integrand - peak)
-        scaled_tail = (float(np.sum(f[:-1])) * math.expm1(m * ys[1]) / m
-                       + float(f[-1]) / delta)
-    try:
-        band = box_measure * beta_max ** ell * band_volume if t_eff > t_from else 0.0
-        tail = math.exp(peak) * scaled_tail if spec.level > 0 else 0.0
-        return band + box_measure * surface_m * tail
-    except OverflowError:
-        # beta_max ** ell or exp(peak) is past the double range: sum in logs,
-        # and a bound past that range is inf, which still bounds the integral
-        log_band = (math.log(box_measure) + ell * math.log(beta_max) + math.log(band_volume)
-                    if t_eff > t_from else -math.inf)
-        log_tail = (math.log(box_measure) + math.log(surface_m) + peak + math.log(scaled_tail)
-                    if spec.level > 0 else -math.inf)
-        log_bound = float(np.logaddexp(log_band, log_tail))
-        return math.exp(log_bound) if log_bound < _LOG_MAX_DOUBLE else math.inf
+        m_dy = m * float(ys[1])
+        log_cell = m_dy + math.log1p(-math.exp(-m_dy)) - math.log(m)   # log(expm1(m dy) / m)
+        log_cells = math.log(float(np.sum(f[:-1]))) + log_cell
+        log_rest = math.log(float(f[-1])) - math.log(delta) if f[-1] > 0.0 else -math.inf
+        log_tail = (math.log(box_measure) + math.log(surface_m) + peak
+                    + float(np.logaddexp(log_cells, log_rest)))
+    log_bound = float(np.logaddexp(log_band, log_tail))
+    return math.exp(log_bound) if log_bound < _LOG_MAX_DOUBLE else math.inf
 
 
 def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,

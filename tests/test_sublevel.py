@@ -295,7 +295,7 @@ def test_thinness_finite_case(heis):
 @pytest.mark.parametrize("alpha, level, ell, t_from", [
     (3.0, 10.0, 2.0, 64.0), (3.0, 10.0, 2.0, 128.0), (3.0, 10.0, 2.0, 16.0),
     (2.5, 5.0, 2.5, 16.0), (2.5, 10.0, 2.5, 16.0), (3.0, 5.0, 1.25, 16.0),
-    (4.0, 5.0, 0.625, 16.0)])
+    (4.0, 5.0, 0.625, 16.0), (3.0, 10.0, 1.001, 16.0)])
 def test_tail_bound_is_upper_bound(heis, alpha, level, ell, t_from):
     """The tail bound lies above adaptive quadrature of its integrand, within 1 %."""
     spec = SublevelSpec(alpha, level)
@@ -306,9 +306,26 @@ def test_tail_bound_is_upper_bound(heis, alpha, level, ell, t_from):
 
 def test_tail_bound_past_double_range_is_inf(heis):
     """Large ell near alpha = 2: the bound is finite in exact arithmetic but past
-    the double range, so it reads inf instead of raising OverflowError."""
+    the double range, so it reads inf instead of raising OverflowError.  Just
+    above the threshold (delta = 4e-6) |t| and the cell factor would overflow
+    on the grid; in logs the bound stays finite."""
     assert sublevel._tail_bound(SublevelSpec(2.01, 10.0), heis, 1.0, 150.0, 16.0) == math.inf
     assert math.isfinite(sublevel._tail_bound(SublevelSpec(2.05, 10.0), heis, 1.0, 60.0, 16.0))
+    assert math.isfinite(sublevel._tail_bound(SublevelSpec(3.0, 10.0), heis, 1.0, 1 + 4e-6, 16.0))
+
+
+def test_mean_and_error_scaling_is_exact():
+    """Scaling by a power of two leaves ordinary scores' results bit for bit,
+    and keeps the error finite where squaring the scores would overflow."""
+    scores = np.random.default_rng(0).exponential(size=500) * 3.7
+    scores[::7] = 0.0
+    n = scores.size
+    plain = (2.5 * float(scores.mean()), 2.5 * float(scores.std(ddof=1) / math.sqrt(n)))
+    assert sublevel._mean_and_error(scores, 2.5) == plain
+    value, se = sublevel._mean_and_error(scores * 1e226, 1.0)
+    assert value > 1e226 and 0.0 < se < math.inf
+    assert sublevel._mean_and_error(np.zeros(3), 1.0) == (0.0, 0.0)
+    assert sublevel._mean_and_error(np.array([4.0]), 2.0) == (8.0, 0.0)
 
 
 def test_thinness_divergent_tail(heis):
