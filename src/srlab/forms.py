@@ -13,8 +13,10 @@ coefficient of d/dt_k in X_j does not depend on x_j or t,
 with c_{jk}(x) = (1/2)(J_k x)_j.  A `SmoothBump` contracts this from its
 profile derivatives without forming the Hessians; a left translate keeps
 the tensor form.  Only integrals carry discretisation
-error: the tensor midpoint rule is O(h^2) with positive weights, and numpy's
-pairwise summation makes every reduction bit-stable run to run.
+error: the tensor midpoint rule is O(h^2) with positive weights.  A node sum
+runs over C-order blocks of `_BLOCK` nodes, so memory does not grow with the
+grid: numpy sums each block pairwise and the partials in order, so every sum is
+bit-stable run to run and independent of the worker count.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .norms import _weight, weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
                         potential_value_xt)
+
+_BLOCK = 1 << 14
 
 
 def _profile(sq, order: int):
@@ -300,11 +304,20 @@ class QuadratureGrid:
 
     def nodes(self):
         """Flattened (x, t) node coordinates in C order over the axis tuple."""
-        mesh = np.meshgrid(*(self.axis_nodes(a) for a in range(len(self.shape))),
-                           indexing="ij")
-        flat = [m.reshape(-1) for m in mesh]
-        d = self.s.horizontal_dim
-        return np.stack(flat[:d], axis=-1), np.stack(flat[d:], axis=-1)
+        return self._nodes(0, self.dim)
+
+    def _nodes(self, lo: int, hi: int):
+        """Nodes lo, ..., hi - 1 of `nodes()`, cut from the whole rows along the
+        last axis that cover them; only the row indices are unravelled."""
+        shape, d = self.shape, self.s.horizontal_dim
+        rows = np.arange(lo // shape[-1], -(-hi // shape[-1]))
+        cols = [np.broadcast_to(self.axis_nodes(len(shape) - 1), (rows.size, shape[-1]))]
+        for a in reversed(range(len(shape) - 1)):
+            rows, idx = np.divmod(rows, shape[a])
+            cols.insert(0, np.broadcast_to(self.axis_nodes(a)[idx][:, None], cols[-1].shape))
+        cut = slice(lo % shape[-1], lo % shape[-1] + hi - lo)
+        return (np.stack(cols[:d], axis=-1).reshape(-1, d)[cut],
+                np.stack(cols[d:], axis=-1).reshape(-1, self.s.m)[cut])
 
     def covers(self, f) -> bool:
         bx, bt = f.support_box(self.s)
@@ -336,14 +349,24 @@ def _require_cover(grid: QuadratureGrid, f):
         raise ValueError("quadrature grid does not cover the support of the integrand")
 
 
+def _node_sum(grid: QuadratureGrid, term):
+    """Sum of term(slice, x, t) over C-order blocks of `_BLOCK` nodes, in order."""
+    total = 0.0
+    for lo in range(0, grid.dim, _BLOCK):
+        hi = min(lo + _BLOCK, grid.dim)
+        total = total + term(slice(lo, hi), *grid._nodes(lo, hi))
+    return total
+
+
 def dirichlet_form(alpha: float, s: MetivierStructure, f,
                    grid: QuadratureGrid) -> float:
     """integral of |grad_H f|^2 w_alpha over the grid box, midpoint rule."""
     _require_cover(grid, f)
-    x, t = grid.nodes()
-    hg = horizontal_gradient(s, f, x, t)
-    w = weight_xt(alpha, x, t)
-    return float(np.einsum("si,si->s", hg, hg) @ w * grid.cell_volume)
+
+    def energy(b, x, t):
+        hg = horizontal_gradient(s, f, x, t)
+        return np.einsum("si,si->s", hg, hg) @ weight_xt(alpha, x, t)
+    return float(_node_sum(grid, energy) * grid.cell_volume)
 
 
 def conjugation_residual(alpha: float, s: MetivierStructure, f,
@@ -359,18 +382,19 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
     if alpha < 2:
         raise ValueError("conjugation residual requires alpha >= 2 (V bounded below)")
     _require_cover(grid, f)
-    x, t = grid.nodes()
-    val, hg = _value_and_horizontal_gradient(s, f, x, t)
-    jet = _norm_jet(s, x, t)
-    w = _weight(alpha, jet.n)
-    lhs = np.einsum("si,si->s", hg, hg) @ w * grid.cell_volume
 
-    # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
-    g = _weight_terms(alpha, jet)[0]
-    shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(jet)
-    phi = val * np.sqrt(w)
-    rhs = (np.einsum("si,si->s", shifted, shifted) @ w
-           + (phi * phi) @ _potential(alpha, jet)) * grid.cell_volume
+    def sides(b, x, t):
+        val, hg = _value_and_horizontal_gradient(s, f, x, t)
+        jet = _norm_jet(s, x, t)
+        w = _weight(alpha, jet.n)
+        # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
+        g = _weight_terms(alpha, jet)[0]
+        shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(jet)
+        phi = val * np.sqrt(w)
+        return np.array([np.einsum("si,si->s", hg, hg) @ w,
+                         np.einsum("si,si->s", shifted, shifted) @ w
+                         + (phi * phi) @ _potential(alpha, jet)])
+    lhs, rhs = _node_sum(grid, sides) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
 
 
@@ -392,11 +416,21 @@ class WeylRecord:
     lam: float
 
 
+def _require_translate(n: int):
+    if n < 2:
+        raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
+
+
 def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
-    """(psi, L psi) at the base nodes and the overlap check for translate n."""
+    """(psi, L psi) at the base nodes, their squared norms, the overlap check."""
     _require_cover(grid, psi)
-    x, t = grid.nodes()
-    return psi.value(x, t), sub_laplacian_apply(s, psi, x, t), _overlap_norm_sq(s, psi, n, grid)
+    val, lpsi = np.empty(grid.dim), np.empty(grid.dim)
+
+    def fill(b, x, t):
+        val[b], lpsi[b] = psi.value(x, t), sub_laplacian_apply(s, psi, x, t)
+        return np.array([np.sum(val[b] * val[b]), np.sum(lpsi[b] * lpsi[b])])
+    norms_sq = _node_sum(grid, fill) * grid.cell_volume
+    return val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)
 
 
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
@@ -409,17 +443,18 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     psi_n and L psi_n there are exactly psi and L psi on `grid`, and only
     V_alpha is evaluated at the riding nodes.  The overlap check is
     `_overlap_norm_sq`, which for the same reason does not depend on n.
-    `weyl_scan` passes all three through `_base`.
+    `weyl_scan` passes them through `_base`.
     """
-    if n < 2:
-        raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
+    _require_translate(n)
     _require_finite("lam", lam)
-    val, lpsi, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
+    val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
     moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
-    v = potential_value_xt(alpha, s, *moved.nodes())
-    res_sq = np.sum((lam * val + lpsi + v * val) ** 2) * moved.cell_volume
-    norm_sq = np.sum(val * val) * moved.cell_volume
-    return WeylRecord(n_index=n, residual=float(np.sqrt(res_sq)), psi_norm=float(np.sqrt(norm_sq)),
+
+    def res_sq(b, x, t):
+        r = lam * val[b] + lpsi[b] + potential_value_xt(alpha, s, x, t) * val[b]
+        return np.sum(r * r)
+    res = _node_sum(moved, res_sq) * moved.cell_volume
+    return WeylRecord(n_index=n, residual=float(np.sqrt(res)), psi_norm=float(np.sqrt(norms_sq[0])),
                       overlap_check=float(overlap), lam=lam)
 
 
@@ -443,9 +478,12 @@ def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
     center[0] = 0.5 * (lo + hi)
     union = QuadratureGrid(s, grid.x_half, 0.5 * count * grid.ht, grid.nx, count,
                            grid.center_x, center)
-    x, t = union.nodes()
-    diff = weyl_sequence(s, psi, n).value(x, t) - weyl_sequence(s, psi, m).value(x, t)
-    return float(np.sum(diff * diff) * union.cell_volume)
+    psi_n, psi_m = weyl_sequence(s, psi, n), weyl_sequence(s, psi, m)
+
+    def diff_sq(b, x, t):
+        diff = psi_n.value(x, t) - psi_m.value(x, t)
+        return np.sum(diff * diff)
+    return float(_node_sum(union, diff_sq) * union.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -477,6 +515,8 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     n_values = [int(n) for n in n_values]
     if not n_values:
         raise ValueError("need at least one translate index in n_values")
+    for n in n_values:
+        _require_translate(n)
     sup_c = cylinder_sup_potential(alpha, s, samples=sup_samples, seed=seed)
     if lam is None:
         if alpha >= 2:
@@ -485,9 +525,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
             lam = 1.0 + sup_c
     _require_finite("lam", lam)
     base = _weyl_base(s, psi, n_values[0], grid)
-    val, lpsi, _ = base
-    psi_norm = float(np.sqrt(np.sum(val * val) * grid.cell_volume))
-    l_psi_norm = float(np.sqrt(np.sum(lpsi * lpsi) * grid.cell_volume))
+    psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[2]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]
     return WeylScan(alpha=alpha, lam=float(lam), sup_cylinder=float(sup_c),

@@ -3,14 +3,20 @@
 Finite differences run along the group's one-parameter subgroups
 exp(s X_j) = (s e_j, 0), i.e. through the group product, so they probe the
 left-invariant fields and not the Euclidean partials.  None of these call
-the closed-form derivative code they are checking.
+the closed-form derivative code they are checking.  The unblocked quadrature
+oracles check only the blocking of the node sums: they evaluate the same
+pointwise kernels, through public functions, on every node of a
+`np.meshgrid` grid at once.
 """
 
 import math
 
 import numpy as np
 
+from srlab.forms import QuadratureGrid, horizontal_gradient, sub_laplacian_apply
 from srlab.group import MetivierStructure, product
+from srlab.norms import norm_xt, weight_xt
+from srlab.potential import grad_kaplan_xt, potential_value_xt
 
 
 def fd_xj(f, s: MetivierStructure, x, t, j: int, h: float) -> float:
@@ -145,3 +151,60 @@ def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
     tail = (quad(f, 0.0, split, epsabs=0.0, epsrel=1e-12, limit=500)[0]
             + quad(f, split, math.inf, epsabs=0.0, epsrel=1e-12, limit=500)[0])
     return band + vol(dim_x, c) * m * vol(m, 1.0) * tail
+
+
+def meshgrid_nodes(grid: QuadratureGrid):
+    """A grid's (x, t) nodes from `np.meshgrid`, flattened in C order."""
+    mesh = np.meshgrid(*(grid.axis_nodes(a) for a in range(len(grid.shape))), indexing="ij")
+    flat = [m.reshape(-1) for m in mesh]
+    d = grid.s.horizontal_dim
+    return np.stack(flat[:d], axis=-1), np.stack(flat[d:], axis=-1)
+
+
+def unblocked_dirichlet_form(alpha, s, f, grid):
+    """`forms.dirichlet_form` as one sum over all nodes."""
+    x, t = meshgrid_nodes(grid)
+    hg = horizontal_gradient(s, f, x, t)
+    return float(np.einsum("si,si->s", hg, hg) @ weight_xt(alpha, x, t) * grid.cell_volume)
+
+
+def unblocked_conjugation_residual(alpha, s, f, grid):
+    """`forms.conjugation_residual` as two sums over all nodes, with
+    X_j (f sqrt(w)) = sqrt(w) (X_j f - (alpha / 2) N^(alpha - 1) f X_j N)."""
+    x, t = meshgrid_nodes(grid)
+    val, hg = f.value(x, t), horizontal_gradient(s, f, x, t)
+    w = weight_xt(alpha, x, t)
+    g = alpha * norm_xt(x, t) ** (alpha - 1.0)
+    shifted = hg - (0.5 * g * val)[:, None] * grad_kaplan_xt(s, x, t)
+    phi = val * np.sqrt(w)
+    lhs = np.einsum("si,si->s", hg, hg) @ w
+    rhs = np.einsum("si,si->s", shifted, shifted) @ w + (phi * phi) @ potential_value_xt(alpha, s, x, t)
+    return abs(float(lhs * grid.cell_volume) - float(rhs * grid.cell_volume))
+
+
+def unblocked_weyl_records(alpha, s, psi, n_values, grid, lam):
+    """(n, residual, psi_norm, overlap_check) per translate of `forms.weyl_scan`,
+    each from one sum over all nodes.  The overlap grid is built as in
+    `forms._overlap_norm_sq`: base spacing, t-axis 0 from n - t_half to
+    m + t_half with m = n + max(2, ceil(2 t_radius))."""
+    from srlab.forms import weyl_sequence
+
+    x, t = meshgrid_nodes(grid)
+    val, lpsi = psi.value(x, t), sub_laplacian_apply(s, psi, x, t)
+    psi_norm = math.sqrt(float(np.sum(val * val)) * grid.cell_volume)
+    records = []
+    for n in n_values:
+        e1 = np.eye(s.m)[0]
+        v = potential_value_xt(alpha, s, *meshgrid_nodes(grid.translated(n * e1)))
+        residual = math.sqrt(float(np.sum((lam * val + lpsi + v * val) ** 2)) * grid.cell_volume)
+        m = n + max(2, math.ceil(2.0 * psi.t_radius))
+        lo, hi = n - grid.t_half, m + grid.t_half
+        count = round((hi - lo) / grid.ht)
+        if abs(count * grid.ht - (hi - lo)) > 1e-9:
+            count = math.ceil((hi - lo) / grid.ht)
+        union = QuadratureGrid(s, grid.x_half, 0.5 * count * grid.ht, grid.nx, count,
+                               grid.center_x, 0.5 * (lo + hi) * e1)
+        xu, tu = meshgrid_nodes(union)
+        diff = weyl_sequence(s, psi, n).value(xu, tu) - weyl_sequence(s, psi, m).value(xu, tu)
+        records.append((n, residual, psi_norm, float(np.sum(diff * diff)) * union.cell_volume))
+    return records

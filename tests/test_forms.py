@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,81 @@ def test_weyl_residual_growth(heis):
     assert all(b > a for a, b in zip(res, res[1:]))
     slope = fit_loglog_slope([8, 16, 32, 64], res)
     assert slope == pytest.approx(1.0, abs=0.15)
+
+
+def _quaternion_grid(s):
+    """5^7 nodes, not a multiple of the block; the x-shift keeps the identity
+    off the nodes, and the box still covers the unit bump."""
+    return QuadratureGrid(s, 1.2, 1.0, 5, 5, center_x=[0.1, 0.0, 0.0, 0.0])
+
+
+def test_blocks_concatenate_to_nodes(heis, quaternion):
+    """The blocks tile the grid in C order and carry the meshgrid's bits."""
+    for grid in (QuadratureGrid(heis, 1.0, 1.0, 30, 30), _quaternion_grid(quaternion),
+                 QuadratureGrid(heis, 1.0, 1.0, 7, 8)):
+        assert grid.dim % forms._BLOCK != 0
+        want = oracles.meshgrid_nodes(grid)
+        got = grid.nodes()
+        assert all(np.array_equal(g, w) and g.flags.c_contiguous for g, w in zip(got, want))
+        blocks = []
+        forms._node_sum(grid, lambda *blk: blocks.append(blk) or 0.0)
+        assert [b.start for b, _, _ in blocks] == list(range(0, grid.dim, forms._BLOCK))
+        assert blocks[-1][0].stop == grid.dim
+        for k in (1, 2):
+            assert np.array_equal(np.concatenate([blk[k] for blk in blocks]), want[k - 1])
+
+
+def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
+    """Dirichlet form, conjugation residual and Weyl records agree with one
+    whole-grid sum: 1e-12 relative, the residual |lhs - rhs| 1e-15 absolute."""
+    bump = SmoothBump(1.0, 1.0)
+    cases = ((heis, QuadratureGrid(heis, 1.0, 1.0, 30, 30), [2, 5, 17]),
+             (quaternion, _quaternion_grid(quaternion), [2, 4]))
+    for s, grid, n_values in cases:
+        assert grid.dim > forms._BLOCK
+        assert dirichlet_form(2.5, s, bump, grid) == pytest.approx(
+            oracles.unblocked_dirichlet_form(2.5, s, bump, grid), rel=1e-12, abs=0.0)
+        assert conjugation_residual(3.0, s, bump, grid) == pytest.approx(
+            oracles.unblocked_conjugation_residual(3.0, s, bump, grid), rel=0.0, abs=1e-15)
+        scan = weyl_scan(1.5, s, bump, n_values, grid)
+        want = oracles.unblocked_weyl_records(1.5, s, bump, n_values, grid, scan.lam)
+        for rec, (n, residual, psi_norm, overlap) in zip(scan.records, want, strict=True):
+            assert rec.n_index == n
+            assert (rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
+                (residual, psi_norm, overlap), rel=1e-12, abs=0.0)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_memory_does_not_grow_with_grid(heis, quaternion):
+    """Peak traced memory of a 6^7-node quaternion scan and of criterion 5's
+    finest grid: about 16 bytes per base node and a few blocks, not a whole jet."""
+    grid = QuadratureGrid(quaternion, 1.0, 1.0, 6, 6)
+    peak = _traced_peak(weyl_scan, 1.5, quaternion, SmoothBump(1.0, 1.0), [2, 4, 8], grid)
+    assert peak < 32 * 2 ** 20
+    peak = _traced_peak(conjugation_residual, 2.0, heis, SmoothBump(1.0, 1.0),
+                        QuadratureGrid(heis, 1.0, 1.0, 96, 96))
+    assert peak < 16 * 2 ** 20
+
+
+def test_weyl_scan_checks_indices_first(heis, monkeypatch):
+    """A bad index anywhere in n_values raises before any quadrature."""
+    def fail(*args, **kwargs):
+        raise AssertionError("quadrature ran before the indices were checked")
+
+    monkeypatch.setattr(forms, "_weyl_base", fail)
+    monkeypatch.setattr(potential, "cylinder_sup_potential", fail)
+    grid = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
+    for n_values in ([1, 2], [2, 8, 1]):
+        with pytest.raises(ValueError, match=r"n >= 2"):
+            weyl_scan(1.5, heis, SmoothBump(1.0, 1.0), n_values, grid)
 
 
 def test_quadrature_grid_validation(heis):

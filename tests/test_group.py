@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from srlab.group import (GroupPoint, MetivierStructure, dilate,
                          exact_condition_extremes, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
-                         product, verify_metivier)
+                         product, unit_sample, verify_metivier)
 
 from conftest import ROT, random_points, skew_structures
 
@@ -218,6 +218,14 @@ def test_verify_metivier_determinism_and_errors(heis):
     assert a.c0 == b.c0 and a.C0 == b.C0
     with pytest.raises(ValueError):
         verify_metivier(heis, 0)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_unit_sample_matches_linalg_norm(dim):
+    """The in-order column sum of the squares is np.linalg.norm's row norm, bit for bit."""
+    got = unit_sample(np.random.default_rng(dim), 20_000, dim)
+    v = np.random.default_rng(dim).standard_normal((20_000, dim))
+    assert np.array_equal(got, v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 def test_serialization_round_trip(aniso):
