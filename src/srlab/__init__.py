@@ -11,20 +11,17 @@ operator, and Monte Carlo thinness measurements of potential sublevel sets.
 from .group import (ConditionEstimate, GroupPoint, MetivierStructure, dilate,
                     homogeneous_dimension, identity, inverse, make_heisenberg,
                     multiply, point, verify_metivier)
-from .norms import (BallSpec, GammaEstimate, estimate_gamma, in_ball,
-                    kaplan_norm, quasi_distance, weight)
+from .norms import BallSpec, GammaEstimate, estimate_gamma
 from .potential import (PotentialConstants, admissibility_report,
-                        check_sandwich, essential_inf_estimate, grad_norm_sq,
-                        grad_weight, laplacian_weight, potential_bounds,
-                        potential_value, sub_laplacian_norm)
+                        check_sandwich, essential_inf_estimate, potential_bounds)
 from .forms import (QuadratureGrid, SmoothBump, TranslatedBump, WeylRecord,
-                    apply_sub_laplacian, apply_xj, conjugation_residual,
-                    dirichlet_form, weyl_residual, weyl_scan, weyl_sequence)
+                    conjugation_residual, dirichlet_form, weyl_residual, weyl_scan,
+                    weyl_sequence)
 from .spectral import (Grid3, SparseSymmetricOperator, SpectrumResult,
                        assemble_derivative, assemble_operator,
                        box_convergence_study, eigen_count_below, lanczos_lowest)
 from .sublevel import (ScalingFit, SublevelSpec, ThinnessEstimate,
-                       ball_intersection_volume, cylinder_radius, in_sublevel,
-                       scaling_fit, thinness_integral)
+                       ball_intersection_volume, cylinder_radius, scaling_fit,
+                       thinness_integral)
 
 __version__ = "0.1.0"

@@ -243,6 +243,8 @@ def _run_potential(args, s):
         data = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if data.shape[1] != s.horizontal_dim + s.m:
             raise ValueError(f"points file must have {s.horizontal_dim + s.m} columns")
+        if not np.isfinite(data).all():
+            raise ValueError(f"points file {args.points} holds a non-finite coordinate")
         x, t = data[:, : s.horizontal_dim], data[:, s.horizontal_dim:]
     else:
         grid = forms.QuadratureGrid(s, args.lx, args.lt, args.nx, args.nt)

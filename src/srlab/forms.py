@@ -22,6 +22,7 @@ bit-stable run to run and independent of the worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,11 +198,13 @@ class TranslatedBump:
 
 def horizontal_coefficients(s: MetivierStructure, x) -> np.ndarray:
     """c with c[..., j, k] = (1/2)(J_k x)_j, the d/dt_k coefficient of X_j."""
+    s.check_dims(x)
     return 0.5 * np.einsum("kji,...i->...jk", s.maps, np.asarray(x, dtype=float))
 
 
 def _value_and_horizontal_gradient(s: MetivierStructure, f, x, t):
     """(f, (X_1 f, ..., X_{2n} f)) at each point, from one `f.gradient` call."""
+    s.check_dims(x, t)
     val, gx, gt = f.gradient(x, t)
     return val, gx + np.einsum("...jk,...k->...j", horizontal_coefficients(s, x), gt)
 
@@ -211,18 +214,13 @@ def horizontal_gradient(s: MetivierStructure, f, x, t) -> np.ndarray:
     return _value_and_horizontal_gradient(s, f, x, t)[1]
 
 
-def apply_xj(s: MetivierStructure, f, j: int, p: GroupPoint) -> float:
-    if not 0 <= j < s.horizontal_dim:
-        raise ValueError(f"horizontal index {j} out of range [0, {s.horizontal_dim})")
-    return float(np.squeeze(horizontal_gradient(s, f, p.x, p.t)[..., j]))
-
-
 def sub_laplacian_apply(s: MetivierStructure, f, x, t) -> np.ndarray:
     """L f = -sum_j X_j^2 f, exact chain rule, batched.
 
     A `SmoothBump` contracts its own profile derivatives; any other f is
     contracted from the Hessians of `f.derivatives`.
     """
+    s.check_dims(x, t)
     if isinstance(f, SmoothBump):
         return f._sub_laplacian(s, x, t)
     _, _, _, hxx, hxt, htt = f.derivatives(x, t)
@@ -232,10 +230,6 @@ def sub_laplacian_apply(s: MetivierStructure, f, x, t) -> np.ndarray:
     m = np.einsum("...jk,...jl->...kl", c, c)
     term3 = np.einsum("...kl,...kl->...", m, htt)
     return -(term1 + term2 + term3)
-
-
-def apply_sub_laplacian(s: MetivierStructure, f, p: GroupPoint) -> float:
-    return float(np.squeeze(sub_laplacian_apply(s, f, p.x, p.t)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +281,7 @@ class QuadratureGrid:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)   # a Python int: exact for any grid, even one never built
 
     @property
     def cell_volume(self) -> float:
@@ -422,7 +416,12 @@ def _require_translate(n: int):
 
 
 def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
-    """(psi, L psi) at the base nodes, their squared norms, the overlap check."""
+    """(psi, L psi) at the base nodes, their squared norms, the overlap check;
+    a grid whose two base arrays (16 bytes a node) exceed physical memory is refused."""
+    need, have = 16 * grid.dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ValueError(f"a Weyl scan on {grid.dim} base nodes needs {need} bytes for psi "
+                         f"and L psi, more than the {have} bytes of physical memory")
     _require_cover(grid, psi)
     val, lpsi = np.empty(grid.dim), np.empty(grid.dim)
 
@@ -517,6 +516,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
         raise ValueError("need at least one translate index in n_values")
     for n in n_values:
         _require_translate(n)
+    base = _weyl_base(s, psi, n_values[0], grid)   # refuses an oversized grid before sampling
     sup_c = cylinder_sup_potential(alpha, s, samples=sup_samples, seed=seed)
     if lam is None:
         if alpha >= 2:
@@ -524,7 +524,6 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
         else:
             lam = 1.0 + sup_c
     _require_finite("lam", lam)
-    base = _weyl_base(s, psi, n_values[0], grid)
     psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[2]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]

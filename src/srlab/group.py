@@ -100,12 +100,13 @@ class MetivierStructure:
         est = verify_metivier(self, samples=10_000, seed=0)
         return est.c0, est.C0
 
-    def check_point(self, p: "GroupPoint"):
-        if p.x.shape != (self.horizontal_dim,) or p.t.shape != (self.m,):
-            raise ValueError(
-                f"point dims {p.x.shape}/{p.t.shape} do not match structure "
-                f"(2n={self.horizontal_dim}, m={self.m})"
-            )
+    def check_dims(self, x, t=None):
+        """Refuse coordinates whose trailing axes are not (2n,) and (m,), x alone if t
+        is None: a wrong length would broadcast through the einsums on `maps`."""
+        if np.shape(x)[-1:] != (self.horizontal_dim,) or (
+                t is not None and np.shape(t)[-1:] != (self.m,)):
+            raise ValueError(f"coordinate dims {np.shape(x)}/{np.shape(t)} do not match "
+                             f"structure (2n={self.horizontal_dim}, m={self.m})")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "m": self.m, "J": self.maps.tolist(), "h_type": self.h_type}
@@ -133,6 +134,8 @@ class GroupPoint:
     def __post_init__(self):
         object.__setattr__(self, "x", _as_readonly(np.atleast_1d(self.x)))
         object.__setattr__(self, "t", _as_readonly(np.atleast_1d(self.t)))
+        if self.x.ndim != 1 or self.t.ndim != 1:
+            raise ValueError(f"a point has 1-D coordinates, got {self.x.shape}/{self.t.shape}")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.t))):
             raise ValueError(f"point coordinates must be finite, got x={self.x}, t={self.t}")
 
@@ -167,7 +170,7 @@ def identity(s: MetivierStructure) -> GroupPoint:
 
 def point(s: MetivierStructure, x, t) -> GroupPoint:
     p = GroupPoint(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    s.check_point(p)
+    s.check_dims(p.x, p.t)
     return p
 
 
@@ -177,27 +180,26 @@ def product(s: MetivierStructure, x1, t1, x2, t2):
     x2 = np.asarray(x2, dtype=float)
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
+    s.check_dims(x1, t1)
+    s.check_dims(x2, t2)
     jk_x1 = np.einsum("kij,...j->...ki", s.maps, x1)
     central = 0.5 * np.einsum("...ki,...i->...k", jk_x1, x2)
     return x1 + x2, t1 + t2 + central
 
 
 def multiply(s: MetivierStructure, p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    s.check_point(p)
-    s.check_point(q)
-    x, t = product(s, p.x, p.t, q.x, q.t)
-    return GroupPoint(x, t)
+    return GroupPoint(*product(s, p.x, p.t, q.x, q.t))
 
 
 def inverse(s: MetivierStructure, p: GroupPoint) -> GroupPoint:
-    s.check_point(p)
+    s.check_dims(p.x, p.t)
     return GroupPoint(-p.x, -p.t)
 
 
 def dilate(s: MetivierStructure, r: float, p: GroupPoint) -> GroupPoint:
     if r <= 0:
         raise ValueError("dilation parameter must be positive")
-    s.check_point(p)
+    s.check_dims(p.x, p.t)
     return GroupPoint(r * p.x, r * r * p.t)
 
 

@@ -30,21 +30,10 @@ def norm_xt(x, t) -> np.ndarray:
     return _radial(x, t)[3]
 
 
-def kaplan_norm(s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(norm_xt(p.x, p.t))
-
-
 def quasi_distance_xt(s: MetivierStructure, x1, t1, x2, t2) -> np.ndarray:
     """d(p, q) = N(p^{-1} q); left-invariant by construction."""
     x, t = product(s, -np.asarray(x1, float), -np.asarray(t1, float), x2, t2)
     return norm_xt(x, t)
-
-
-def quasi_distance(s: MetivierStructure, p: GroupPoint, q: GroupPoint) -> float:
-    s.check_point(p)
-    s.check_point(q)
-    return float(quasi_distance_xt(s, p.x, p.t, q.x, q.t))
 
 
 def _weight(alpha: float, n) -> np.ndarray:
@@ -55,11 +44,6 @@ def _weight(alpha: float, n) -> np.ndarray:
 
 def weight_xt(alpha: float, x, t) -> np.ndarray:
     return _weight(alpha, norm_xt(x, t))
-
-
-def weight(alpha: float, s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(weight_xt(alpha, p.x, p.t))
 
 
 @dataclass(frozen=True)
@@ -75,11 +59,6 @@ class BallSpec:
 
 def in_ball_xt(s: MetivierStructure, ball: BallSpec, x, t) -> np.ndarray:
     return quasi_distance_xt(s, ball.center.x, ball.center.t, x, t) < ball.radius
-
-
-def in_ball(s: MetivierStructure, ball: BallSpec, p: GroupPoint) -> bool:
-    s.check_point(p)
-    return bool(in_ball_xt(s, ball, p.x, p.t))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import (ConditionEstimate, GroupPoint, MetivierStructure,
+from .group import (ConditionEstimate, MetivierStructure,
                     _require_finite, exact_condition_extremes,
                     homogeneous_dimension, uniform_ball, unit_sample)
 from .norms import _radial, _weight, norm_xt
@@ -66,6 +66,7 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
     LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2);
     J_t x = sum_k t_k J_k x reuses the J_k x of the sum.
     """
+    s.check_dims(x, t)
     x, t, x2, n = _off_identity(x, t)
     jk_x = np.einsum("kij,...j->...ki", s.maps, x)
     jt_x = np.einsum("...k,...ki->...i", t, jk_x)
@@ -168,35 +169,9 @@ def _closed_form_coeffs(alpha: float, s: MetivierStructure):
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2."""
+    s.check_dims(x, t)
     _, _, x2, n = _off_identity(x, t)
     return x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n)
-
-
-# scalar wrappers on GroupPoint
-
-def grad_norm_sq(s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(grad_norm_sq_xt(s, p.x, p.t))
-
-
-def sub_laplacian_norm(s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(sub_laplacian_norm_xt(s, p.x, p.t))
-
-
-def grad_weight(alpha: float, s: MetivierStructure, p: GroupPoint) -> np.ndarray:
-    s.check_point(p)
-    return grad_weight_xt(alpha, s, p.x, p.t)
-
-
-def laplacian_weight(alpha: float, s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(laplacian_weight_xt(alpha, s, p.x, p.t))
-
-
-def potential_value(alpha: float, s: MetivierStructure, p: GroupPoint) -> float:
-    s.check_point(p)
-    return float(potential_value_xt(alpha, s, p.x, p.t))
 
 
 @dataclass(frozen=True)

@@ -105,11 +105,6 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     return out
 
 
-def in_sublevel(spec: SublevelSpec, s: MetivierStructure, p: GroupPoint) -> bool:
-    s.check_point(p)
-    return bool(in_sublevel_xt(spec, s, p.x[None, :], p.t[None, :])[0])
-
-
 def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
     """phi(u) = inf over N >= u of the sandwich lower bound at |x| = u.
 
@@ -242,7 +237,7 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    s.check_point(center)
+    s.check_dims(center.x, center.t)
     rho_x, rho_t = bounding_cylinder(s, center, r)
     if spec.alpha > 2:
         const = potential_bounds(spec.alpha, None, s)

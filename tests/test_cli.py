@@ -8,6 +8,8 @@ from srlab import cli
 from srlab.cli import run
 from srlab.group import MetivierStructure
 
+from conftest import quaternion_maps
+
 
 def invoke(args, tmp_path, name="out.txt"):
     path = tmp_path / name
@@ -75,6 +77,28 @@ def test_potential_points_file(tmp_path, capsys):
                            tmp_path, "p3.csv")
     assert code == 1 and payload == b""
     assert "points file must have 3 columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_potential_points_non_finite(tmp_path, capsys, bad):
+    """A points file with a non-finite coordinate exits 1 naming the file, not
+    with a NaN found later in the output."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"1.0,0.0,0.0\n0.0,{bad},1.0\n")
+    code, payload = invoke(["potential", "--alpha", "2", "--points", str(pts)],
+                           tmp_path, "p4.csv")
+    assert code == 1 and payload == b""
+    assert f"points file {pts} holds a non-finite coordinate" in capsys.readouterr().err
+
+
+def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
+    """--grid 64 on the quaternion structure is 64^7 base nodes, 70 TB of psi and
+    L psi: refused with exit 1 before any sampling, and nothing on stdout."""
+    sf = tmp_path / "quaternion.json"
+    sf.write_text(MetivierStructure(n=2, m=3, maps=quaternion_maps(), h_type=True).to_json())
+    assert run(["weyl", "--structure", str(sf), "--alpha", "2", "--grid", "64"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "physical memory" in err
 
 
 def test_structure_json_loading(tmp_path):

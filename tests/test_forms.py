@@ -6,8 +6,7 @@ import pytest
 
 from srlab import forms, norms, potential
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
-                         _overlap_norm_sq, apply_sub_laplacian, apply_xj,
-                         bump_profile, conjugation_residual, dirichlet_form,
+                         _overlap_norm_sq, bump_profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
@@ -92,13 +91,12 @@ def test_bump_radii_must_be_finite():
 def test_apply_xj_examples(heis):
     bump = SmoothBump(1.0, 1.0)
     for j in (0, 1):
-        assert apply_xj(heis, bump, j, point(heis, [0.0, 0.0], [0.3])) == 0.0
+        assert float(horizontal_gradient(heis, bump, [0.0, 0.0], [0.3])[j]) == 0.0
     probe = CentralCoordinate()
     p = point(heis, [0.7, -1.3], [0.4])
-    assert apply_xj(heis, probe, 0, p) == pytest.approx(-1.3 / 2.0)
-    assert apply_xj(heis, probe, 1, p) == pytest.approx(-0.7 / 2.0)
-    with pytest.raises(ValueError):
-        apply_xj(heis, probe, 2, p)
+    hg = np.squeeze(horizontal_gradient(heis, probe, p.x, p.t))
+    assert float(hg[0]) == pytest.approx(-1.3 / 2.0)
+    assert float(hg[1]) == pytest.approx(-0.7 / 2.0)
 
 
 def test_apply_xj_fd_cross_check(heis):
@@ -120,15 +118,16 @@ def test_apply_xj_fd_cross_check(heis):
 
 def test_sub_laplacian_square_probe(heis, aniso):
     probe = HorizontalSquare()
-    assert apply_sub_laplacian(heis, probe, point(heis, [0.3, 0.3], [5.0])) == pytest.approx(-4.0)
-    p4 = point(aniso, [1.0, 2.0, 3.0, 4.0], [0.5])
-    assert apply_sub_laplacian(aniso, probe, p4) == pytest.approx(-8.0)
+    lf = sub_laplacian_apply(heis, probe, [0.3, 0.3], [5.0])
+    assert float(np.squeeze(lf)) == pytest.approx(-4.0)
+    lf = sub_laplacian_apply(aniso, probe, [1.0, 2.0, 3.0, 4.0], [0.5])
+    assert float(np.squeeze(lf)) == pytest.approx(-8.0)
 
 
 def test_sub_laplacian_fd(heis):
     bump = SmoothBump(1.0, 1.0)
     p = point(heis, [0.3, 0.2], [0.4])
-    exact = apply_sub_laplacian(heis, bump, p)
+    exact = float(sub_laplacian_apply(heis, bump, p.x, p.t))
     fd = oracles.fd_sub_laplacian(lambda x, t: float(bump.value(x, t)),
                                   heis, p.x, p.t, 1e-4)
     assert fd == pytest.approx(exact, abs=1e-6)
@@ -477,6 +476,20 @@ def _traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", [64, 600])
+def test_weyl_refuses_base_arrays_beyond_physical_memory(quaternion, count):
+    """psi and L psi on 64^7 base nodes need 70 TB; both entry points refuse the
+    grid before sampling or allocating.  QuadratureGrid builds no nodes.  The node
+    count of 600^7 exceeds int64, where a numpy product would wrap negative."""
+    grid = QuadratureGrid(quaternion, 1.0, 1.0, count, count)
+    assert grid.dim == count ** 7
+    bump = SmoothBump(1.0, 1.0)
+    with pytest.raises(ValueError, match="physical memory"):
+        weyl_scan(2.0, quaternion, bump, [2], grid)
+    with pytest.raises(ValueError, match="physical memory"):
+        weyl_residual(2.0, quaternion, bump, 2, 1.0, grid)
 
 
 def test_quadrature_memory_does_not_grow_with_grid(heis, quaternion):

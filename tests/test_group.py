@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srlab.forms import horizontal_coefficients
 from srlab.group import (GroupPoint, MetivierStructure, dilate,
                          exact_condition_extremes, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
@@ -86,6 +87,10 @@ def test_dimension_mismatch_rejected(heis, aniso):
     p = point(aniso, [1.0, 0, 0, 0], [0.0])
     with pytest.raises(ValueError, match="dims"):
         multiply(heis, p, p)
+    with pytest.raises(ValueError, match="1-D"):   # a point, not a batch
+        point(heis, [[1.0, 0.0]], [[0.0]])
+    with pytest.raises(ValueError, match="dims"):   # an x of length 1 used to broadcast
+        horizontal_coefficients(heis, np.ones((3, 1)))
     # a non-finite centre made ball_intersection_volume return 0.0 silently
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):

@@ -4,23 +4,23 @@ import numpy as np
 import pytest
 
 from srlab.group import GroupPoint, dilate, identity, inverse, point, product
-from srlab.norms import (BallSpec, estimate_gamma, in_ball, kaplan_norm,
-                         norm_xt, quasi_distance, quasi_distance_xt, weight,
-                         weight_xt)
+from srlab.norms import (BallSpec, estimate_gamma, in_ball_xt, norm_xt,
+                         quasi_distance_xt, weight_xt)
 
 from conftest import random_points
 
 
 def test_norm_examples(heis):
-    assert kaplan_norm(heis, point(heis, [1.0, 0.0], [0.0])) == 1.0
-    assert kaplan_norm(heis, point(heis, [0.0, 0.0], [1.0])) == 2.0
-    val = kaplan_norm(heis, point(heis, [1.0, 1.0], [0.5]))
+    assert float(norm_xt([1.0, 0.0], [0.0])) == 1.0
+    assert float(norm_xt([0.0, 0.0], [1.0])) == 2.0
+    val = float(norm_xt([1.0, 1.0], [0.5]))
     assert abs(val - 8.0 ** 0.25) <= 1e-15
 
 
 def test_norm_zero_iff_identity(heis):
-    assert kaplan_norm(heis, identity(heis)) == 0.0
-    assert kaplan_norm(heis, point(heis, [1e-8, 0.0], [0.0])) > 0.0
+    e = identity(heis)
+    assert float(norm_xt(e.x, e.t)) == 0.0
+    assert float(norm_xt([1e-8, 0.0], [0.0])) > 0.0
 
 
 def test_homogeneity(heis):
@@ -38,8 +38,9 @@ def test_symmetry_exact(heis):
 
 def test_distance_examples(heis):
     p = point(heis, [0.3, -0.4], [0.8])
-    assert quasi_distance(heis, p, p) == 0.0
-    assert quasi_distance(heis, identity(heis), point(heis, [0, 0], [1.0])) == 2.0
+    assert float(quasi_distance_xt(heis, p.x, p.t, p.x, p.t)) == 0.0
+    e = identity(heis)
+    assert float(quasi_distance_xt(heis, e.x, e.t, [0, 0], [1.0])) == 2.0
 
 
 def test_distance_left_invariance(heis):
@@ -54,13 +55,14 @@ def test_distance_left_invariance(heis):
 
 
 def test_weight_examples(heis):
-    assert weight(3.7, heis, identity(heis)) == 1.0
-    w = weight(2.0, heis, point(heis, [1.0, 0.0], [0.0]))
+    e = identity(heis)
+    assert float(weight_xt(3.7, e.x, e.t)) == 1.0
+    w = float(weight_xt(2.0, [1.0, 0.0], [0.0]))
     assert abs(w - np.exp(-1.0)) <= 1e-15
-    w4 = weight(4.0, heis, point(heis, [0.0, 0.0], [1.0]))
+    w4 = float(weight_xt(4.0, [0.0, 0.0], [1.0]))
     assert abs(w4 - np.exp(-16.0)) <= 1e-22
     with pytest.raises(ValueError):
-        weight(0.0, heis, identity(heis))
+        weight_xt(0.0, e.x, e.t)
 
 
 def test_weight_homogeneity_transfer(heis):
@@ -75,12 +77,13 @@ def test_weight_homogeneity_transfer(heis):
 
 def test_in_ball(heis):
     c = point(heis, [0.7, 0.1], [2.0])
-    assert in_ball(heis, BallSpec(c, 0.5), c)
-    assert not in_ball(heis, BallSpec(identity(heis), 1.0), point(heis, [0, 0], [1.0]))
+    assert in_ball_xt(heis, BallSpec(c, 0.5), c.x, c.t)
+    assert not in_ball_xt(heis, BallSpec(identity(heis), 1.0), [0, 0], [1.0])
     ball = BallSpec(point(heis, [0.0, 0.0], [5.0]), 1.0)
     inside = point(heis, [0.0, 0.0], [5.2])
-    assert abs(quasi_distance(heis, ball.center, inside) - 2.0 * 0.2 ** 0.5) <= 1e-12
-    assert in_ball(heis, ball, inside)
+    assert abs(float(quasi_distance_xt(heis, ball.center.x, ball.center.t, inside.x, inside.t))
+               - 2.0 * 0.2 ** 0.5) <= 1e-12
+    assert in_ball_xt(heis, ball, inside.x, inside.t)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             BallSpec(c, bad)

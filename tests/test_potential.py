@@ -6,28 +6,59 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srlab import potential
+from srlab.forms import SmoothBump, horizontal_gradient, sub_laplacian_apply
 from srlab.group import (exact_condition_extremes, identity, point, uniform_ball,
                          verify_metivier)
-from srlab.norms import norm_xt, weight_xt
+from srlab.norms import BallSpec, in_ball_xt, norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import (admissibility_report, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
                              essential_inf_estimate, grad_kaplan_xt,
-                             grad_norm_sq, grad_norm_sq_xt, grad_weight,
-                             grad_weight_xt, laplacian_weight,
+                             grad_norm_sq_xt, grad_weight_xt,
                              laplacian_weight_xt, potential_bounds,
-                             potential_closed_form_xt, potential_value,
-                             potential_value_xt, sandwich_bounds_xt,
-                             sandwich_floor, sub_laplacian_norm,
+                             potential_closed_form_xt, potential_value_xt,
+                             sandwich_bounds_xt, sandwich_floor,
                              sub_laplacian_norm_xt)
+
+from srlab.sublevel import SublevelSpec, in_sublevel_xt
 
 import oracles
 from conftest import count_calls, random_points, skew_structures
 
+# every public batch entry point that takes a structure, as (s, x, t) -> value
+_STRUCTURE_ENTRY_POINTS = {
+    "grad_kaplan_xt": grad_kaplan_xt,
+    "grad_norm_sq_xt": grad_norm_sq_xt,
+    "sub_laplacian_norm_xt": sub_laplacian_norm_xt,
+    "grad_weight_xt": lambda s, x, t: grad_weight_xt(2.0, s, x, t),
+    "laplacian_weight_xt": lambda s, x, t: laplacian_weight_xt(2.0, s, x, t),
+    "potential_value_xt": lambda s, x, t: potential_value_xt(2.0, s, x, t),
+    "potential_closed_form_xt": lambda s, x, t: potential_closed_form_xt(2.0, s, x, t),
+    "quasi_distance_xt": lambda s, x, t: quasi_distance_xt(
+        s, np.zeros(s.horizontal_dim), np.zeros(s.m), x, t),
+    "in_ball_xt": lambda s, x, t: in_ball_xt(s, BallSpec(identity(s), 1.0), x, t),
+    "in_sublevel_xt": lambda s, x, t: in_sublevel_xt(SublevelSpec(3.0, 0.0), s, x, t),
+    "horizontal_gradient": lambda s, x, t: horizontal_gradient(s, SmoothBump(1.0, 1.0), x, t),
+    "sub_laplacian_apply": lambda s, x, t: sub_laplacian_apply(s, SmoothBump(1.0, 1.0), x, t),
+}
+
+
+@pytest.mark.parametrize("structure", ["heis", "quaternion"])
+@pytest.mark.parametrize("name", sorted(_STRUCTURE_ENTRY_POINTS))
+def test_entry_points_refuse_mismatched_dims(name, structure, request):
+    """A t of length m + 1 or an x of length 2n + 1 raises; on m = 1 the long t
+    used to broadcast through the J_t x einsum and return a value."""
+    s = request.getfixturevalue(structure)
+    d, m = s.horizontal_dim, s.m
+    for x, t in ((np.ones((2, d)), np.ones((2, m + 1))),
+                 (np.ones((2, d + 1)), np.ones((2, m)))):
+        with pytest.raises(ValueError, match="dims"):
+            _STRUCTURE_ENTRY_POINTS[name](s, x, t)
+
 
 def test_grad_norm_sq_examples(heis):
-    assert abs(grad_norm_sq(heis, point(heis, [1, 0], [0])) - 1.0) <= 1e-15
-    assert grad_norm_sq(heis, point(heis, [0, 0], [0.7])) == 0.0
-    v = grad_norm_sq(heis, point(heis, [1, 0], [1.0]))
+    assert abs(float(grad_norm_sq_xt(heis, [1, 0], [0])) - 1.0) <= 1e-15
+    assert float(grad_norm_sq_xt(heis, [0, 0], [0.7])) == 0.0
+    v = float(grad_norm_sq_xt(heis, [1, 0], [1.0]))
     assert abs(v - 1.0 / math.sqrt(17.0)) <= 1e-15
 
 
@@ -51,17 +82,18 @@ def test_grad_kaplan_matches_grad_norm_sq(heis, aniso):
 
 
 def test_identity_rejected(heis):
+    e = identity(heis)
     with pytest.raises(ValueError):
-        grad_norm_sq(heis, identity(heis))
+        grad_norm_sq_xt(heis, e.x, e.t)
     with pytest.raises(ValueError):
-        sub_laplacian_norm(heis, identity(heis))
+        sub_laplacian_norm_xt(heis, e.x, e.t)
     with pytest.raises(ValueError):
-        potential_value(2.0, heis, identity(heis))
+        potential_value_xt(2.0, heis, e.x, e.t)
 
 
 def test_sub_laplacian_examples(heis):
-    assert abs(sub_laplacian_norm(heis, point(heis, [1, 0], [0])) + 3.0) <= 1e-14
-    assert sub_laplacian_norm(heis, point(heis, [0, 0], [2.0])) == 0.0
+    assert abs(float(sub_laplacian_norm_xt(heis, [1, 0], [0])) + 3.0) <= 1e-14
+    assert float(sub_laplacian_norm_xt(heis, [0, 0], [2.0])) == 0.0
 
 
 def test_sub_laplacian_htype_identity(heis):
@@ -91,13 +123,12 @@ def test_fd_oracles_heisenberg(heis):
 
 
 def test_grad_weight_examples(heis):
-    g = grad_weight(2.0, heis, point(heis, [1, 0], [0]))
+    g = grad_weight_xt(2.0, heis, [1, 0], [0])
     assert abs(np.linalg.norm(g) - 2.0 * math.exp(-1.0)) <= 1e-15
-    g0 = grad_weight(2.0, heis, point(heis, [0, 0], [1.0]))
+    g0 = grad_weight_xt(2.0, heis, [0, 0], [1.0])
     assert np.all(g0 == 0.0)
     x, t = random_points(heis, 200, seed=4)
     alpha = 1.7
-    from srlab.potential import grad_weight_xt
     mag = np.linalg.norm(grad_weight_xt(alpha, heis, x, t), axis=1)
     n = norm_xt(x, t)
     expected = alpha * weight_xt(alpha, x, t) * n ** (alpha - 1) * np.sqrt(
@@ -108,12 +139,12 @@ def test_grad_weight_examples(heis):
 def test_laplacian_weight_value_and_fd(heis):
     """L w_2 at ((1,0),0) is +4/e; pinned by the finite-difference oracle."""
     p = point(heis, [1.0, 0.0], [0.0])
-    val = laplacian_weight(2.0, heis, p)
+    val = float(laplacian_weight_xt(2.0, heis, p.x, p.t))
     assert abs(val - 4.0 * math.exp(-1.0)) <= 1e-14
     fd = oracles.fd_sub_laplacian(lambda x, t: weight_xt(2.0, x, t),
                                   heis, p.x, p.t, 1e-4)
     assert abs(fd - val) <= 1e-6
-    assert laplacian_weight(2.0, heis, point(heis, [0, 0], [1.0])) == 0.0
+    assert float(laplacian_weight_xt(2.0, heis, [0, 0], [1.0])) == 0.0
 
 
 def test_laplacian_weight_fd_random(heis):
@@ -122,7 +153,7 @@ def test_laplacian_weight_fd_random(heis):
         for _ in range(10):
             x = rng.uniform(0.4, 1.5, size=2)
             t = rng.uniform(0.4, 1.5, size=1)
-            exact = laplacian_weight(alpha, heis, point(heis, x, t))
+            exact = float(laplacian_weight_xt(alpha, heis, x, t))
             e1, e2 = oracles.richardson_ratios(
                 exact,
                 lambda hh: oracles.fd_sub_laplacian(
@@ -145,9 +176,9 @@ def test_potential_consistency_with_weight_derivatives(heis, aniso):
 
 
 def test_potential_examples(heis):
-    assert abs(potential_value(2.0, heis, point(heis, [1, 0], [0])) + 3.0) <= 1e-14
-    assert abs(potential_value(4.0, heis, point(heis, [1, 0], [0])) + 8.0) <= 1e-14
-    assert potential_value(3.0, heis, point(heis, [0, 0], [1.5])) == 0.0
+    assert abs(float(potential_value_xt(2.0, heis, [1, 0], [0])) + 3.0) <= 1e-14
+    assert abs(float(potential_value_xt(4.0, heis, [1, 0], [0])) + 8.0) <= 1e-14
+    assert float(potential_value_xt(3.0, heis, [0, 0], [1.5])) == 0.0
 
 
 def test_htype_closed_form(heis):
@@ -343,13 +374,13 @@ def test_norm_jet_matches_fd_oracles(s, alpha, seed):
     x = rng.uniform(0.4, 1.6, size=s.horizontal_dim) * rng.choice([-1.0, 1.0], size=s.horizontal_dim)
     t = rng.uniform(0.4, 1.6, size=s.m) * rng.choice([-1.0, 1.0], size=s.m)
 
-    def weight(xx, tt):
+    def w_alpha(xx, tt):
         return weight_xt(alpha, xx, tt)
 
     def fd_potential(h):
-        w = weight(x, t)
-        return (-0.25 * oracles.fd_grad_norm_sq(weight, s, x, t, h) / w ** 2
-                - 0.5 * oracles.fd_sub_laplacian(weight, s, x, t, h) / w)
+        w = w_alpha(x, t)
+        return (-0.25 * oracles.fd_grad_norm_sq(w_alpha, s, x, t, h) / w ** 2
+                - 0.5 * oracles.fd_sub_laplacian(w_alpha, s, x, t, h) / w)
 
     cases = [
         (grad_norm_sq_xt(s, x, t),

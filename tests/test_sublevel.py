@@ -9,8 +9,7 @@ from srlab import group, norms, potential, sublevel
 from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
 from srlab.norms import norm_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
-                            bounding_cylinder, cylinder_radius, in_sublevel,
-                            in_sublevel_xt, lower_envelope, scaling_fit,
+                            bounding_cylinder, cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
                             substream, thinness_integral, threshold_k,
                             uniform_ball, worker_count)
 from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
@@ -26,24 +25,24 @@ def test_spec_validation():
 
 def test_in_sublevel_examples(heis):
     spec = SublevelSpec(3.0, 0.0)
-    assert in_sublevel(spec, heis, point(heis, [1.0, 0.0], [0.0]))
-    assert not in_sublevel(spec, heis, point(heis, [3.0, 0.0], [0.0]))
+    assert in_sublevel_xt(spec, heis, [1.0, 0.0], [0.0])[0]
+    assert not in_sublevel_xt(spec, heis, [3.0, 0.0], [0.0])[0]
     # x = 0 has V = 0: member iff level >= 0
-    assert in_sublevel(spec, heis, point(heis, [0.0, 0.0], [2.0]))
-    assert not in_sublevel(SublevelSpec(3.0, -1.0), heis, point(heis, [0.0, 0.0], [2.0]))
+    assert in_sublevel_xt(spec, heis, [0.0, 0.0], [2.0])[0]
+    assert not in_sublevel_xt(SublevelSpec(3.0, -1.0), heis, [0.0, 0.0], [2.0])[0]
 
 
 def test_identity_handling(heis):
     e = point(heis, [0.0, 0.0], [0.0])
-    assert in_sublevel(SublevelSpec(2.0, 0.0), heis, e)
-    assert not in_sublevel(SublevelSpec(2.0, -0.5), heis, e)
+    assert in_sublevel_xt(SublevelSpec(2.0, 0.0), heis, e.x, e.t)[0]
+    assert not in_sublevel_xt(SublevelSpec(2.0, -0.5), heis, e.x, e.t)[0]
     with pytest.raises(ValueError):
-        in_sublevel(SublevelSpec(1.5, 0.0), heis, e)
+        in_sublevel_xt(SublevelSpec(1.5, 0.0), heis, e.x, e.t)
     # a batch holding the identity answers as point by point
     x = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
     t = np.array([[0.0], [0.0], [0.0], [2.0]])
     for spec in (SublevelSpec(3.0, 0.0), SublevelSpec(2.0, -0.5)):
-        expected = [in_sublevel(spec, heis, point(heis, xi, ti)) for xi, ti in zip(x, t)]
+        expected = [in_sublevel_xt(spec, heis, xi[None], ti[None])[0] for xi, ti in zip(x, t)]
         assert in_sublevel_xt(spec, heis, x, t).tolist() == expected
     assert in_sublevel_xt(SublevelSpec(3.0, 0.0), heis, x, t).tolist() == [True, True, False, True]
     with pytest.raises(ValueError, match="identity"):
@@ -100,7 +99,7 @@ def test_cylinder_encloses_near_floor_member(heis, alpha):
     floor = sandwich_floor(const)
     spec = SublevelSpec(alpha, floor + 1e-9 * abs(floor))
     n_star = (const.c_a2 * (alpha - 2.0) / (const.c_a1 * (2.0 * alpha - 2.0))) ** (1.0 / alpha)
-    assert in_sublevel(spec, heis, point(heis, [n_star, 0.0], [0.0]))
+    assert in_sublevel_xt(spec, heis, [n_star, 0.0], [0.0])[0]
     assert n_star <= cylinder_radius(spec, heis)
 
 
