@@ -248,8 +248,16 @@ def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
             x2 * _envelope_factor(const.c_a3, const.c_a4, a, n))
 
 
-def sandwich_bounds_xt(const: PotentialConstants, x, t):
-    """Pointwise (lower, upper) sandwich values for V_alpha."""
+def sandwich_bounds_xt(const: PotentialConstants, s: MetivierStructure, x, t):
+    """Pointwise (lower, upper) sandwich values for V_alpha on the structure s.
+
+    Coordinates must match s, and the constants must be for a group of the
+    homogeneous dimension of s.
+    """
+    s.check_dims(x, t)
+    if const.Q != homogeneous_dimension(s):
+        raise ValueError(f"constants are for Q = {const.Q}, the structure has "
+                         f"Q = {homogeneous_dimension(s)}")
     _, _, x2, n = _off_identity(x, t)
     return _sandwich(const, x2, n)
 

@@ -8,6 +8,12 @@ bound, estimates ball-intersection measures and the truncated thinness
 integral by seeded Monte Carlo, attaches an analytic tail bound (finite
 exactly when ell > m / (n (alpha - 2))), and fits the decay exponent.
 
+Membership V_alpha <= level takes at most one norm jet per batch.  On
+H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2
+and N alone, decides every point outside a band of 1e-9 of its two terms
+around the level, and the jet decides the points inside it; other
+structures evaluate the jet on every point.
+
 All sampling is counter-seeded: identical inputs and seed reproduce every
 estimate bit for bit, regardless of the worker count used for the outer
 loop (workers only fill disjoint slots of a preallocated array).
@@ -25,16 +31,23 @@ from functools import lru_cache
 import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
-from .norms import norm_xt, quasi_distance_xt
-from .potential import (PotentialConstants, _AtIdentity, _envelope_factor,
-                        _turning_point, fit_loglog_slope, potential_bounds,
-                        potential_value_xt)
+from .norms import _radial, norm_xt, quasi_distance_xt
+from .potential import (PotentialConstants, _AtIdentity, _closed_form_coeffs,
+                        _envelope_factor, _turning_point, fit_loglog_slope,
+                        potential_bounds, potential_value_xt)
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def worker_count() -> int:
-    """Requested Monte Carlo worker count: SRL_THREADS if set, else the cores.
+    """Requested Monte Carlo worker count: SRL_THREADS if set, else the usable CPUs.
 
     A value that is not an integer raises ValueError; values below 1 mean 1.
     """
@@ -44,7 +57,7 @@ def worker_count() -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"SRL_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _clamp_workers(requested: int, members: int, cpus: int | None) -> int:
@@ -87,22 +100,67 @@ class SublevelSpec:
 
 
 def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray:
-    """Membership V_alpha(x, t) <= level, batched, from one norm jet.
+    """Membership V_alpha(x, t) <= level, batched, with at most one norm jet.
 
-    At the identity V extends by 0 when alpha >= 2; for alpha < 2 the
-    identity is rejected (the potential has no value there).
+    On H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}) decides
+    every point farther than 1e-9 of its two terms from the level, and
+    `potential_value_xt` evaluates only the points left in that band (see
+    `_closed_form_decides`), so the answer is the jet's, bit for bit.  Other
+    structures evaluate the jet on every point.  At the identity V extends
+    by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
+    potential has no value there).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    try:
-        return potential_value_xt(spec.alpha, s, x, t) <= spec.level
-    except _AtIdentity:
+    if s.h_type:
+        s.check_dims(x, t)
+        _, _, x2, n = _radial(x, t)
+        decided, v = _closed_form_decides(spec, s, x2, n)
+        out, band = v <= spec.level, ~decided     # the band holds the identity
+        if not np.any(band):
+            return out
+    else:
+        try:
+            return potential_value_xt(spec.alpha, s, x, t) <= spec.level
+        except _AtIdentity:
+            n = norm_xt(x, t)
+            out, band = np.empty(n.shape, dtype=bool), np.ones(n.shape, dtype=bool)
+    at_identity = n == 0.0
+    if np.any(at_identity):
         if spec.alpha < 2:
-            raise ValueError("V_alpha undefined at the identity for alpha < 2") from None
-    off = norm_xt(x, t) != 0.0
-    out = np.full(off.shape, 0.0 <= spec.level)
-    out[off] = potential_value_xt(spec.alpha, s, x[off], t[off]) <= spec.level
+            raise ValueError("V_alpha undefined at the identity for alpha < 2")
+        out[at_identity] = 0.0 <= spec.level
+        band &= ~at_identity
+    if np.any(band):
+        x = np.broadcast_to(x, n.shape + x.shape[-1:])[band]
+        t = np.broadcast_to(t, n.shape + t.shape[-1:])[band]
+        out[band] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
     return out
+
+
+def _closed_form_decides(spec: SublevelSpec, s: MetivierStructure, x2, n):
+    """(decided, v): v the H-type closed form of V_alpha from |x|^2 and N, and
+    where it settles membership as the norm jet would.
+
+    The jet's V_alpha is within about 2e-15 of the two terms
+    |x|^2 (c1 N^{2a-4} + c2 N^{a-4}) of the closed form (8e-13 for maps
+    H-type only to the 1e-12 tolerance the structure accepts) while every
+    intermediate of either is a normal double.  Each intermediate is a
+    constant times N^k or N^k |x|^2 with |k| <= 2a + 6, or a term its sum
+    dominates (|x|^6 beside 16 |J_t x|^2, which sum to |x|^2 N^4), so that
+    holds when |log2 N| (2a + 8) <= 450 and |x|^2 >= 2^-450.  There a point
+    whose v lies more than 1e-9 of the two terms from the level is on the
+    same side of it as the jet's value.
+    """
+    a = spec.alpha
+    c1, c2 = _closed_form_coeffs(a, s)
+    reach = 2.0 ** (450.0 / (2.0 * a + 8.0))
+    with np.errstate(all="ignore"):
+        lead = c1 * n ** (2.0 * a - 4.0)
+        tail = c2 * n ** (a - 4.0)
+        v = x2 * (lead - tail)
+        clear = np.abs(v - spec.level) > 1e-9 * x2 * (lead + tail)
+    return clear & (n >= 1.0 / reach) & (n <= reach) & (x2 >= 2.0 ** -450), v
 
 
 def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
@@ -405,7 +463,7 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
                                            rng=substream(seed, 1, i))
             return est.value ** ell
 
-        workers = _clamp_workers(worker_count(), idx.size, os.cpu_count())
+        workers = _clamp_workers(worker_count(), idx.size, _usable_cpus())
         if workers > 1 and idx.size > 8:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 scores[idx] = list(pool.map(run_member, range(idx.size)))

@@ -153,6 +153,22 @@ def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
     return band + vol(dim_x, c) * m * vol(m, 1.0) * tail
 
 
+def jet_membership(spec, s: MetivierStructure, x, t) -> np.ndarray:
+    """V_alpha <= level from the norm jet on every point off the identity.
+
+    The identity reads V_alpha = 0 when alpha >= 2 and raises ValueError
+    when alpha < 2, as `sublevel.in_sublevel_xt` documents.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    t = np.atleast_2d(np.asarray(t, dtype=float))
+    off = norm_xt(x, t) != 0.0
+    if spec.alpha < 2 and not np.all(off):
+        raise ValueError("V_alpha undefined at the identity for alpha < 2")
+    out = np.full(off.shape, 0.0 <= spec.level)
+    out[off] = potential_value_xt(spec.alpha, s, x[off], t[off]) <= spec.level
+    return out
+
+
 def meshgrid_nodes(grid: QuadratureGrid):
     """A grid's (x, t) nodes from `np.meshgrid`, flattened in C order."""
     mesh = np.meshgrid(*(grid.axis_nodes(a) for a in range(len(grid.shape))), indexing="ij")

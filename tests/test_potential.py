@@ -39,6 +39,8 @@ _STRUCTURE_ENTRY_POINTS = {
     "in_sublevel_xt": lambda s, x, t: in_sublevel_xt(SublevelSpec(3.0, 0.0), s, x, t),
     "horizontal_gradient": lambda s, x, t: horizontal_gradient(s, SmoothBump(1.0, 1.0), x, t),
     "sub_laplacian_apply": lambda s, x, t: sub_laplacian_apply(s, SmoothBump(1.0, 1.0), x, t),
+    "sandwich_bounds_xt": lambda s, x, t: sandwich_bounds_xt(
+        potential_bounds(3.0, None, s), s, x, t),
 }
 
 
@@ -244,7 +246,7 @@ def test_sandwich_aniso_strict(aniso):
     rep = check_sandwich(2.5, aniso, (x, t), est=est)
     assert rep.n_violations == 0
     v = potential_value_xt(2.5, aniso, x, t)
-    lo, hi = sandwich_bounds_xt(rep.constants, x, t)
+    lo, hi = sandwich_bounds_xt(rep.constants, aniso, x, t)
     assert np.max(v - lo) > 1e-6 and np.max(hi - v) > 1e-6
 
 
@@ -253,8 +255,15 @@ def test_sandwich_x_zero_trivial(heis):
     x = np.zeros((7, 2))
     rep = check_sandwich(3.0, heis, (x, t))
     assert rep.n_violations == 0
-    lo, hi = sandwich_bounds_xt(rep.constants, x, t)
+    lo, hi = sandwich_bounds_xt(rep.constants, heis, x, t)
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
+
+
+def test_sandwich_bounds_refuse_other_structure(heis, quaternion):
+    """Constants for one homogeneous dimension are refused on another."""
+    c = potential_bounds(3.0, None, heis)
+    with pytest.raises(ValueError, match="Q = 4"):
+        sandwich_bounds_xt(c, quaternion, np.ones((2, 4)), np.ones((2, 3)))
 
 
 def test_sandwich_floor_values(heis):

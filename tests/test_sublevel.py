@@ -50,12 +50,109 @@ def test_identity_handling(heis):
 
 
 def test_in_sublevel_evaluates_one_jet(heis, monkeypatch):
-    """Membership reads V_alpha off one norm jet, with no separate pass over N."""
+    """Membership takes at most one norm jet and no separate pass over N; on
+    heis a batch with no point in the closed form's rounding band takes none."""
     x, t = random_points(heis, 200, seed=4)
+    on_level_set = float(potential_value_xt(3.0, heis, x[0], t[0]))
     jets = count_calls(monkeypatch, "_norm_jet", potential)
     norm_passes = count_calls(monkeypatch, "norm_xt", norms, potential, sublevel)
     in_sublevel_xt(SublevelSpec(3.0, 2.0), heis, x, t)
+    assert jets == [] and norm_passes == []
+    in_sublevel_xt(SublevelSpec(3.0, on_level_set), heis, x, t)
     assert len(jets) == 1 and norm_passes == []
+
+
+@pytest.mark.parametrize("name", ["aniso", "random_m2"])
+def test_in_sublevel_off_htype_evaluates_one_jet(name, request, monkeypatch):
+    """Structures that are not H-type keep the single-jet path."""
+    if name == "aniso":
+        s = request.getfixturevalue("aniso")
+    else:
+        maps = np.random.default_rng(7).standard_normal((2, 4, 4))
+        s = MetivierStructure(n=2, m=2, maps=maps - np.swapaxes(maps, 1, 2))
+    x, t = random_points(s, 200, seed=5)
+    jets = count_calls(monkeypatch, "_norm_jet", potential)
+    member = in_sublevel_xt(SublevelSpec(3.0, 2.0), s, x, t)
+    assert len(jets) == 1
+    assert member.tolist() == oracles.jet_membership(SublevelSpec(3.0, 2.0), s, x, t).tolist()
+
+
+_BAND_OFFSETS = [0.0] + [sign * 10.0 ** k for k in range(-15, -5) for sign in (1.0, -1.0)]
+
+
+def _level_set_rays(alpha, s, level, x_dir, t_dir, t_norms):
+    """Points (r x_dir, tau t_dir) at relative offsets from where V_alpha crosses
+    the level along each ray, by bisection on r = |x|; a ray that does not
+    cross contributes its closest approach."""
+    radii = np.geomspace(1e-3, 1e2, 400)
+    shape = (radii.size, t_norms.size)
+    x = np.broadcast_to(radii[:, None, None] * x_dir, shape + x_dir.shape)
+    t = np.broadcast_to(t_norms[:, None] * t_dir, shape + t_dir.shape)
+    gap = potential_value_xt(alpha, s, x, t) - level          # (radii, rays)
+    lo_i, ray = np.nonzero(np.sign(gap[:-1]) * np.sign(gap[1:]) < 0)
+    lo, hi = radii[lo_i], radii[lo_i + 1]
+    sign_lo = np.sign(gap[lo_i, ray])
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        side = np.sign(potential_value_xt(alpha, s, mid[:, None] * x_dir,
+                                          t_norms[ray, None] * t_dir) - level)
+        lo, hi = np.where(side == sign_lo, mid, lo), np.where(side == sign_lo, hi, mid)
+    closest = np.argmin(np.abs(gap), axis=0)
+    r_star = np.concatenate([lo, radii[closest]])
+    t_star = np.concatenate([t_norms[ray], t_norms])
+    r = (r_star[:, None] * (1.0 + np.asarray(_BAND_OFFSETS))).ravel()
+    tau = np.repeat(t_star, len(_BAND_OFFSETS))
+    return r[:, None] * x_dir, tau[:, None] * t_dir
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["heis", "quaternion"]),
+       alpha=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
+       which=st.sampled_from(["zero", "floor", "above_floor", "drawn"]),
+       drawn=st.floats(-20.0, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, drawn, seed):
+    """Screened membership equals the jet's on points within 1e-15 .. 1e-6
+    (relative, in |x|) of the level set, with identity rows in the batch."""
+    s = heis if name == "heis" else quaternion
+    # alpha < 2 has no sandwich floor; -1 stands in for it
+    floor = sandwich_floor(potential_bounds(alpha, None, s)) if alpha >= 2 else -1.0
+    level = {"zero": 0.0, "floor": floor, "above_floor": floor + 1e-9 * abs(floor),
+             "drawn": drawn}[which]
+    spec = SublevelSpec(alpha, level)
+    rng = np.random.default_rng(seed)
+    x_dir = rng.standard_normal(s.horizontal_dim)
+    t_dir = rng.standard_normal(s.m)
+    x_dir, t_dir = x_dir / np.linalg.norm(x_dir), t_dir / np.linalg.norm(t_dir)
+    t_norms = np.concatenate([[0.0], rng.uniform(0.0, 2.0, 5)])
+    x, t = _level_set_rays(alpha, s, level, x_dir, t_dir, t_norms)
+    x = np.concatenate([np.zeros((2, s.horizontal_dim)), x])
+    t = np.concatenate([np.zeros((2, s.m)), t])
+    if alpha < 2:
+        with pytest.raises(ValueError, match="identity"):
+            in_sublevel_xt(spec, s, x, t)
+        x, t = x[2:], t[2:]
+    expected = oracles.jet_membership(spec, s, x, t)
+    assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 3.0, 8.0])
+def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
+    """Where the jet's intermediates leave the double range (N near 1e60 by
+    the axis, where it reads V = 0 though the closed form is 2e-80 at alpha 3)
+    the jet still decides, so membership stays the jet's."""
+    for s in (heis, quaternion):
+        scales = 10.0 ** np.arange(-80.0, 81.0, 10.0)
+        x = np.zeros((scales.size * 3, s.horizontal_dim))
+        t = np.zeros((scales.size * 3, s.m))
+        x[:, 0] = np.concatenate([scales, 1e-40 * scales ** 0.5, 1e-100 * scales])
+        t[:, 0] = np.concatenate([0.0 * scales, scales, 0.25 * scales ** 2])
+        for level in (0.0, 1e-300, -1e-300, 1.0):
+            spec = SublevelSpec(alpha, level)
+            with np.errstate(all="ignore"):
+                expected = oracles.jet_membership(spec, s, x, t)
+                got = in_sublevel_xt(spec, s, x, t)
+            assert got.tolist() == expected.tolist()
 
 
 def test_lower_envelope_is_lower_bound(heis, aniso):
@@ -428,6 +525,15 @@ def test_thinness_takes_one_maps_svd(make, monkeypatch):
     thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
     assert calls["member"] > 1
     assert calls["svd"] <= 1
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    """Pinned to one CPU of several, the default is one worker, not os.cpu_count()."""
+    monkeypatch.delenv("SRL_THREADS", raising=False)
+    monkeypatch.setattr(sublevel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(sublevel.os, "cpu_count", lambda: 8)
+    assert worker_count() == 1
+    assert sublevel._usable_cpus() == 1
 
 
 def test_worker_count_rejects_non_integer(monkeypatch):
