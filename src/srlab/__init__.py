@@ -18,8 +18,8 @@ from .forms import (QuadratureGrid, SmoothBump, TranslatedBump, WeylRecord,
                     conjugation_residual, dirichlet_form, weyl_residual, weyl_scan,
                     weyl_sequence)
 from .spectral import (Grid3, SparseSymmetricOperator, SpectrumResult,
-                       assemble_derivative, assemble_operator,
-                       box_convergence_study, eigen_count_below, lanczos_lowest)
+                       assemble_operator, box_convergence_study,
+                       eigen_count_below, lanczos_lowest)
 from .sublevel import (ScalingFit, SublevelSpec, ThinnessEstimate,
                        ball_intersection_volume, cylinder_radius, scaling_fit,
                        thinness_integral)

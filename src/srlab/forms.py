@@ -498,7 +498,7 @@ class WeylScan:
 
 def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
               n_values, grid: QuadratureGrid, lam: float | None = None,
-              sup_samples: int = 200_000, seed: int = 0) -> WeylScan:
+              seed: int = 0) -> WeylScan:
     """Residuals over a family of central translates, with the uniform bound
 
         (|lam| + C) ||psi||_2 + ||L psi||_2,   C = sup_cylinder |V_alpha|,
@@ -517,7 +517,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     for n in n_values:
         _require_translate(n)
     base = _weyl_base(s, psi, n_values[0], grid)   # refuses an oversized grid before sampling
-    sup_c = cylinder_sup_potential(alpha, s, samples=sup_samples, seed=seed)
+    sup_c = cylinder_sup_potential(alpha, s, seed=seed)
     if lam is None:
         if alpha >= 2:
             lam = 1.0 + max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))

@@ -7,7 +7,9 @@ semidefinite by construction and second-order consistent at interior nodes
 (the first-order errors of the paired forward/backward factors cancel).
 The coefficient (1/2)(J_k x, e_j) of d/dt_k in X_j does not depend on x_j
 or t, so sampling it at the source node equals sampling at the face
-midpoint.
+midpoint.  `assemble_operator` builds H in one pass (there is no separate
+`assemble_derivative`); each exterior row below a lower face has one
+nonzero, so that layer adds a diagonal to D_j^T D_j.
 
 The lowest eigenvalues come from ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`).  Counts below a level are exact inertia
@@ -19,6 +21,7 @@ for small grids live in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,60 +39,15 @@ from .potential import potential_value_xt
 Grid3 = QuadratureGrid   # the cell-midpoint grid, shared with the quadrature rules
 
 
-def _forward_difference(count: int, h: float) -> sp.csr_matrix:
-    # (Du)_i = (u_{i+1} - u_i)/h with u_count = 0 (Dirichlet exterior)
-    main = -np.ones(count) / h
-    upper = np.ones(count - 1) / h
-    return sp.diags([main, upper], [0, 1], format="csr")
-
-
-def _axis_operator(grid: Grid3, axis: int) -> sp.csr_matrix:
+def _difference(grid: Grid3, axis: int) -> sp.csr_matrix:
+    # (Du)_i = (u_{i+1} - u_i)/h along one axis, with u = 0 past the upper face
     shape = grid.shape
     h = grid.hx if axis < grid.s.horizontal_dim else grid.ht
-    op = _forward_difference(shape[axis], h)
-    before = int(np.prod(shape[:axis], dtype=int)) if axis > 0 else 1
-    after = int(np.prod(shape[axis + 1:], dtype=int)) if axis + 1 < len(shape) else 1
-    return sp.kron(sp.identity(before, format="csr"),
-                   sp.kron(op, sp.identity(after, format="csr"), format="csr"),
-                   format="csr")
-
-
-def assemble_derivative(s: MetivierStructure, grid: Grid3, j: int) -> sp.csr_matrix:
-    """Forward-difference factor for X_j = d/dx_j + sum_k c_jk(x) d/dt_k.
-
-    The first `grid.dim` rows sample X_j at the nodes by forward differences
-    with zero exterior values; the remaining rows sample it on the exterior
-    layer below the lower boundaries, where only one difference survives.
-    Without those rows the quadratic form ||D_j u||^2 would leave the lower
-    ends of the box free (Neumann) instead of Dirichlet, breaking eigenvalue
-    monotonicity under box growth.  Node rows are first-order consistent; the
-    composed sum_j D_j^T D_j is second-order consistent in the interior.
-    """
-    if not 0 <= j < s.horizontal_dim:
-        raise ValueError(f"derivative index {j} out of range [0, {s.horizontal_dim})")
-    if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
-        raise ValueError("grid was built for a structure of different dimensions")
-    x, _ = grid.nodes()
-    c = horizontal_coefficients(s, x)[:, j]   # c[:, k] multiplies d/dt_k
-    d = _axis_operator(grid, j)
-    for k in range(s.m):
-        dt = _axis_operator(grid, s.horizontal_dim + k)
-        d = d + sp.diags(c[:, k], format="csr") @ dt
-    d = d.tocsr()
-
-    shape = grid.shape
-    idx = np.unravel_index(np.arange(grid.dim), shape)
-    cols = [np.nonzero(idx[j] == 0)[0]]
-    vals = [np.full(cols[0].size, 1.0 / grid.hx)]
-    for k in range(s.m):
-        edge_t = np.nonzero(idx[s.horizontal_dim + k] == 0)[0]
-        cols.append(edge_t)
-        vals.append(c[edge_t, k] / grid.ht)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    boundary = sp.coo_matrix((vals, (np.arange(cols.size), cols)),
-                             shape=(cols.size, grid.dim)).tocsr()
-    return sp.vstack([d, boundary], format="csr")
+    op = sp.diags([-np.ones(shape[axis]) / h, np.ones(shape[axis] - 1) / h], [0, 1],
+                  format="csr")
+    before = sp.identity(math.prod(shape[:axis]), format="csr")
+    after = sp.identity(math.prod(shape[axis + 1:]), format="csr")
+    return sp.kron(before, sp.kron(op, after, format="csr"), format="csr")
 
 
 @dataclass(frozen=True)
@@ -128,10 +86,12 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
 
     `potential` may override V_alpha with any callable (x, t) -> values;
     nodes where it returns +inf are removed (hard Dirichlet wall), which
-    decouples the retained block exactly.  A non-finite alpha, or potential
-    values that are NaN or -inf, raise ValueError.
+    decouples the retained block exactly.  A non-finite alpha, a grid built
+    for other dimensions, or potential values NaN or -inf raise ValueError.
     """
     _require_finite("alpha", alpha)
+    if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
+        raise ValueError("grid was built for a structure of different dimensions")
     x, t = grid.nodes()
     if potential is None:
         v = potential_value_xt(alpha, s, x, t)
@@ -139,18 +99,30 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
         v = np.asarray(potential(x, t), dtype=float)
     if not np.all(np.isfinite(v) | (v == np.inf)):
         raise ValueError("potential values must be finite or +inf")
+    # The exterior rows of D_j below the lower faces (one nonzero each, so a
+    # diagonal of D_j^T D_j) make those faces Dirichlet, not Neumann, so
+    # eigenvalues do not increase as the box grows.  Added in D_j's row order,
+    # each sum rounds as in the product with those rows stacked under D_j.
+    d2 = s.horizontal_dim
+    c = horizontal_coefficients(s, x)   # c[:, j, k] multiplies d/dt_k in X_j
+    lower = [i == 0 for i in np.unravel_index(np.arange(grid.dim), grid.shape)]
+    dt = [_difference(grid, d2 + k) for k in range(s.m)]
+    inv_hx = 1.0 / grid.hx
     kin = None
-    for j in range(s.horizontal_dim):
-        d = assemble_derivative(s, grid, j)
-        term = (d.T @ d).tocsr()
+    for j in range(d2):
+        dj = _difference(grid, j)
+        for k in range(s.m):
+            dj = dj + sp.diags(c[:, j, k], format="csr") @ dt[k]
+        term = dj.T @ dj + sp.diags(lower[j] * (inv_hx * inv_hx))
+        for k in range(s.m):
+            term = term + sp.diags(lower[d2 + k] * (c[:, j, k] / grid.ht) ** 2)
         kin = term if kin is None else kin + term
     keep = ~np.isinf(v)
     if not np.all(keep):
         idx = np.nonzero(keep)[0]
         kin = kin[idx][:, idx]
         v = v[idx]
-    h = kin + sp.diags(v, format="csr")
-    return SparseSymmetricOperator((h + h.T) * 0.5)
+    return SparseSymmetricOperator(kin + sp.diags(v, format="csr"))
 
 
 @dataclass(frozen=True)

@@ -180,8 +180,7 @@ def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
     return np.where(u == 0.0, 0.0, val)
 
 
-def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
-                    est=None) -> float:
+def cylinder_radius(spec: SublevelSpec, s: MetivierStructure) -> float:
     """Radius c with |x| <= c for every member of the sublevel set.
 
     Inverts the lower envelope: c = sup { u : phi(u) <= level }.  phi falls
@@ -196,7 +195,7 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure,
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
-    return _envelope_inverse(potential_bounds(spec.alpha, est, s), spec.level)
+    return _envelope_inverse(potential_bounds(spec.alpha, None, s), spec.level)
 
 
 @lru_cache(maxsize=256)

@@ -191,6 +191,21 @@ def test_htype_closed_form(heis):
         assert gap <= 1e-12
 
 
+def test_norm_jet_refuses_scales_past_double_range(heis):
+    """A batch with a point whose N^6 overflows raises: N = 1e60 with
+    |x| = 1e-100 (V read -0.0 where the closed form gives 2.25e-80) and
+    N = 1e52 (V read NaN).  So does one whose N^6 underflows (N = 1e-60).
+    N of 2e50 and 1e45 still match the closed form."""
+    for x, t in (([1e-100, 0.0], [2.5e119]), ([1e52, 0.0], [0.0]), ([1e-60, 0.0], [0.0])):
+        with pytest.raises(ValueError, match="double range"):
+            potential_value_xt(3.0, heis, [x], [t])
+        with pytest.raises(ValueError, match="double range"):
+            potential_value_xt(3.0, heis, [[1.0, 2.0], x], [[1.0], t])
+    for x, t in (([1.0, 2.0], [1e100]), ([1e45, 0.0], [0.0])):
+        v = float(potential_value_xt(3.0, heis, x, t))
+        assert v == pytest.approx(float(potential_closed_form_xt(3.0, heis, x, t)), rel=1e-14)
+
+
 def test_potential_bounds_constants(heis):
     c3 = potential_bounds(3.0, None, heis)
     assert c3.c_a1 == pytest.approx(2.25, abs=1e-14)

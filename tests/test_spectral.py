@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from srlab import forms, spectral
 from srlab.forms import SmoothBump, sub_laplacian_apply
 from srlab.potential import potential_value_xt
-from srlab.spectral import (Grid3, SparseSymmetricOperator, assemble_derivative,
-                            assemble_operator, box_convergence_study,
-                            eigen_count_below, lanczos_lowest)
+from srlab.group import MetivierStructure
+from srlab.spectral import (Grid3, SparseSymmetricOperator, assemble_operator,
+                            box_convergence_study, eigen_count_below, lanczos_lowest)
 
 import oracles
 
@@ -59,20 +59,30 @@ def test_grid_validation(heis):
     assert spectral.Grid3 is forms.QuadratureGrid
 
 
-def test_derivative_probes(heis):
-    g = Grid3(heis, 1.0, 1.0, 12, 12)
+@pytest.mark.parametrize("name, nx", [("heis", 12), ("quaternion", 4)])
+def test_operator_annihilates_constants_and_coordinates(name, nx, request):
+    """sum_j D_j^T D_j u = 0 for u = 1, x_j, t_k wherever both neighbours along
+    every axis are nodes: D_j u is constant in x_j and t there (X_j t_k =
+    (1/2)(J_k x)_j does not depend on x_j), so the backward difference cancels."""
+    s = request.getfixturevalue(name)
+    g = Grid3(s, 1.0, 1.0, nx, nx)
     x, t = g.nodes()
+    op = assemble_operator(3.0, s, g, potential=lambda x, t: np.zeros(x.shape[0]))
     inner = interior_mask(g, layers=1)
-    d0 = assemble_derivative(heis, g, 0)
-    const = np.ones(g.dim)
-    assert np.max(np.abs((d0 @ const)[: g.dim][inner])) == 0.0
-    lin = x[:, 0]
-    assert np.max(np.abs((d0 @ lin)[: g.dim][inner] - 1.0)) <= 1e-12
-    probe_t = t[:, 0]
-    expect = x[:, 1] / 2.0
-    assert np.max(np.abs((d0 @ probe_t)[: g.dim][inner] - expect[inner])) <= 1e-12
-    with pytest.raises(ValueError):
-        assemble_derivative(heis, g, 5)
+    assert np.any(inner)
+    for u in [np.ones(g.dim), *x.T, *t.T]:
+        assert np.max(np.abs((op.matrix @ u)[inner])) <= 1e-12
+
+
+def test_assembly_refuses_grid_of_other_dimensions(heis, aniso):
+    """A grid built for another structure is refused, also with a custom
+    potential, which checks no dims itself."""
+    n1m2 = MetivierStructure(n=1, m=2, maps=np.stack([np.array([[0.0, 1.0], [-1.0, 0.0]])] * 2))
+    g = Grid3(heis, 1.0, 1.0, 4, 4)
+    for other in (aniso, n1m2):
+        for potential in (None, lambda x, t: np.ones(x.shape[0])):
+            with pytest.raises(ValueError, match="dim"):
+                assemble_operator(3.0, other, g, potential=potential)
 
 
 def test_assembly_psd_and_symmetric(heis):

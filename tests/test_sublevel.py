@@ -138,21 +138,26 @@ def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, draw
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 8.0])
 def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
-    """Where the jet's intermediates leave the double range (N near 1e60 by
-    the axis, where it reads V = 0 though the closed form is 2e-80 at alpha 3)
-    the jet still decides, so membership stays the jet's."""
+    """Where the closed form's intermediates leave their safe range but the
+    jet's stay normal (N up to 1e50 by the axis) the jet decides, so
+    membership stays the jet's.  Past that (N^6 beyond the double range) the
+    jet raises, and so does membership."""
     for s in (heis, quaternion):
-        scales = 10.0 ** np.arange(-80.0, 81.0, 10.0)
-        x = np.zeros((scales.size * 3, s.horizontal_dim))
-        t = np.zeros((scales.size * 3, s.m))
-        x[:, 0] = np.concatenate([scales, 1e-40 * scales ** 0.5, 1e-100 * scales])
-        t[:, 0] = np.concatenate([0.0 * scales, scales, 0.25 * scales ** 2])
-        for level in (0.0, 1e-300, -1e-300, 1.0):
-            spec = SublevelSpec(alpha, level)
-            with np.errstate(all="ignore"):
-                expected = oracles.jet_membership(spec, s, x, t)
-                got = in_sublevel_xt(spec, s, x, t)
-            assert got.tolist() == expected.tolist()
+        for scale in 10.0 ** np.arange(-80.0, 81.0, 10.0):
+            x = np.zeros((3, s.horizontal_dim))
+            t = np.zeros((3, s.m))
+            x[:, 0] = [scale, 1e-40 * scale ** 0.5, 1e-100 * scale]
+            t[:, 0] = [0.0, scale, 0.25 * scale ** 2]
+            for level in (0.0, 1e-300, -1e-300, 1.0):
+                spec = SublevelSpec(alpha, level)
+                with np.errstate(all="ignore"):
+                    if 1e-50 <= scale <= 1e50:
+                        expected = oracles.jet_membership(spec, s, x, t)
+                        assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
+                        continue
+                    for membership in (oracles.jet_membership, in_sublevel_xt):
+                        with pytest.raises(ValueError, match="double range"):
+                            membership(spec, s, x, t)
 
 
 def test_lower_envelope_is_lower_bound(heis, aniso):
