@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, _require_finite
+from .group import GroupPoint, MetivierStructure, _dot, _require_finite
 from .norms import _weight, weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
@@ -89,8 +89,8 @@ class SmoothBump:
         chain-rule factors dx = d s_x / d x = 2x/a^2 and dt = 2t/b^2."""
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        u = _profile(np.einsum("...i,...i->...", x, x) / self.x_radius ** 2, order)
-        v = _profile(np.einsum("...i,...i->...", t, t) / self.t_radius ** 2, order)
+        u = _profile(_dot(x, x) / self.x_radius ** 2, order)
+        v = _profile(_dot(t, t) / self.t_radius ** 2, order)
         if order == 0:
             return u, v, None, None
         return u, v, 2.0 * x / self.x_radius ** 2, 2.0 * t / self.t_radius ** 2
@@ -119,21 +119,23 @@ class SmoothBump:
         hxt = (u1 * v1)[..., None, None] * dx[..., :, None] * dt[..., None, :]
         return val, gx, gt, hxx, hxt, htt
 
-    def _sub_laplacian(self, s: MetivierStructure, x, t) -> np.ndarray:
-        """L psi from the profiles, without the Hessians of `derivatives`:
-        with c the X_j coefficients, dx, dt as in `_profiles` and |c|_F^2 = tr(c^T c),
+    def _value_and_sub_laplacian(self, s: MetivierStructure, x, t):
+        """(psi, L psi) from one evaluation of the profiles, without the Hessians
+        of `derivatives`: with c the X_j coefficients, dx, dt as in `_profiles`
+        and |c|_F^2 = tr(c^T c),
 
             -L psi = u'' v |dx|^2 + u' v (2/a^2) 2n + 2 u' v' dx . (c dt)
                      + u v'' |c dt|^2 + u v' (2/b^2) |c|_F^2.
         """
         (u, u1, u2), (v, v1, v2), dx, dt = self._profiles(x, t, 2)
         c = horizontal_coefficients(s, x)
-        c_dt = np.einsum("...jk,...k->...j", c, dt)
-        return -(u2 * v * np.einsum("...j,...j->...", dx, dx)
-                 + u1 * v * (2.0 / self.x_radius ** 2) * dx.shape[-1]
-                 + 2.0 * u1 * v1 * np.einsum("...j,...j->...", dx, c_dt)
-                 + u * v2 * np.einsum("...j,...j->...", c_dt, c_dt)
-                 + u * v1 * (2.0 / self.t_radius ** 2) * np.einsum("...jk,...jk->...", c, c))
+        c_dt = _dot(c, dt[..., None, :])
+        c_flat = np.swapaxes(c, -1, -2).reshape(c.shape[:-2] + (s.m * s.horizontal_dim,))
+        return u * v, -(u2 * v * _dot(dx, dx)
+                        + u1 * v * (2.0 / self.x_radius ** 2) * dx.shape[-1]
+                        + 2.0 * u1 * v1 * _dot(dx, c_dt)
+                        + u * v2 * _dot(c_dt, c_dt)
+                        + u * v1 * (2.0 / self.t_radius ** 2) * _dot(c_flat, c_flat))
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,7 @@ class TranslatedBump:
     def _jacobian_tx(self) -> np.ndarray:
         """G with G[k, i] = d t_q[k] / d x[i] = -(1/2) (J_k xc)_i."""
         xc = self.translation.x
-        return -0.5 * np.einsum("kij,j->ki", self.structure.maps, xc)
+        return -0.5 * self.structure.apply_maps(xc)
 
     def value(self, x, t) -> np.ndarray:
         xq, tq = self._pullback(x, t)
@@ -178,13 +180,13 @@ class TranslatedBump:
     def gradient(self, x, t):
         xq, tq = self._pullback(x, t)
         val, gx, gt = self.bump.gradient(xq, tq)
-        return val, gx + np.einsum("ki,...k->...i", self._jacobian_tx(), gt), gt
+        return val, gx + _dot(self._jacobian_tx().T, gt[..., None, :]), gt
 
     def derivatives(self, x, t):
         xq, tq = self._pullback(x, t)
         val, gx, gt, hxx, hxt, htt = self.bump.derivatives(xq, tq)
         g = self._jacobian_tx()
-        gx_p = gx + np.einsum("ki,...k->...i", g, gt)
+        gx_p = gx + _dot(g.T, gt[..., None, :])
         # Hess_f = DA^T Hess_psi DA with DA = [[I, 0], [G, I]]:
         #   Hxx_f = Hxx + G^T Htx + Hxt G + G^T Htt G,  Hxt_f = Hxt + G^T Htt
         htt_g = np.einsum("...kl,lj->...kj", htt, g)
@@ -199,14 +201,14 @@ class TranslatedBump:
 def horizontal_coefficients(s: MetivierStructure, x) -> np.ndarray:
     """c with c[..., j, k] = (1/2)(J_k x)_j, the d/dt_k coefficient of X_j."""
     s.check_dims(x)
-    return 0.5 * np.einsum("kji,...i->...jk", s.maps, np.asarray(x, dtype=float))
+    return 0.5 * np.swapaxes(s.apply_maps(x), -1, -2)
 
 
 def _value_and_horizontal_gradient(s: MetivierStructure, f, x, t):
     """(f, (X_1 f, ..., X_{2n} f)) at each point, from one `f.gradient` call."""
     s.check_dims(x, t)
     val, gx, gt = f.gradient(x, t)
-    return val, gx + np.einsum("...jk,...k->...j", horizontal_coefficients(s, x), gt)
+    return val, gx + _dot(horizontal_coefficients(s, x), gt[..., None, :])
 
 
 def horizontal_gradient(s: MetivierStructure, f, x, t) -> np.ndarray:
@@ -222,7 +224,7 @@ def sub_laplacian_apply(s: MetivierStructure, f, x, t) -> np.ndarray:
     """
     s.check_dims(x, t)
     if isinstance(f, SmoothBump):
-        return f._sub_laplacian(s, x, t)
+        return f._value_and_sub_laplacian(s, x, t)[1]
     _, _, _, hxx, hxt, htt = f.derivatives(x, t)
     c = horizontal_coefficients(s, x)
     term1 = np.einsum("...jj->...", hxx)
@@ -359,7 +361,7 @@ def dirichlet_form(alpha: float, s: MetivierStructure, f,
 
     def energy(b, x, t):
         hg = horizontal_gradient(s, f, x, t)
-        return np.einsum("si,si->s", hg, hg) @ weight_xt(alpha, x, t)
+        return _dot(hg, hg) @ weight_xt(alpha, x, t)
     return float(_node_sum(grid, energy) * grid.cell_volume)
 
 
@@ -385,8 +387,8 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         g = _weight_terms(alpha, jet)[0]
         shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(jet)
         phi = val * np.sqrt(w)
-        return np.array([np.einsum("si,si->s", hg, hg) @ w,
-                         np.einsum("si,si->s", shifted, shifted) @ w
+        return np.array([_dot(hg, hg) @ w,
+                         _dot(shifted, shifted) @ w
                          + (phi * phi) @ _potential(alpha, jet)])
     lhs, rhs = _node_sum(grid, sides) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
@@ -426,7 +428,7 @@ def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGr
     val, lpsi = np.empty(grid.dim), np.empty(grid.dim)
 
     def fill(b, x, t):
-        val[b], lpsi[b] = psi.value(x, t), sub_laplacian_apply(s, psi, x, t)
+        val[b], lpsi[b] = psi._value_and_sub_laplacian(s, x, t)
         return np.array([np.sum(val[b] * val[b]), np.sum(lpsi[b] * lpsi[b])])
     norms_sq = _node_sum(grid, fill) * grid.cell_volume
     return val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)

@@ -36,6 +36,20 @@ def _require_finite(name: str, value: float, positive: bool = False):
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _dot(a, b) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i], broadcast over the leading axes; the terms
+    are added in index order, so the sum is the same on every numpy build."""
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total += a[..., i] * b[..., i]
+    return total
+
+
+def _scaled(x, j: int, c: float):
+    """c x[..., j]; a coefficient of +-1 is a view or a negation."""
+    return x[..., j] if c == 1.0 else -x[..., j] if c == -1.0 else c * x[..., j]
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.asarray(a, dtype=float).copy()
     out.flags.writeable = False
@@ -100,9 +114,32 @@ class MetivierStructure:
         est = verify_metivier(self, samples=10_000, seed=0)
         return est.c0, est.C0
 
+    @cached_property
+    def _map_plan(self) -> tuple:
+        """For each (k, i), the nonzero entries (j, J_k[i, j]) of that row in j order."""
+        return tuple(tuple(tuple((j, float(c)) for j, c in enumerate(row) if c != 0.0)
+                           for row in jk)
+                     for jk in self.maps)
+
+    def apply_maps(self, x) -> np.ndarray:
+        """J_k x for every k, shape (..., m, 2n), from `_map_plan`.
+
+        Each row adds its nonzero terms in j order; a coefficient of +-1 is a
+        copy or a negation, and a row with no nonzero entry is zeros.
+        """
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[:-1] + (self.m, self.horizontal_dim))
+        for k, rows in enumerate(self._map_plan):
+            for i, row in enumerate(rows):
+                o = out[..., k, i]
+                o[...] = _scaled(x, *row[0]) if row else 0.0
+                for term in row[1:]:
+                    o += _scaled(x, *term)
+        return out
+
     def check_dims(self, x, t=None):
         """Refuse coordinates whose trailing axes are not (2n,) and (m,), x alone if t
-        is None: a wrong length would broadcast through the einsums on `maps`."""
+        is None: a wrong length would broadcast through `apply_maps`."""
         if np.shape(x)[-1:] != (self.horizontal_dim,) or (
                 t is not None and np.shape(t)[-1:] != (self.m,)):
             raise ValueError(f"coordinate dims {np.shape(x)}/{np.shape(t)} do not match "
@@ -182,8 +219,7 @@ def product(s: MetivierStructure, x1, t1, x2, t2):
     t2 = np.asarray(t2, dtype=float)
     s.check_dims(x1, t1)
     s.check_dims(x2, t2)
-    jk_x1 = np.einsum("kij,...j->...ki", s.maps, x1)
-    central = 0.5 * np.einsum("...ki,...i->...k", jk_x1, x2)
+    central = 0.5 * _dot(s.apply_maps(x1), x2[..., None, :])
     return x1 + x2, t1 + t2 + central
 
 

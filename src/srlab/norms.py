@@ -13,16 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, _require_finite, product
+from .group import GroupPoint, MetivierStructure, _dot, _require_finite, product
 
 
 def _radial(x, t):
-    """(x, t, |x|^2, N) as float arrays: the one place N is computed."""
+    """(x, t, |x|^2, N) as float arrays: the one place N is computed.  A point whose
+    |x|^4 + 16 |t|^2 overflows (|x| above about 1e77, |t| above about 1e154)
+    raises ValueError."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    x2 = np.einsum("...i,...i->...", x, x)
-    t2 = np.einsum("...i,...i->...", t, t)
-    return x, t, x2, (x2 * x2 + 16.0 * t2) ** 0.25
+    try:
+        with np.errstate(over="raise"):
+            x2 = _dot(x, x)
+            return x, t, x2, (x2 * x2 + 16.0 * _dot(t, t)) ** 0.25
+    except FloatingPointError:
+        raise ValueError("N out of double range: |x|^4 + 16 |t|^2 overflows") from None
 
 
 def norm_xt(x, t) -> np.ndarray:

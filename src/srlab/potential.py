@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import (ConditionEstimate, MetivierStructure,
-                    _require_finite, exact_condition_extremes,
+                    _dot, _require_finite, exact_condition_extremes,
                     homogeneous_dimension, uniform_ball, unit_sample)
 from .norms import _radial, _weight, norm_xt
 
@@ -64,10 +64,10 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
 
     |grad_H N|^2 = N^{-6} (|x|^6 + 16 |J_t x|^2) and
     LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2);
-    J_t x = sum_k t_k J_k x reuses the J_k x of the sum.  A batch with a
-    point whose N^6 overflows or falls below the smallest normal double
-    (N outside about [2^-170, 2^170]) raises ValueError: there the
-    quotient would read a wrong finite value or NaN.
+    J_t x = sum_k t_k J_k x reuses the J_k x of the sum, which one
+    `apply_maps` call gives.  A batch with a point whose N^6 overflows or
+    falls below the smallest normal double (N outside about [2^-170, 2^170])
+    raises ValueError: there the quotient would read a wrong finite value or NaN.
     """
     s.check_dims(x, t)
     x, t, x2, n = _off_identity(x, t)
@@ -77,10 +77,11 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
     if np.any((n6 == np.inf) | (n6 < np.finfo(float).tiny)):
         raise ValueError("norm jet out of double range: N^6 overflows or underflows "
                          "(N outside about [2^-170, 2^170])")
-    jk_x = np.einsum("kij,...j->...ki", s.maps, x)
-    jt_x = np.einsum("...k,...ki->...i", t, jk_x)
-    gns = (x2 * x2 * x2 + 16.0 * np.einsum("...i,...i->...", jt_x, jt_x)) / n6
-    jk_sum = np.einsum("...ki,...ki->...", jk_x, jk_x)
+    jk_x = s.apply_maps(x)
+    jt_x = _dot(np.swapaxes(jk_x, -1, -2), t[..., None, :])
+    gns = (x2 * x2 * x2 + 16.0 * _dot(jt_x, jt_x)) / n6
+    jk_flat = jk_x.reshape(jk_x.shape[:-2] + (s.m * s.horizontal_dim,))
+    jk_sum = _dot(jk_flat, jk_flat)
     ln = 3.0 * gns / n - ((2.0 + 2.0 * s.n) * x2 + 2.0 * jk_sum) / n3
     return _NormJet(x, x2, n, jt_x, gns, ln)
 

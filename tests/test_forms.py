@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srlab import forms, norms, potential
+from srlab import forms, norms, potential, sublevel
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
                          _overlap_norm_sq, bump_profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
@@ -355,8 +355,10 @@ def test_weyl_residual_record(heis):
 
 
 def test_weyl_scan_evaluates_bump_once(heis, monkeypatch):
-    """Each translate reads psi and L psi off the base grid; only V_alpha moves."""
-    laplacians = count_calls(monkeypatch, "sub_laplacian_apply", forms)
+    """Each translate reads psi and L psi off the base grid; only V_alpha moves.
+    On a one-block grid both come from one evaluation of the bump's profiles."""
+    laplacians = count_calls(monkeypatch, "_value_and_sub_laplacian", SmoothBump)
+    profiles = count_calls(monkeypatch, "_profiles", SmoothBump)
     residuals = count_calls(monkeypatch, "weyl_residual", forms)
     # the overlap check is the one place translates are evaluated; stub it out
     overlaps = []
@@ -365,7 +367,7 @@ def test_weyl_scan_evaluates_bump_once(heis, monkeypatch):
                   for name in ("value", "derivatives")]
     n_values = [2, 3, 5, 8]
     weyl_scan(2.0, heis, SmoothBump(1.0, 1.0), n_values, QuadratureGrid(heis, 1.0, 1.0, 8, 8))
-    assert len(laplacians) == 1 and len(overlaps) == 1
+    assert len(laplacians) == 1 and len(profiles) == 1 and len(overlaps) == 1
     assert len(residuals) == len(n_values)
     assert translated == [[], []]
 
@@ -533,3 +535,27 @@ def test_quadrature_grid_validation(heis):
     base = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
     assert base.translated([2.0]).nodes()[1].min() > 0.0
     _overlap_norm_sq(heis, SmoothBump(1.0, 1.0), 2, QuadratureGrid(heis, 1.0, 1.0, 7, 8))
+
+
+@pytest.mark.parametrize("name", ["heis", "quaternion"])
+def test_per_node_kernels_do_not_call_einsum(name, request, monkeypatch):
+    """The pointwise kernels and the quadratures contract through `_dot` and
+    `apply_maps` only.  The structure is built before the patch, because its
+    H-type check is a per-structure einsum."""
+    s = request.getfixturevalue(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called on a per-node path")
+    monkeypatch.setattr(np, "einsum", refuse)
+    x, t = random_points(s, 64, seed=5, min_norm=0.1)
+    bump = SmoothBump(1.0, 1.0)
+    shifted = TranslatedBump(bump, s, GroupPoint(np.full(s.horizontal_dim, 0.5), np.ones(s.m)))
+    assert np.all(np.isfinite(potential.potential_value_xt(3.0, s, x, t)))
+    assert np.all(np.isfinite(norms.quasi_distance_xt(s, x[0], t[0], x, t)))
+    assert sublevel.in_sublevel_xt(sublevel.SublevelSpec(3.0, 1.0), s, x, t).shape == (len(x),)
+    for f in (bump, shifted):
+        assert horizontal_gradient(s, f, x, t).shape == x.shape
+    assert np.all(np.isfinite(sub_laplacian_apply(s, bump, x, t)))
+    grid = QuadratureGrid(s, 1.0, 1.0, 4, 4)
+    assert math.isfinite(conjugation_residual(3.0, s, bump, grid))
+    assert len(weyl_scan(2.0, s, bump, [2, 3], grid).records) == 2

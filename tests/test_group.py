@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab.forms import horizontal_coefficients
-from srlab.group import (GroupPoint, MetivierStructure, dilate,
+from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate,
                          exact_condition_extremes, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
                          product, unit_sample, verify_metivier)
@@ -241,3 +241,54 @@ def test_serialization_round_trip(aniso):
     assert back.h_type == aniso.h_type
     doc = json.loads(text)
     assert set(doc) == {"n", "m", "J", "h_type"}
+
+
+def _check_against_einsum(got, want, scale, exact: bool):
+    """Equal to the einsum when `exact`, else within 1e-14 of the row's absolute sum."""
+    assert got.shape == want.shape
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 40))
+def test_contraction_helpers_match_einsum(heis, aniso, quaternion, degenerate, data, seed, count):
+    """`_dot` and `apply_maps` against the einsums they replace: the same bits
+    when 2n = 2 and m = 1, and within 1e-14 of the row's absolute sum otherwise."""
+    s = data.draw(st.one_of(st.sampled_from([heis, aniso, quaternion, degenerate]),
+                            skew_structures(n_range=(1, 2), m_range=(1, 3))))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1))
+    x = rng.uniform(-2.0, 2.0, size=(count, s.horizontal_dim)) * scale
+    y = rng.uniform(-2.0, 2.0, size=(count, s.horizontal_dim)) * scale
+    t = rng.uniform(-2.0, 2.0, size=(count, s.m)) * scale ** 2
+    small = s.horizontal_dim == 2 and s.m == 1
+    _check_against_einsum(s.apply_maps(x), np.einsum("kij,...j->...ki", s.maps, x),
+                          np.einsum("kij,...j->...ki", np.abs(s.maps), np.abs(x)), small)
+    for a, b, exact in ((x, x, s.horizontal_dim == 2), (x, y, s.horizontal_dim == 2),
+                        (t, t, s.m == 1)):
+        _check_against_einsum(_dot(a, b), np.einsum("...i,...i->...", a, b),
+                              np.einsum("...i,...i->...", np.abs(a), np.abs(b)), exact)
+
+
+def test_contraction_helpers_edge_cases(heis, aniso, quaternion, degenerate):
+    """An empty batch, a single point against a batch, and an all-zero map row."""
+    for s in (heis, aniso, quaternion, degenerate):
+        d, m = s.horizontal_dim, s.m
+        assert s.apply_maps(np.zeros((0, d))).shape == (0, m, d)
+        assert _dot(np.zeros((0, d)), np.zeros((0, d))).shape == (0,)
+        px, pt = product(s, np.zeros((0, d)), np.zeros((0, m)), np.zeros((0, d)), np.zeros((0, m)))
+        assert px.shape == (0, d) and pt.shape == (0, m)
+        x, t = random_points(s, 50, seed=11)
+        for (x1, t1), (x2, t2) in (((x[0], t[0]), (x, t)), ((x, t), (x[0], t[0]))):
+            got = product(s, x1, t1, x2, t2)
+            rows = [product(s, *(np.broadcast_to(a, x.shape[:1] + a.shape[-1:])[i]
+                                 for a in (x1, t1, x2, t2))) for i in range(50)]
+            assert np.array_equal(got[0], np.array([r[0] for r in rows]))
+            assert np.array_equal(got[1], np.array([r[1] for r in rows]))
+        assert s.apply_maps(x[0]).shape == (m, d)
+        assert np.array_equal(s.apply_maps(x[0]), s.apply_maps(x)[0])
+    zero_rows = degenerate.apply_maps(random_points(degenerate, 50, seed=12)[0])[:, 0, 2:]
+    assert np.all(zero_rows == 0.0) and not np.any(np.signbit(zero_rows))

@@ -7,6 +7,8 @@ from srlab.group import GroupPoint, dilate, identity, inverse, point, product
 from srlab.norms import (BallSpec, estimate_gamma, in_ball_xt, norm_xt,
                          quasi_distance_xt, weight_xt)
 
+from srlab.potential import potential_value_xt
+
 from conftest import random_points
 
 
@@ -117,3 +119,18 @@ def test_gamma_monotone_in_samples(heis):
     assert again.gamma_hat == large.gamma_hat
     with pytest.raises(ValueError, match="samples"):
         estimate_gamma(heis, 0)
+
+
+def test_norm_refuses_squares_past_double_range(heis):
+    """|x|^4 or 16 |t|^2 past the double range raises ValueError, not an overflow
+    warning; |x| = 1e76 and |t| = 1e150 still give the squares' finite N."""
+    for x, t in (([[1e80, 0.0]], [[0.0]]), ([[0.0, 1.0]], [[1e160]])):
+        with pytest.raises(ValueError, match="double range"):
+            norm_xt(x, t)
+        with pytest.raises(ValueError, match="double range"):
+            potential_value_xt(3.0, heis, x, t)
+    for x, t in (([[1e76, 0.0]], [[0.0]]), ([[0.0, 1.0]], [[1e150]])):
+        x, t = np.array(x), np.array(t)
+        x2, t2 = np.einsum("...i,...i->...", x, x), np.einsum("...i,...i->...", t, t)
+        n = norm_xt(x, t)
+        assert np.all(np.isfinite(n)) and np.array_equal(n, (x2 * x2 + 16.0 * t2) ** 0.25)
