@@ -31,7 +31,7 @@ from .group import GroupPoint, MetivierStructure, _dot, _require_finite
 from .norms import _weight, weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
-                        potential_value_xt)
+                        potential_closed_form_xt, potential_value_xt)
 
 _BLOCK = 1 << 14
 
@@ -442,17 +442,22 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     `grid` is the base grid for psi around the identity; the riding grid is
     its translate by the central element (0, n u_1), so by left invariance
     psi_n and L psi_n there are exactly psi and L psi on `grid`, and only
-    V_alpha is evaluated at the riding nodes.  The overlap check is
-    `_overlap_norm_sq`, which for the same reason does not depend on n.
-    `weyl_scan` passes them through `_base`.
+    V_alpha is evaluated at the riding nodes: on an H-type structure by the
+    closed form `potential_closed_form_xt` from |x|^2 and N, which criterion 3
+    binds to the norm jet within 1e-12, and otherwise by the jet,
+    `potential_value_xt`.  The overlap check is `_overlap_norm_sq`, which for
+    the same reason does not depend on n.  `weyl_scan` passes them through
+    `_base`.  The index, lam and alpha are checked before the base is built.
     """
     _require_translate(n)
     _require_finite("lam", lam)
+    _require_finite("alpha", alpha, positive=True)
     val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
     moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
+    v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
 
     def res_sq(b, x, t):
-        r = lam * val[b] + lpsi[b] + potential_value_xt(alpha, s, x, t) * val[b]
+        r = lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t) * val[b]
         return np.sum(r * r)
     res = _node_sum(moved, res_sq) * moved.cell_volume
     return WeylRecord(n_index=n, residual=float(np.sqrt(res)), psi_norm=float(np.sqrt(norms_sq[0])),
@@ -518,6 +523,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
         raise ValueError("need at least one translate index in n_values")
     for n in n_values:
         _require_translate(n)
+    _require_finite("alpha", alpha, positive=True)
     base = _weyl_base(s, psi, n_values[0], grid)   # refuses an oversized grid before sampling
     sup_c = cylinder_sup_potential(alpha, s, seed=seed)
     if lam is None:

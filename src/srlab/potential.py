@@ -152,10 +152,16 @@ def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     return _potential(alpha, _norm_jet(s, x, t))
 
 
+def _envelope_terms(c1: float, c2: float, alpha: float, n):
+    """(c1 N^{2a-4}, c2 N^{a-4}), the two terms of `_envelope_factor`."""
+    return c1 * n ** (2.0 * alpha - 4.0), c2 * n ** (alpha - 4.0)
+
+
 def _envelope_factor(c1: float, c2: float, alpha: float, n):
     """c1 N^{2a-4} - c2 N^{a-4}: the sandwich bounds and the H-type closed form
     of V_alpha are |x|^2 times this factor."""
-    return c1 * n ** (2.0 * alpha - 4.0) - c2 * n ** (alpha - 4.0)
+    lead, tail = _envelope_terms(c1, c2, alpha, n)
+    return lead - tail
 
 
 def _turning_point(c1: float, c2: float, alpha: float, k: int) -> float:
@@ -177,10 +183,19 @@ def _closed_form_coeffs(alpha: float, s: MetivierStructure):
 
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
-    """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2."""
+    """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2.
+
+    alpha is checked as `potential_value_xt` checks it, and a batch whose
+    terms overflow to a non-finite value raises ValueError.
+    """
+    _require_finite("alpha", alpha, positive=True)
     s.check_dims(x, t)
     _, _, x2, n = _off_identity(x, t)
-    return x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("closed form out of double range: a term of V_alpha overflows")
+    return v
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ import numpy as np
 from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import _radial, norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, _AtIdentity, _closed_form_coeffs,
-                        _envelope_factor, _turning_point, fit_loglog_slope,
-                        potential_bounds, potential_value_xt)
+                        _envelope_factor, _envelope_terms, _turning_point,
+                        fit_loglog_slope, potential_bounds, potential_value_xt)
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
 
@@ -156,8 +156,7 @@ def _closed_form_decides(spec: SublevelSpec, s: MetivierStructure, x2, n):
     c1, c2 = _closed_form_coeffs(a, s)
     reach = 2.0 ** (450.0 / (2.0 * a + 8.0))
     with np.errstate(all="ignore"):
-        lead = c1 * n ** (2.0 * a - 4.0)
-        tail = c2 * n ** (a - 4.0)
+        lead, tail = _envelope_terms(c1, c2, a, n)
         v = x2 * (lead - tail)
         clear = np.abs(v - spec.level) > 1e-9 * x2 * (lead + tail)
     return clear & (n >= 1.0 / reach) & (n <= reach) & (x2 >= 2.0 ** -450), v

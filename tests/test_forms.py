@@ -453,22 +453,46 @@ def test_blocks_concatenate_to_nodes(heis, quaternion):
 
 def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
     """Dirichlet form, conjugation residual and Weyl records agree with one
-    whole-grid sum: 1e-12 relative, the residual |lhs - rhs| 1e-15 absolute."""
+    whole-grid sum: 1e-12 relative, the residual |lhs - rhs| 1e-15 absolute.
+    The oracle's V_alpha is the norm jet, so on these H-type structures the
+    Weyl records also bind the closed form of the riding passes to it, for
+    alpha below, at and above 2 and translates up to 64."""
     bump = SmoothBump(1.0, 1.0)
-    cases = ((heis, QuadratureGrid(heis, 1.0, 1.0, 30, 30), [2, 5, 17]),
-             (quaternion, _quaternion_grid(quaternion), [2, 4]))
+    cases = ((heis, QuadratureGrid(heis, 1.0, 1.0, 30, 30), [2, 5, 17, 64]),
+             (quaternion, _quaternion_grid(quaternion), [2, 4, 64]))
     for s, grid, n_values in cases:
         assert grid.dim > forms._BLOCK
         assert dirichlet_form(2.5, s, bump, grid) == pytest.approx(
             oracles.unblocked_dirichlet_form(2.5, s, bump, grid), rel=1e-12, abs=0.0)
         assert conjugation_residual(3.0, s, bump, grid) == pytest.approx(
             oracles.unblocked_conjugation_residual(3.0, s, bump, grid), rel=0.0, abs=1e-15)
-        scan = weyl_scan(1.5, s, bump, n_values, grid)
-        want = oracles.unblocked_weyl_records(1.5, s, bump, n_values, grid, scan.lam)
-        for rec, (n, residual, psi_norm, overlap) in zip(scan.records, want, strict=True):
-            assert rec.n_index == n
-            assert (rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
-                (residual, psi_norm, overlap), rel=1e-12, abs=0.0)
+        for alpha in (1.0, 1.5, 2.5, 4.0):
+            scan = weyl_scan(alpha, s, bump, n_values, grid)
+            want = oracles.unblocked_weyl_records(alpha, s, bump, n_values, grid, scan.lam)
+            for rec, (n, residual, psi_norm, overlap) in zip(scan.records, want, strict=True):
+                assert rec.n_index == n
+                assert (rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
+                    (residual, psi_norm, overlap), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["heis", "quaternion", "aniso"])
+def test_weyl_riding_pass_takes_closed_form_on_h_type(name, request, monkeypatch):
+    """With the base given, an H-type riding pass evaluates V_alpha from |x|^2
+    and N only, never the norm jet; a structure without the flag goes through
+    `potential_value_xt`, once per block."""
+    s = request.getfixturevalue(name)
+    grid = QuadratureGrid(s, 1.0, 1.0, 6, 6)
+    bump = SmoothBump(1.0, 1.0)
+    base = forms._weyl_base(s, bump, 2, grid)
+    jet_calls = count_calls(monkeypatch, "_norm_jet", potential, forms)
+    value_calls = count_calls(monkeypatch, "potential_value_xt", forms)
+    rec = weyl_residual(1.5, s, bump, 2, 1.0, grid, _base=base)
+    assert math.isfinite(rec.residual)
+    blocks = -(-grid.dim // forms._BLOCK)
+    if s.h_type:
+        assert jet_calls == [] and value_calls == []
+    else:
+        assert len(value_calls) == len(jet_calls) == blocks
 
 
 def _traced_peak(fn, *args):
@@ -516,6 +540,20 @@ def test_weyl_scan_checks_indices_first(heis, monkeypatch):
     for n_values in ([1, 2], [2, 8, 1]):
         with pytest.raises(ValueError, match=r"n >= 2"):
             weyl_scan(1.5, heis, SmoothBump(1.0, 1.0), n_values, grid)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_weyl_checks_alpha_before_the_base(heis, monkeypatch, alpha):
+    """A bad alpha raises before psi, L psi and the overlap grid are built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the Weyl base was built before alpha was checked")
+
+    monkeypatch.setattr(forms, "_weyl_base", fail)
+    grid = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
+    with pytest.raises(ValueError, match="alpha"):
+        weyl_residual(alpha, heis, SmoothBump(1.0, 1.0), 2, 1.0, grid)
+    with pytest.raises(ValueError, match="alpha"):
+        weyl_scan(alpha, heis, SmoothBump(1.0, 1.0), [2, 4], grid)
 
 
 def test_quadrature_grid_validation(heis):

@@ -195,7 +195,10 @@ def test_norm_jet_refuses_scales_past_double_range(heis):
     """A batch with a point whose N^6 overflows raises: N = 1e60 with
     |x| = 1e-100 (V read -0.0 where the closed form gives 2.25e-80) and
     N = 1e52 (V read NaN).  So does one whose N^6 underflows (N = 1e-60).
-    N of 2e50 and 1e45 still match the closed form."""
+    N of 2e50 and 1e45 still match the closed form.  The closed form raises
+    on a batch where c1 N^{2a-4} overflows (alpha 200 at N = 1e3) or |x|^2
+    times it does (alpha 4 at |x| = 1e60, N = 2e75), not a RuntimeWarning,
+    inf or NaN."""
     for x, t in (([1e-100, 0.0], [2.5e119]), ([1e52, 0.0], [0.0]), ([1e-60, 0.0], [0.0])):
         with pytest.raises(ValueError, match="double range"):
             potential_value_xt(3.0, heis, [x], [t])
@@ -204,6 +207,10 @@ def test_norm_jet_refuses_scales_past_double_range(heis):
     for x, t in (([1.0, 2.0], [1e100]), ([1e45, 0.0], [0.0])):
         v = float(potential_value_xt(3.0, heis, x, t))
         assert v == pytest.approx(float(potential_closed_form_xt(3.0, heis, x, t)), rel=1e-14)
+    for alpha, x, t in ((200.0, [1e3, 0.0], [0.0]), (4.0, [1e60, 0.0], [1e150])):
+        with pytest.raises(ValueError, match="closed form out of double range"):
+            potential_closed_form_xt(alpha, heis, [[1.0, 0.5], x], [[0.25], t])
+        assert np.all(np.isfinite(potential_closed_form_xt(alpha, heis, [[1.0, 0.5]], [[0.25]])))
 
 
 def test_potential_bounds_constants(heis):
@@ -440,7 +447,8 @@ def test_sandwich_random_one_dimensional_centre(s, alpha, seed):
 def test_kernels_reject_non_finite_alpha(heis):
     x, t = random_points(heis, 10, seed=12)
     for alpha in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-        for kernel in (potential_value_xt, grad_weight_xt, laplacian_weight_xt):
+        for kernel in (potential_value_xt, potential_closed_form_xt,
+                       grad_weight_xt, laplacian_weight_xt):
             with pytest.raises(ValueError, match="alpha"):
                 kernel(alpha, heis, x, t)
         with pytest.raises(ValueError, match="alpha"):
