@@ -510,11 +510,12 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
 
         (|lam| + C) ||psi||_2 + ||L psi||_2,   C = sup_cylinder |V_alpha|,
 
-    which controls every n >= 2 when alpha <= 2.  When lam is None it
-    defaults to 1 + max(0, -floor(V_alpha)) for alpha >= 2 and to 1 + C for
-    alpha < 2 (any resolvent-set shift works; the choice is recorded).
-    psi, L psi and the overlap check are computed once, on `grid`, for all
-    translates; an empty `n_values` raises ValueError.
+    which controls every n >= 2 when alpha <= 2; C comes from the sandwich, so
+    the bound is as rigorous as its constants.  When lam is None it defaults
+    to 1 + max(0, -floor(V_alpha)) for alpha >= 2 and to 1 + C for alpha < 2
+    (any resolvent-set shift works; the choice is recorded).  psi, L psi and
+    the overlap check are computed once, on `grid`, for all translates, after
+    the indices (at least one), alpha and a given lam are checked.  `seed` has no effect.
     """
     from .potential import cylinder_sup_potential, potential_bounds, sandwich_floor
 
@@ -524,14 +525,15 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     for n in n_values:
         _require_translate(n)
     _require_finite("alpha", alpha, positive=True)
-    base = _weyl_base(s, psi, n_values[0], grid)   # refuses an oversized grid before sampling
-    sup_c = cylinder_sup_potential(alpha, s, seed=seed)
+    if lam is not None:
+        _require_finite("lam", lam)
+    base = _weyl_base(s, psi, n_values[0], grid)
+    sup_c = cylinder_sup_potential(alpha, s)
     if lam is None:
         if alpha >= 2:
             lam = 1.0 + max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
         else:
             lam = 1.0 + sup_c
-    _require_finite("lam", lam)
     psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[2]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]

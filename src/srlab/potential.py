@@ -10,7 +10,7 @@ weight w_alpha = exp(-N^alpha), the potential
 
 its two-sided polynomial sandwich with explicit constants, and diagnostics
 (essential infimum, admissibility probes for uniqueness of the self-adjoint
-extension, sup of |V_alpha| on the unit cylinder).
+extension, sup of |V_alpha| on the unit cylinder from the sandwich).
 
 Every consumer, here and in `forms` and `sublevel`, evaluates the norm jet
 `_norm_jet` at most once per batch, and each formula is written once.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .group import (ConditionEstimate, MetivierStructure,
                     _dot, _require_finite, exact_condition_extremes,
-                    homogeneous_dimension, uniform_ball, unit_sample)
+                    homogeneous_dimension, unit_sample)
 from .norms import _radial, _weight, norm_xt
 
 
@@ -164,15 +164,26 @@ def _envelope_factor(c1: float, c2: float, alpha: float, n):
     return lead - tail
 
 
-def _turning_point(c1: float, c2: float, alpha: float, k: int) -> float:
-    """Minimiser of N^k (c1 N^{2a-4} - c2 N^{a-4}) on N > 0 for alpha > 2, k in {0, 2}.
+def _stationary_power(c1: float, c2: float, alpha: float, k: int) -> float:
+    """N^a = c2 (a-4+k) / (c1 (2a-4+k)), where N^k (c1 N^{2a-4} - c2 N^{a-4}) is stationary."""
+    return c2 * (alpha - 4.0 + k) / (c1 * (2.0 * alpha - 4.0 + k))
 
-    The stationary point N^a = c2 (a-4+k) / (c1 (2a-4+k)) when a > 4 - k;
-    0.0 when a <= 4 - k, where N^k times the factor is increasing.
-    """
+
+def _turning_point(c1: float, c2: float, alpha: float, k: int) -> float:
+    """Minimiser of N^k (c1 N^{2a-4} - c2 N^{a-4}) on N > 0 for alpha > 2, k in {0, 2}:
+    `_stationary_power` ** (1/a) when a > 4 - k, else 0.0 (the product increases)."""
     if alpha <= 4.0 - k:
         return 0.0
-    return (c2 * (alpha - 4.0 + k) / (c1 * (2.0 * alpha - 4.0 + k))) ** (1.0 / alpha)
+    return _stationary_power(c1, c2, alpha, k) ** (1.0 / alpha)
+
+
+def _factor_sup(c1: float, c2: float, alpha: float) -> float:
+    """sup over N >= 1 of |f| = |c1 N^{2a-4} - c2 N^{a-4}| for 0 < alpha <= 2: at N = 1,
+    at the stationary point N^a = u when u > 1 and alpha < 2, where
+    f = u^{(a-4)/a} (c1 u - c2) (u^{1/a} may overflow), or as N -> inf (c1 at a = 2, else 0)."""
+    u = _stationary_power(c1, c2, alpha, 0) if alpha < 2 else 0.0
+    peak = abs(u ** ((alpha - 4.0) / alpha) * (c1 * u - c2)) if u > 1.0 else 0.0
+    return max(abs(_envelope_factor(c1, c2, alpha, 1.0)), c1 if alpha == 2 else 0.0, peak)
 
 
 def _closed_form_coeffs(alpha: float, s: MetivierStructure):
@@ -486,35 +497,17 @@ def admissibility_report(alpha: float, s: MetivierStructure,
     )
 
 
-def cylinder_sup_potential(alpha: float, s: MetivierStructure,
-                           samples: int = 200_000, seed: int = 0,
-                           t_cap: float = 100.0) -> float:
-    """sup |V_alpha| over the cylinder {|x| <= 1, N >= 1}.
+def cylinder_sup_potential(alpha: float, s: MetivierStructure) -> float:
+    """sup |V_alpha| over the cylinder {|x| <= 1, N >= 1}; inf for alpha > 2.
 
-    Finite precisely when alpha <= 2.  On H-type structures it is exact:
-    |V_alpha| = |x|^2 |f(N)| with f = c1 N^{2a-4} - c2 N^{a-4} the closed
-    form, which on N >= 1 rises from f(1) = c1 - c2 < 0 to one positive peak
-    below c1 (the limit c1 at a = 2), and c1 <= c2 - c1 because Q >= 2.  So
-    the sup is |f(1)|, attained at |x| = N = 1.  Otherwise the result is a
-    sampled lower estimate: the max of |V_alpha| over samples of the cylinder
-    with |t| <= t_cap and over the sphere {|x| = 1, t = 0}, where it is exact.
+    |V_alpha| <= |x|^2 |f(N)| for one of the two sandwich factors f of
+    `potential_bounds`, and |x| = 1 reaches every N >= 1: the larger `_factor_sup`.
+    Rigorous wherever the constants are: H-type (exact, (a/2)(Q - 2 + a/2) at
+    |x| = N = 1) and m = 1; heuristic for m >= 2 off H-type (sampled constants).
     """
     _require_finite("alpha", alpha, positive=True)
-    _require_finite("t_cap", t_cap, positive=True)
     if alpha > 2:
         return math.inf
-    if s.h_type:
-        return abs(_envelope_factor(*_closed_form_coeffs(alpha, s), alpha, 1.0))
-    # at t = 0 and |x| = 1, N = |grad_H N| = 1 and V_alpha is affine in
-    # x^T (sum_k J_k^T J_k) x, so its extremes on that sphere sit at the
-    # eigenvectors of the smallest and largest eigenvalue
-    axes = np.linalg.eigh(np.einsum("kji,kjl->il", s.maps, s.maps))[1][:, [0, -1]].T
-    exact = np.abs(_potential(alpha, _norm_jet(s, axes, np.zeros((2, s.m))))).max()
-    rng = np.random.default_rng(seed)
-    x = uniform_ball(rng, samples, s.horizontal_dim, 1.0)
-    t = unit_sample(rng, samples, s.m) * rng.uniform(0.0, t_cap, size=(samples, 1))
-    jet = _norm_jet(s, x, t)
-    keep = jet.n >= 1.0
-    if not np.any(keep):
-        raise RuntimeError("no cylinder samples with N >= 1; increase samples")
-    return float(max(exact, np.abs(_potential(alpha, jet)[keep]).max()))
+    const = potential_bounds(alpha, None, s)
+    return max(_factor_sup(const.c_a1, const.c_a2, alpha),
+               _factor_sup(const.c_a3, const.c_a4, alpha))

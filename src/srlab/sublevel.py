@@ -431,7 +431,10 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     The tail beyond T gets an upper bound, finite exactly when
     ell > m / (n (alpha - 2)): `_tail_bound` sums the pointwise tube bound on
     a log grid at left nodes times each cell's largest rise, and bounds the
-    part beyond the grid by its geometric decay.
+    part beyond the grid by its geometric decay.  For ell = 2 the value is
+    biased upward by Var v_hat, v_hat a member's inner estimate (Jensen:
+    E[v_hat^2] = v^2 + Var v_hat), 0.2 % of the value and 8 % of `std_error`
+    at alpha 3, level 10, T 64 and 100k outer by 10k inner samples.
     """
     if spec.alpha <= 2:
         raise ValueError("thinness experiment requires alpha > 2")

@@ -190,6 +190,20 @@ def test_weyl_csv(tmp_path):
     assert code == 1 and payload == b""
 
 
+def test_weyl_seed_reaches_nothing(tmp_path, aniso):
+    """Off H-type too the Weyl scan samples nothing: --seed 1 and --seed 2
+    give the same rows."""
+    sf = tmp_path / "aniso.json"
+    sf.write_text(aniso.to_json())
+    rows = []
+    for seed in ("1", "2"):
+        code, payload = invoke(["weyl", "--structure", str(sf), "--alpha", "1.5", "--n-max", "4",
+                                "--grid", "8", "--seed", seed], tmp_path, f"w{seed}.csv")
+        assert code == 0
+        rows.append([ln for ln in payload.decode().splitlines() if not ln.startswith("#")])
+    assert rows[0] == rows[1] and len(rows[0]) == 3
+
+
 def test_byte_reproducibility(tmp_path):
     cmds = [
         ["verify", "--samples", "500", "--seed", "3"],

@@ -556,6 +556,28 @@ def test_weyl_checks_alpha_before_the_base(heis, monkeypatch, alpha):
         weyl_scan(alpha, heis, SmoothBump(1.0, 1.0), [2, 4], grid)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_weyl_checks_lam_before_the_base(heis, monkeypatch, lam):
+    """A given non-finite lam raises before the base and the cylinder sup."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the scan did work before lam was checked")
+
+    monkeypatch.setattr(forms, "_weyl_base", fail)
+    monkeypatch.setattr(potential, "cylinder_sup_potential", fail)
+    grid = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
+    with pytest.raises(ValueError, match="lam"):
+        weyl_scan(1.5, heis, SmoothBump(1.0, 1.0), [2, 4], grid, lam=lam)
+
+
+def test_weyl_bound_holds_off_h_type(aniso):
+    """On aniso the cylinder sup is the sandwich bound, so every residual of
+    the bounded branch stays below the scan's bound."""
+    grid = QuadratureGrid(aniso, 1.0, 1.0, 12, 12)
+    for alpha in (1.0, 1.5, 2.0):
+        scan = weyl_scan(alpha, aniso, SmoothBump(1.0, 1.0), [2, 4, 8, 16], grid)
+        assert all(r.residual <= scan.bound for r in scan.records), alpha
+
+
 def test_quadrature_grid_validation(heis):
     for bad in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="x_half"):

@@ -377,18 +377,49 @@ def test_cylinder_sup(heis, quaternion):
         assert np.max(sampled) <= sup * (1.0 + 1e-12)
 
 
-def test_cylinder_sup_sampled(aniso):
-    """Off H-type the cylinder is sampled: finite, seeded, and at least |V_alpha|
-    at the axis points |x| = N = 1.  The largest of those, at x = e3 (the
-    eigenvector of the largest eigenvalue of sum_k J_k^T J_k), is 5.25 at
-    alpha 1 and 11 at alpha 2, which the samples alone missed (3.97, 8.59)."""
-    e1 = np.array([[1.0, 0.0, 0.0, 0.0]])
-    for alpha, sphere_max in ((1.0, 5.25), (2.0, 11.0)):
-        sup = cylinder_sup_potential(alpha, aniso, seed=4)
-        assert math.isfinite(sup)
-        assert cylinder_sup_potential(alpha, aniso, seed=4) == sup
-        assert sup >= abs(potential_value_xt(alpha, aniso, e1, np.zeros((1, 1)))[0])
-        assert cylinder_sup_potential(alpha, aniso) >= sphere_max
+def test_cylinder_sup_from_the_sandwich_off_h_type(heis, aniso):
+    """Off H-type the sup is the sandwich bound.  On aniso (m = 1, exact
+    constants) it is |f_lo(1)| = c_a2 - c_a1, above the largest |V_alpha| at
+    the axis points |x| = N = 1, at x = e3 (5.25 at alpha 1, 11 at alpha 2)."""
+    for alpha, sup in ((0.5, 2.9375), (1.0, 6.75), (1.5, 11.4375), (2.0, 17.0)):
+        assert cylinder_sup_potential(alpha, aniso) == sup
+    e3 = np.array([[0.0, 0.0, 1.0, 0.0]])
+    for alpha, axis_max in ((1.0, 5.25), (2.0, 11.0)):
+        v_axis = potential_value_xt(alpha, aniso, e3, np.zeros((1, 1)))[0]
+        assert abs(v_axis) == pytest.approx(axis_max)
+        assert cylinder_sup_potential(alpha, aniso) >= axis_max
+    # the stationary point N^a = u sits past 1 here, and u^(1/a) would overflow
+    for s in (heis, aniso):
+        assert math.isfinite(cylinder_sup_potential(1e-3, s))
+
+
+def test_factor_sup_against_a_dense_grid():
+    """sup over N >= 1 of |c1 N^{2a-4} - c2 N^{a-4}| against N in [1, 1e8]: each
+    of f(1) (with c2 of either sign), the stationary peak and the alpha = 2
+    limit decides one case."""
+    ns = np.geomspace(1.0, 1e8, 200_001)
+    for c1, c2, alpha, sup in ((0.25, 7.0, 1.0, 6.75), (1.0, -3.5, 1.0, 4.5),
+                               (1.0, 0.8, 1.0, 0.4 / 1.2 ** 3), (1.0, 0.5, 2.0, 1.0)):
+        assert potential._factor_sup(c1, c2, alpha) == pytest.approx(sup, rel=1e-15)
+        f = c1 * ns ** (2.0 * alpha - 4.0) - c2 * ns ** (alpha - 4.0)
+        assert np.max(np.abs(f)) == pytest.approx(sup, rel=1e-6)
+        assert np.max(np.abs(f)) <= sup * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=skew_structures(m_range=(1, 1)), alpha=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cylinder_sup_bounds_random_one_dimensional_centre(s, alpha, seed):
+    """sup >= |V_alpha| at random cylinder points {|x| <= 1, N >= 1} of random
+    m = 1 structures, half of them on |x| = 1, with |t| over 40 decades."""
+    assume(exact_condition_extremes(s)[0] >= 0.05 ** 2)   # smallest singular value >= 0.05
+    rng = np.random.default_rng(seed)
+    x = uniform_ball(rng, 4000, s.horizontal_dim, 1.0)
+    x[::2] /= np.linalg.norm(x[::2], axis=1, keepdims=True)
+    t = rng.choice([-1.0, 1.0], size=(4000, 1)) * 10.0 ** rng.uniform(-3.0, 40.0, size=(4000, 1))
+    keep = norm_xt(x, t) >= 1.0
+    v = np.abs(potential_value_xt(alpha, s, x[keep], t[keep]))
+    assert np.max(v) <= cylinder_sup_potential(alpha, s) * (1.0 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -455,9 +486,6 @@ def test_kernels_reject_non_finite_alpha(heis):
             potential_bounds(alpha, None, heis)
         with pytest.raises(ValueError, match="alpha"):
             cylinder_sup_potential(alpha, heis)
-    for bad in (math.nan, math.inf, 0.0):
-        with pytest.raises(ValueError, match="t_cap"):
-            cylinder_sup_potential(1.5, heis, t_cap=bad)
     # a NaN slack made every comparison false, hiding real violations
     assert check_sandwich(3.0, heis, (x, t), slack=-1.0).n_violations > 0
     for bad in (math.nan, math.inf):
