@@ -142,7 +142,9 @@ def build_parser() -> _Parser:
     w.add_argument("--n-max", type=int, default=64)
     w.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="spectral shift (default: auto from the potential floor)")
-    w.add_argument("--grid", type=int, default=48, help="quadrature points per axis")
+    w.add_argument("--grid", type=int, default=None,
+                   help="quadrature points per axis (default: the largest even count "
+                        "<= 48 with count^(2n+m) <= 48^3 nodes)")
     w.add_argument("--x-radius", type=float, default=1.0)
     w.add_argument("--t-radius", type=float, default=1.0)
 
@@ -264,18 +266,27 @@ def _run_potential(args, s):
     return config, header, rows, {"columns": header, "rows": rows}, EXIT_OK
 
 
+def _default_weyl_grid(s) -> int:
+    """Largest even per-axis count g <= 48 with g^(2n+m) <= 48^3 (Heisenberg's 48; at least 2)."""
+    g = 48
+    while g > 2 and g ** (s.horizontal_dim + s.m) > 48 ** 3:
+        g -= 2
+    return g
+
+
 def _run_weyl(args, s):
     if args.n_max < 2:
         raise ValueError("need --n-max >= 2")
+    per_axis = args.grid if args.grid is not None else _default_weyl_grid(s)
     bump = forms.SmoothBump(args.x_radius, args.t_radius)
-    grid = forms.QuadratureGrid(s, args.x_radius, args.t_radius, args.grid, args.grid)
+    grid = forms.QuadratureGrid(s, args.x_radius, args.t_radius, per_axis, per_axis)
     n_values = [n for n in (2 ** k for k in range(1, 30)) if n <= args.n_max]
     if n_values[-1] != args.n_max:
         n_values.append(args.n_max)
     scan = forms.weyl_scan(args.alpha, s, bump, n_values, grid, lam=args.lam,
                            seed=args.seed)
     config = {"command": "weyl", "structure": args.structure, "alpha": args.alpha,
-              "n_max": args.n_max, "lambda": scan.lam, "grid": args.grid,
+              "n_max": args.n_max, "lambda": scan.lam, "grid": per_axis,
               "x_radius": args.x_radius, "t_radius": args.t_radius,
               "seed": args.seed, "sup_cylinder": scan.sup_cylinder,
               "psi_norm": scan.psi_norm, "L_psi_norm": scan.l_psi_norm}

@@ -10,11 +10,13 @@ pointwise kernels, through public functions, on every node of a
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from srlab import sublevel
 from srlab.forms import QuadratureGrid, horizontal_gradient, sub_laplacian_apply
-from srlab.group import MetivierStructure, product
+from srlab.group import GroupPoint, MetivierStructure, product, uniform_ball
 from srlab.norms import norm_xt, weight_xt
 from srlab.potential import grad_kaplan_xt, potential_value_xt
 
@@ -124,7 +126,7 @@ def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
     from scipy.integrate import quad
     from scipy.optimize import brentq
 
-    from srlab import potential, sublevel
+    from srlab import potential
 
     const = potential.potential_bounds(spec.alpha, None, s)
     c = sublevel.cylinder_radius(spec, s)
@@ -224,3 +226,28 @@ def unblocked_weyl_records(alpha, s, psi, n_values, grid, lam):
         diff = weyl_sequence(s, psi, n).value(xu, tu) - weyl_sequence(s, psi, m).value(xu, tu)
         records.append((n, residual, psi_norm, float(np.sum(diff * diff)) * union.cell_volume))
     return records
+
+
+def thinness_every_member(spec, s: MetivierStructure, r: float, ell: float,
+                          truncation_T: float, outer_samples: int, inner_samples: int,
+                          seed: int) -> SimpleNamespace:
+    """The thinness integral with every member's inner volume computed: the
+    estimator without the Horvitz-Thompson selection, on the same outer draws,
+    membership test and per-member substreams, so a member's score v_hat^ell
+    has the integral's bits.  Serial.  Returns value, std_error, the per-position
+    scores, the member mask and the central draws tau."""
+    c = sublevel.cylinder_radius(spec, s)
+    rng = sublevel.substream(seed, 0)
+    xi = uniform_ball(rng, outer_samples, s.horizontal_dim, c)
+    tau = uniform_ball(rng, outer_samples, s.m, truncation_T)
+    outer_volume = (sublevel.ball_volume(s.horizontal_dim, c)
+                    * sublevel.ball_volume(s.m, truncation_T))
+    member = sublevel.in_sublevel_xt(spec, s, xi, tau)
+    scores = np.zeros(outer_samples)
+    for i in np.nonzero(member)[0]:
+        est = sublevel.ball_intersection_volume(spec, s, GroupPoint(xi[i], tau[i]), r,
+                                                inner_samples,
+                                                rng=sublevel.substream(seed, 1, int(i)))
+        scores[i] = est.value ** ell
+    value, se = sublevel._mean_and_error(scores, outer_volume)
+    return SimpleNamespace(value=value, std_error=se, scores=scores, member=member, tau=tau)

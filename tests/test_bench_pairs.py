@@ -39,6 +39,14 @@ def test_summary_needs_gap_beyond_parent_spread():
     assert not s["gain_holds"]
 
 
+def test_summary_needs_no_more_failed_checks_than_parent():
+    change = [0.9] * 10
+    assert bench_pairs.summarize(PARENT, change, "lower", failed=(2, 2))["gain_holds"]
+    s = bench_pairs.summarize(PARENT, change, "lower", failed=(0, 1))
+    assert s["wins"] == 10 and s["gap"] > s["parent_iqr"]
+    assert not s["gain_holds"]
+
+
 def test_summary_direction_ties_and_failed_runs():
     s = bench_pairs.summarize(PARENT, [2.0] * 10, "higher")
     assert s["wins"] == 10 and s["gap"] == pytest.approx(0.9) and s["gain_holds"]
@@ -52,13 +60,13 @@ def test_summary_direction_ties_and_failed_runs():
     assert "wins 10/10" in row and "gain holds" in row
 
 
-def _stub_tree(root: Path, wall: float) -> Path:
+def _stub_tree(root: Path, wall: float, failed: int = 0) -> Path:
     """A tree whose perfbench/run.py prints one fixed result line."""
     (root / "perfbench").mkdir(parents=True)
     metrics = {"wall_s": {"value": wall, "unit": "s"}}
     (root / "perfbench" / "run.py").write_text(
         "import json\nprint('rep 1')\n"
-        f"print(json.dumps({{'correct': True, 'attempted': 1, 'failed': 0, "
+        f"print(json.dumps({{'correct': {not failed}, 'attempted': 1, 'failed': {failed}, "
         f"'metrics': {metrics!r}}}))\n")
     (root / "BENCHMARK.json").write_text(json.dumps(
         {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
@@ -74,3 +82,13 @@ def test_main_on_stub_trees(tmp_path, capsys):
     assert "pair 1/2 (parent first)" in out and "pair 2/2 (change first)" in out
     assert "failed checks: parent 0, change 0" in out
     assert "wins 2/2" in out and "gain holds" in out
+
+
+def test_main_refuses_gain_with_more_failed_checks(tmp_path, capsys):
+    parent = _stub_tree(tmp_path / "parent", 1.0)
+    change = _stub_tree(tmp_path / "change", 0.5, failed=1)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--seed", "0", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "failed checks: parent 0, change 2" in out
+    assert "wins 2/2" in out and "gain not shown" in out

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -165,6 +166,7 @@ def test_thinness_json(tmp_path):
     est = doc["estimate"]
     assert est["tail_finite"] is True
     assert est["value"] >= 0.0
+    assert 0 < est["evaluated"] <= est["members"] <= 400     # member counts reach the output
     assert doc["config"]["truncation"] == 16
     # one outer sample: standard error 0, not a NaN that strict JSON refuses
     code, payload = invoke(
@@ -202,6 +204,25 @@ def test_weyl_seed_reaches_nothing(tmp_path, aniso):
         assert code == 0
         rows.append([ln for ln in payload.decode().splitlines() if not ln.startswith("#")])
     assert rows[0] == rows[1] and len(rows[0]) == 3
+
+
+def test_weyl_default_grid_scales_with_the_structure(tmp_path, aniso):
+    """Without --grid the per-axis count is the largest even g <= 48 with
+    g^(2n+m) <= 48^3, and the config records it: aniso (2n+m = 5) gets 10 and
+    finishes in seconds (48 per axis, 255M nodes, ran for minutes); Heisenberg
+    keeps 48, byte for byte as an explicit --grid 48."""
+    sf = tmp_path / "aniso.json"
+    sf.write_text(aniso.to_json())
+    start = time.perf_counter()
+    code, payload = invoke(["weyl", "--structure", str(sf), "--alpha", "1"], tmp_path, "wa.csv")
+    assert code == 0 and time.perf_counter() - start < 30.0
+    assert "# grid = 10\n" in payload.decode()
+    assert cli._default_weyl_grid(MetivierStructure(n=2, m=3, maps=quaternion_maps(),
+                                                    h_type=True)) == 4
+    code, default = invoke(["weyl", "--alpha", "1", "--n-max", "4"], tmp_path, "wh.csv")
+    _, explicit = invoke(["weyl", "--alpha", "1", "--n-max", "4", "--grid", "48"],
+                         tmp_path, "wg.csv")
+    assert code == 0 and "# grid = 48\n" in default.decode() and default == explicit
 
 
 def test_byte_reproducibility(tmp_path):

@@ -455,7 +455,87 @@ def test_thinness_determinism_across_workers(heis, monkeypatch):
     a = thinness_integral(spec, heis, 1.0, 2.0, 16.0, 1500, 200, seed=5)
     monkeypatch.setenv("SRL_THREADS", "1")
     b = thinness_integral(spec, heis, 1.0, 2.0, 16.0, 1500, 200, seed=5)
-    assert a.value == b.value and a.std_error == b.std_error
+    assert 0 < a.evaluated < a.members    # the selection skips members
+    assert a == b
+
+
+@pytest.mark.parametrize("name", ["heis", "aniso"])
+def test_thinness_below_the_tube_is_the_oracle(name, heis, aniso):
+    """With T below the tube's reach every q is 1: every member is computed and
+    value and std_error are the every-member oracle's, bit for bit."""
+    s = heis if name == "heis" else aniso
+    spec = SublevelSpec(3.0, 10.0)
+    c = cylinder_radius(spec, s)
+    T = 0.9 * sublevel._central_reach(s, c, 1.0)
+    est = thinness_integral(spec, s, 1.0, 2.0, T, 600, 60, seed=2)
+    ref = oracles.thinness_every_member(spec, s, 1.0, 2.0, T, 600, 60, 2)
+    assert np.all(sublevel._inclusion_probability(spec, s, 1.0, 2.0, c, ref.tau) == 1.0)
+    assert est.members == est.evaluated == int(ref.member.sum()) > 0
+    assert (est.value, est.std_error) == (ref.value, ref.std_error)
+
+
+def test_thinness_scores_are_weighted_oracle_scores(heis, monkeypatch):
+    """A computed member scores the oracle's v_hat^ell / q to the bit, the others
+    0; the kept members are those with u < q on the selection stream, and no
+    weighted score passes beta_max^ell."""
+    spec, r, ell, T, outer, seed = SublevelSpec(3.0, 10.0), 1.0, 2.0, 64.0, 1200, 3
+    seen = []     # every score vector `_mean_and_error` sees; the integral's comes last
+    mean_and_error = sublevel._mean_and_error
+    monkeypatch.setattr(sublevel, "_mean_and_error", lambda scores, scale: (
+        seen.append(scores.copy()) or mean_and_error(scores, scale)))
+    est = thinness_integral(spec, heis, r, ell, T, outer, 100, seed=seed)
+    scores = seen[-1]
+    ref = oracles.thinness_every_member(spec, heis, r, ell, T, outer, 100, seed)
+    c = cylinder_radius(spec, heis)
+    q = np.zeros(outer)
+    q[ref.member] = sublevel._inclusion_probability(spec, heis, r, ell, c, ref.tau[ref.member])
+    kept = ref.member & (substream(seed, 4).random(outer) < q)
+    expected = np.zeros(outer)
+    expected[kept] = ref.scores[kept] / q[kept]
+    assert scores.tolist() == expected.tolist()
+    assert est.members == int(ref.member.sum()) and est.evaluated == int(kept.sum())
+    assert 0 < est.evaluated < est.members
+    beta_max = ball_volume(2, c) * ball_volume(1, sublevel._central_reach(heis, c, r))
+    assert scores.max() <= beta_max ** ell * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
+def test_inclusion_probability_is_the_tube_bound(name, heis):
+    """q = (min(c, tube) / c)^(n ell) with `_tube_radius` at N(0, |t| - rho_t),
+    and exactly 1 where the tube is unusable or wider than c."""
+    s = heis if name == "heis" else _quaternion_scaled()
+    spec, r, ell = SublevelSpec(3.0, 10.0), 1.0, 2.0
+    const = potential_bounds(3.0, None, s)
+    c = cylinder_radius(spec, s)
+    rho_t = sublevel._central_reach(s, c, r)
+    t = uniform_ball(np.random.default_rng(0), 400, s.m, 40.0 * rho_t)
+    q = sublevel._inclusion_probability(spec, s, r, ell, c, t)
+    for qi, ti in zip(q, np.linalg.norm(t, axis=1)):
+        tube = (sublevel._tube_radius(const, spec.level, float(norm_xt([0.0], [ti - rho_t])))
+                if ti > rho_t else None)
+        if tube is None or tube >= c:
+            assert qi == 1.0
+        else:
+            assert qi == pytest.approx((tube / c) ** (s.n * ell), rel=1e-12, abs=0.0)
+    assert np.any(q < 0.01) and np.any(q == 1.0)
+    # a level below 0 closes the tube wherever it is usable
+    closed = sublevel._inclusion_probability(SublevelSpec(3.0, -0.5), s, r, ell,
+                                             cylinder_radius(SublevelSpec(3.0, -0.5), s), t)
+    assert np.any(closed == 0.0) and np.all((closed == 0.0) | (closed == 1.0))
+
+
+def test_thinness_selection_is_unbiased(heis):
+    """Over 30 seeds the mean of (selected - every-member) estimates is within
+    4 standard errors of 0; both share the outer draws and the computed v_hat."""
+    spec = SublevelSpec(3.0, 10.0)
+    diffs = []
+    for seed in range(100, 130):
+        est = thinness_integral(spec, heis, 1.0, 2.0, 16.0, 400, 50, seed=seed)
+        diffs.append(est.value - oracles.thinness_every_member(
+            spec, heis, 1.0, 2.0, 16.0, 400, 50, seed).value)
+    diffs = np.asarray(diffs)
+    assert np.count_nonzero(diffs) > 20
+    assert abs(diffs.mean()) <= 4.0 * diffs.std(ddof=1) / math.sqrt(diffs.size)
 
 
 def test_worker_count_env(monkeypatch):

@@ -8,8 +8,9 @@ that goes first alternates from pair to pair.  For every end-to-end metric
 the summary gives each side's median and quartiles, the number of pairs the
 change won (ties count for neither side, a pair with a failed run counts as
 lost), and whether a gain holds by the rule: the change won at least 9 of
-10 pairs run, and its median is better than the parent's by more than the
-parent's interquartile range.  Metric directions come from CHANGE_DIR's
+10 pairs run, its median is better than the parent's by more than the
+parent's interquartile range, and it failed no more correctness checks than
+the parent over all pairs.  Metric directions come from CHANGE_DIR's
 BENCHMARK.json.  Standard library only; nothing in either tree is changed
 except what the benchmark itself writes (its `.perfbench/` output).
 """
@@ -51,11 +52,13 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def summarize(parent, change, better: str) -> dict:
+def summarize(parent, change, better: str, failed=(0, 0)) -> dict:
     """Compare paired values of one metric; None marks a failed run.
 
     `better` is "lower" or "higher".  The gap is the parent's median minus the
-    change's, signed so that positive means the change is better.
+    change's, signed so that positive means the change is better.  `failed`
+    is (parent, change): the correctness checks each side failed over all
+    pairs; a gain does not hold when the change failed more.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change values")
@@ -70,7 +73,7 @@ def summarize(parent, change, better: str) -> dict:
     iqr = p_q[2] - p_q[0]
     return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent),
             "gap": gap, "parent_iqr": iqr,
-            "gain_holds": wins >= 0.9 * len(parent) and gap > iqr}
+            "gain_holds": wins >= 0.9 * len(parent) and gap > iqr and failed[1] <= failed[0]}
 
 
 def format_row(name: str, unit: str, s: dict) -> str:
@@ -110,7 +113,8 @@ def main(argv=None) -> int:
         name = metric["name"]
         values = {side: [r[name] if r else None for r in runs[side]] for side in runs}
         print(format_row(name, metric["unit"],
-                         summarize(values["parent"], values["change"], metric["better"])))
+                         summarize(values["parent"], values["change"], metric["better"],
+                                   (failed["parent"], failed["change"]))))
     return 0
 
 
