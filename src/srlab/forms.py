@@ -14,9 +14,11 @@ with c_{jk}(x) = (1/2)(J_k x)_j.  A `SmoothBump` contracts this from its
 profile derivatives without forming the Hessians; a left translate keeps
 the tensor form.  Only integrals carry discretisation
 error: the tensor midpoint rule is O(h^2) with positive weights.  A node sum
-runs over C-order blocks of `_BLOCK` nodes, so memory does not grow with the
-grid: numpy sums each block pairwise and the partials in order, so every sum is
-bit-stable run to run and independent of the worker count.
+runs over C-order blocks of `_BLOCK` nodes of the product of the grid's x-nodes
+and t-nodes, for a bump or a central translate only of those in its x-ball and
+t-ball, so memory does not grow with the grid: numpy sums each block pairwise
+and the partials in order, so every sum is bit-stable run to run and
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
                         potential_closed_form_xt, potential_value_xt)
 
 _BLOCK = 1 << 14
+_SUPPORT_SLACK = 1.0 + 1e-6   # support rows keep |x|^2 < a^2 times this (and t alike)
 
 
 def _profile(sq, order: int):
@@ -298,22 +301,18 @@ class QuadratureGrid:
         h = 2.0 * half / count
         return -half + (np.arange(count) + 0.5) * h + c
 
+    def _tables(self):
+        """The x-table (the nodes of the first 2n axes) and the t-table (of the
+        last m axes), each in C order; the grid is their product in C order."""
+        d = self.s.horizontal_dim
+        return tuple(np.stack([m.ravel() for m in np.meshgrid(*map(self.axis_nodes, axes),
+                                                               indexing="ij")], axis=-1)
+                     for axes in (range(d), range(d, len(self.shape))))
+
     def nodes(self):
         """Flattened (x, t) node coordinates in C order over the axis tuple."""
-        return self._nodes(0, self.dim)
-
-    def _nodes(self, lo: int, hi: int):
-        """Nodes lo, ..., hi - 1 of `nodes()`, cut from the whole rows along the
-        last axis that cover them; only the row indices are unravelled."""
-        shape, d = self.shape, self.s.horizontal_dim
-        rows = np.arange(lo // shape[-1], -(-hi // shape[-1]))
-        cols = [np.broadcast_to(self.axis_nodes(len(shape) - 1), (rows.size, shape[-1]))]
-        for a in reversed(range(len(shape) - 1)):
-            rows, idx = np.divmod(rows, shape[a])
-            cols.insert(0, np.broadcast_to(self.axis_nodes(a)[idx][:, None], cols[-1].shape))
-        cut = slice(lo % shape[-1], lo % shape[-1] + hi - lo)
-        return (np.stack(cols[:d], axis=-1).reshape(-1, d)[cut],
-                np.stack(cols[d:], axis=-1).reshape(-1, self.s.m)[cut])
+        xs, ts = self._tables()
+        return np.repeat(xs, len(ts), axis=0), np.tile(ts, (len(xs), 1))
 
     def covers(self, f) -> bool:
         bx, bt = f.support_box(self.s)
@@ -345,12 +344,50 @@ def _require_cover(grid: QuadratureGrid, f):
         raise ValueError("quadrature grid does not cover the support of the integrand")
 
 
-def _node_sum(grid: QuadratureGrid, term):
-    """Sum of term(slice, x, t) over C-order blocks of `_BLOCK` nodes, in order."""
+def _support_rows(grid: QuadratureGrid, *fs):
+    """(x-table rows, t-table rows) within `_SUPPORT_SLACK` of the x-ball and the
+    t-ball of some f, a superset of the supports, on which the profile's guard
+    zeroes the rest; None (the whole box) unless every f is a `SmoothBump` or a
+    central translate, since other translates have sheared supports."""
+    if not all(isinstance(f, SmoothBump) or (isinstance(f, TranslatedBump)
+               and not np.any(f.translation.x)) for f in fs):
+        return None
+    xs, ts = grid._tables()
+    bumps = [(getattr(f, "bump", f), f.center(grid.s).t) for f in fs]
+    in_x = [_dot(xs, xs) < b.x_radius ** 2 * _SUPPORT_SLACK for b, _ in bumps]
+    in_t = [_dot(ts - tc, ts - tc) < b.t_radius ** 2 * _SUPPORT_SLACK for b, tc in bumps]
+    return np.flatnonzero(np.any(in_x, axis=0)), np.flatnonzero(np.any(in_t, axis=0))
+
+
+def _ball_count(offsets, r2: float) -> int:
+    """How many nodes of the product of the 1-D `offsets` have squared norm below
+    r2, from sorted partial sums over each half of the axes, never the product."""
+    def partial(axes):
+        sums = np.zeros(1)
+        for o in axes:
+            sums = (sums[:, None] + o * o).ravel()
+            sums = sums[sums < r2]
+        return sums
+    half = len(offsets) // 2
+    return int(np.searchsorted(np.sort(partial(offsets[half:])),
+                               r2 - partial(offsets[:half])).sum())
+
+
+def _node_sum(grid: QuadratureGrid, term, rows=None):
+    """Sum of term(slice, x, t) over C-order blocks of `_BLOCK` nodes, in order,
+    of the product of the x- and t-tables or of their `rows`; each block is cut
+    from the whole x-rows that cover it.  An empty product (a grid with no node
+    in the bump's support) is one empty block, so the sum keeps term's shape."""
+    xs, ts = grid._tables()
+    if rows is not None:
+        xs, ts = xs[rows[0]], ts[rows[1]]
+    size, nt = len(xs) * len(ts), max(len(ts), 1)
     total = 0.0
-    for lo in range(0, grid.dim, _BLOCK):
-        hi = min(lo + _BLOCK, grid.dim)
-        total = total + term(slice(lo, hi), *grid._nodes(lo, hi))
+    for lo in range(0, max(size, 1), _BLOCK):
+        hi = min(lo + _BLOCK, size)
+        first, last, cut = lo // nt, -(-hi // nt), slice(lo % nt, lo % nt + hi - lo)
+        total = total + term(slice(lo, hi), np.repeat(xs[first:last], nt, axis=0)[cut],
+                             np.tile(ts, (last - first, 1))[cut])
     return total
 
 
@@ -362,7 +399,7 @@ def dirichlet_form(alpha: float, s: MetivierStructure, f,
     def energy(b, x, t):
         hg = horizontal_gradient(s, f, x, t)
         return _dot(hg, hg) @ weight_xt(alpha, x, t)
-    return float(_node_sum(grid, energy) * grid.cell_volume)
+    return float(_node_sum(grid, energy, _support_rows(grid, f)) * grid.cell_volume)
 
 
 def conjugation_residual(alpha: float, s: MetivierStructure, f,
@@ -390,7 +427,7 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         return np.array([_dot(hg, hg) @ w,
                          _dot(shifted, shifted) @ w
                          + (phi * phi) @ _potential(alpha, jet)])
-    lhs, rhs = _node_sum(grid, sides) * grid.cell_volume
+    lhs, rhs = _node_sum(grid, sides, _support_rows(grid, f)) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
 
 
@@ -418,20 +455,30 @@ def _require_translate(n: int):
 
 
 def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
-    """(psi, L psi) at the base nodes, their squared norms, the overlap check;
-    a grid whose two base arrays (16 bytes a node) exceed physical memory is refused."""
-    need, have = 16 * grid.dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ValueError(f"a Weyl scan on {grid.dim} base nodes needs {need} bytes for psi "
-                         f"and L psi, more than the {have} bytes of physical memory")
+    """The support rows of psi, (psi, L psi) at their nodes, the squared norms
+    and the overlap check.  A grid whose two support arrays (16 bytes a node)
+    exceed physical memory is refused; when the whole box would not fit, the
+    support is counted by factor, before any node table is formed."""
+    nodes, have = grid.dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if 16 * nodes > have:
+        d = s.horizontal_dim
+        nodes = math.prod(_ball_count([grid.axis_nodes(a) for a in axes], r ** 2 * _SUPPORT_SLACK)
+                          for axes, r in ((range(d), psi.x_radius),
+                                          (range(d, d + s.m), psi.t_radius)))
+    if 16 * nodes > have:
+        raise ValueError(f"a Weyl scan on {nodes} base nodes in the bump's support needs "
+                         f"{16 * nodes} bytes for psi and L psi, more than the {have} bytes "
+                         "of physical memory")
     _require_cover(grid, psi)
-    val, lpsi = np.empty(grid.dim), np.empty(grid.dim)
+    rows = _support_rows(grid, psi)
+    size = len(rows[0]) * len(rows[1])
+    val, lpsi = np.empty(size), np.empty(size)
 
     def fill(b, x, t):
         val[b], lpsi[b] = psi._value_and_sub_laplacian(s, x, t)
         return np.array([np.sum(val[b] * val[b]), np.sum(lpsi[b] * lpsi[b])])
-    norms_sq = _node_sum(grid, fill) * grid.cell_volume
-    return val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)
+    norms_sq = _node_sum(grid, fill, rows) * grid.cell_volume
+    return rows, val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)
 
 
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
@@ -441,25 +488,26 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
 
     `grid` is the base grid for psi around the identity; the riding grid is
     its translate by the central element (0, n u_1), so by left invariance
-    psi_n and L psi_n there are exactly psi and L psi on `grid`, and only
-    V_alpha is evaluated at the riding nodes: on an H-type structure by the
-    closed form `potential_closed_form_xt` from |x|^2 and N, which criterion 3
-    binds to the norm jet within 1e-12, and otherwise by the jet,
-    `potential_value_xt`.  The overlap check is `_overlap_norm_sq`, which for
-    the same reason does not depend on n.  `weyl_scan` passes them through
-    `_base`.  The index, lam and alpha are checked before the base is built.
+    psi_n and L psi_n there are exactly psi and L psi on `grid`, on the same
+    support rows, and only V_alpha is evaluated at the riding nodes: on an
+    H-type structure by the closed form `potential_closed_form_xt` from |x|^2
+    and N, which criterion 3 binds to the norm jet within 1e-12, and otherwise
+    by the jet, `potential_value_xt`.  The overlap check is `_overlap_norm_sq`,
+    which for the same reason does not depend on n.  `weyl_scan` passes them
+    through `_base`.  The index, lam and alpha are checked before the base is
+    built.
     """
     _require_translate(n)
     _require_finite("lam", lam)
     _require_finite("alpha", alpha, positive=True)
-    val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
+    rows, val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
     moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
     v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
 
     def res_sq(b, x, t):
         r = lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t) * val[b]
         return np.sum(r * r)
-    res = _node_sum(moved, res_sq) * moved.cell_volume
+    res = _node_sum(moved, res_sq, rows) * moved.cell_volume
     return WeylRecord(n_index=n, residual=float(np.sqrt(res)), psi_norm=float(np.sqrt(norms_sq[0])),
                       overlap_check=float(overlap), lam=lam)
 
@@ -489,7 +537,7 @@ def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
     def diff_sq(b, x, t):
         diff = psi_n.value(x, t) - psi_m.value(x, t)
         return np.sum(diff * diff)
-    return float(_node_sum(union, diff_sq) * union.cell_volume)
+    return float(_node_sum(union, diff_sq, _support_rows(union, psi_n, psi_m)) * union.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -534,7 +582,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
             lam = 1.0 + max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
         else:
             lam = 1.0 + sup_c
-    psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[2]))
+    psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[3]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]
     return WeylScan(alpha=alpha, lam=float(lam), sup_cylinder=float(sup_c),

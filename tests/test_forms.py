@@ -475,6 +475,121 @@ def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
                     (residual, psi_norm, overlap), rel=1e-12, abs=0.0)
 
 
+def test_support_blocks_tile_the_support_in_c_order(heis, quaternion):
+    """Over a bump's support rows the blocks still start at multiples of the
+    block size, and concatenate to the whole grid's nodes on those rows, in
+    C order."""
+    for grid in (QuadratureGrid(heis, 1.0, 1.0, 30, 30), _quaternion_grid(quaternion)):
+        rows = forms._support_rows(grid, SmoothBump(1.0, 1.0))
+        n_t = grid.nt ** grid.s.m
+        flat = np.arange(grid.dim)
+        keep = np.isin(flat // n_t, rows[0]) & np.isin(flat % n_t, rows[1])
+        assert 0 < keep.sum() < grid.dim
+        want = [c[keep] for c in oracles.meshgrid_nodes(grid)]
+        blocks = []
+        forms._node_sum(grid, lambda *blk: blocks.append(blk) or 0.0, rows)
+        assert [b.start for b, _, _ in blocks] == list(range(0, keep.sum(), forms._BLOCK))
+        assert blocks[-1][0].stop == keep.sum()
+        for k in (1, 2):
+            assert np.array_equal(np.concatenate([blk[k] for blk in blocks]), want[k - 1])
+
+
+def test_grid_with_no_node_in_the_support(heis):
+    """A box too coarse to put a node inside the unit bump sums one empty
+    block: every quadrature reads 0, as the whole-box sums do."""
+    grid = QuadratureGrid(heis, 10.0, 10.0, 4, 4)
+    bump = SmoothBump(1.0, 1.0)
+    assert [r.size for r in forms._support_rows(grid, bump)] == [0, 0]
+    assert dirichlet_form(2.5, heis, bump, grid) == 0.0
+    assert conjugation_residual(3.0, heis, bump, grid) == 0.0
+    rec = weyl_scan(1.5, heis, bump, [2, 4], grid).records[0]
+    assert (rec.residual, rec.psi_norm, rec.overlap_check) == (0.0, 0.0, 0.0)
+
+
+def _assert_sums_match_oracle(s, f, grid, n_values=()):
+    """Dirichlet form and Weyl records to 1e-12 relative, and the conjugation
+    residual |lhs - rhs| to 1e-15 absolute, against the whole-grid oracles."""
+    assert dirichlet_form(2.5, s, f, grid) == pytest.approx(
+        oracles.unblocked_dirichlet_form(2.5, s, f, grid), rel=1e-12, abs=0.0)
+    assert conjugation_residual(3.0, s, f, grid) == pytest.approx(
+        oracles.unblocked_conjugation_residual(3.0, s, f, grid), rel=0.0, abs=1e-15)
+    if n_values:
+        scan = weyl_scan(1.5, s, f, n_values, grid)
+        want = oracles.unblocked_weyl_records(1.5, s, f, n_values, grid, scan.lam)
+        for rec, (n, residual, psi_norm, overlap) in zip(scan.records, want, strict=True):
+            assert rec.n_index == n
+            assert (rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
+                (residual, psi_norm, overlap), rel=1e-12, abs=0.0)
+
+
+def test_support_sums_on_off_centre_boxes_match_oracle(heis, quaternion):
+    """The support rows are taken around the bump's centre, not the box's: on
+    boxes shifted in x and in t that still cover the unit bump, the sums agree
+    with the whole-grid oracles."""
+    bump = SmoothBump(1.0, 1.0)
+    for grid in (QuadratureGrid(heis, 1.25, 1.25, 30, 30, center_x=[0.2, -0.1],
+                                center_t=[0.15]),
+                 QuadratureGrid(quaternion, 1.2, 1.15, 5, 5, center_x=[0.1, 0.0, -0.15, 0.0],
+                                center_t=[0.1, 0.0, -0.1])):
+        assert grid.covers(bump) and np.any(grid.center_x) and np.any(grid.center_t)
+        rows = forms._support_rows(grid, bump)
+        assert 0 < len(rows[0]) * len(rows[1]) < grid.dim
+        _assert_sums_match_oracle(grid.s, bump, grid, [2, 5])
+
+
+def test_non_central_translate_sums_over_the_whole_box(heis, monkeypatch):
+    """A translate with an x-shift has a sheared support: it keeps the whole
+    box, so its kernels see every node, and its sums match the oracles.  A
+    central translate takes its support rows."""
+    bump = SmoothBump(1.0, 1.0)
+    shifted = TranslatedBump(bump, heis, GroupPoint(np.array([0.3, -0.2]), np.array([0.4])))
+    grid = QuadratureGrid(heis, 1.8, 2.5, 26, 30, center_t=[0.4])
+    assert grid.covers(shifted) and grid.dim > forms._BLOCK
+    assert forms._support_rows(grid, shifted) is None
+    _assert_sums_match_oracle(heis, shifted, grid)
+    central = TranslatedBump(bump, heis, GroupPoint(np.zeros(2), np.array([0.4])))
+    assert forms._support_rows(grid, central) is not None
+    _assert_sums_match_oracle(heis, central, grid)
+    seen = _points_seen(monkeypatch, forms, "_norm_jet", 1)
+    conjugation_residual(3.0, heis, shifted, grid)
+    assert sum(seen) == grid.dim
+
+
+def _points_seen(monkeypatch, owner, name, arg):
+    """Wrap owner.name; the returned list grows by len(args[arg]) per call."""
+    seen = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        seen.append(len(args[arg]))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("name, count, dim, support", [("heis", 48, 110_592, 86_592),
+                                                       ("quaternion", 8, 2_097_152, 367_360)])
+def test_quadratures_evaluate_only_the_support(name, count, dim, support, request,
+                                               monkeypatch):
+    """Counted in advance: the unit bump's support rows hold 86,592 of the
+    48^3 Heisenberg nodes (1,804 x-rows of 2,304, all 48 t-rows) and 367,360
+    of the 8^7 quaternion nodes (1,312 of 4,096 and 280 of 512).  The base's
+    psi and L psi, one riding pass's closed-form V_alpha and the conjugation
+    residual's norm jet each see exactly those points."""
+    s = request.getfixturevalue(name)
+    grid = QuadratureGrid(s, 1.0, 1.0, count, count)
+    bump = SmoothBump(1.0, 1.0)
+    assert grid.dim == dim
+    base_seen = _points_seen(monkeypatch, SmoothBump, "_value_and_sub_laplacian", 2)
+    base = forms._weyl_base(s, bump, 2, grid)
+    ride_seen = _points_seen(monkeypatch, forms, "potential_closed_form_xt", 2)
+    weyl_residual(1.5, s, bump, 5, 1.0, grid, _base=base)
+    jet_seen = _points_seen(monkeypatch, forms, "_norm_jet", 1)
+    conjugation_residual(2.0, s, bump, grid)
+    assert sum(base_seen) == sum(ride_seen) == sum(jet_seen) == support
+    assert len(base[1]) == len(base[2]) == support
+
+
 @pytest.mark.parametrize("name", ["heis", "quaternion", "aniso"])
 def test_weyl_riding_pass_takes_closed_form_on_h_type(name, request, monkeypatch):
     """With the base given, an H-type riding pass evaluates V_alpha from |x|^2
@@ -506,9 +621,10 @@ def _traced_peak(fn, *args):
 
 @pytest.mark.parametrize("count", [64, 600])
 def test_weyl_refuses_base_arrays_beyond_physical_memory(quaternion, count):
-    """psi and L psi on 64^7 base nodes need 70 TB; both entry points refuse the
-    grid before sampling or allocating.  QuadratureGrid builds no nodes.  The node
-    count of 600^7 exceeds int64, where a numpy product would wrap negative."""
+    """psi and L psi on the 7.1e11 support nodes of 64^7 need 11 TB; both entry
+    points refuse the grid before sampling or allocating, having counted the
+    support by factor without a node table.  QuadratureGrid builds no nodes.  The
+    node count of 600^7 exceeds int64, where a numpy product would wrap negative."""
     grid = QuadratureGrid(quaternion, 1.0, 1.0, count, count)
     assert grid.dim == count ** 7
     bump = SmoothBump(1.0, 1.0)

@@ -85,6 +85,19 @@ def test_assembly_refuses_grid_of_other_dimensions(heis, aniso):
                 assemble_operator(3.0, other, g, potential=potential)
 
 
+def test_operator_csr_matches_meshgrid_rebuild(heis, aniso, monkeypatch):
+    """`grid.nodes()` cuts its nodes from the x- and t-tables; the CSR arrays
+    built on them are bit-identical to a rebuild whose nodes come from
+    `np.meshgrid`, on a Heisenberg and an aniso box."""
+    cases = ((heis, Grid3(heis, 3.0, 4.0, 10, 12)), (aniso, Grid3(aniso, 2.0, 2.0, 6, 8)))
+    built = [assemble_operator(3.0, s, g).matrix for s, g in cases]
+    monkeypatch.setattr(Grid3, "nodes", oracles.meshgrid_nodes)
+    for (s, g), a in zip(cases, built):
+        b = assemble_operator(3.0, s, g).matrix
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
 def test_assembly_psd_and_symmetric(heis):
     g = Grid3(heis, 1.5, 1.5, 6, 6)
     op = assemble_operator(3.0, heis, g, potential=lambda x, t: np.zeros(x.shape[0]))
