@@ -14,15 +14,16 @@ nonzero, so that layer adds a diagonal to D_j^T D_j.
 The lowest eigenvalues come from ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`).  Counts below a level are exact inertia
 counts of the assembled matrix (Sylvester's law on a sparse symmetric LDL^T
-factorisation); reading a growing count as essential spectrum of the
-continuum operator remains a heuristic.  Dense eigensolver cross-checks
-for small grids live in the tests.
+factorisation, ordered by nested dissection of the operator's grid);
+reading a growing count as essential spectrum of the continuum operator
+remains a heuristic.  Dense eigensolver cross-checks for small grids live
+in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,15 +51,49 @@ def _difference(grid: Grid3, axis: int) -> sp.csr_matrix:
     return sp.kron(before, sp.kron(op, after, format="csr"), format="csr")
 
 
+def _dissection_order(shape: tuple) -> np.ndarray:
+    """C-order indices of a tensor grid's nodes in one-plane nested-dissection order.
+
+    The difference stencil reaches only +-1 on every axis, so one node plane
+    separates a box: cut the longest axis at its middle plane, order both
+    halves the same way and number the plane last (A. George, SIAM J. Numer.
+    Anal. 10, 1973).  A box's order depends only on its extents, so each
+    extent is ordered once and shifted into place.
+    """
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(len(shape))])
+    memo = {}
+
+    def natural(ext):
+        return np.indices(ext).reshape(len(ext), -1).T @ strides
+
+    def order(ext):
+        if ext not in memo:
+            a = max(range(len(ext)), key=ext.__getitem__)
+            mid = ext[a] // 2
+            memo[ext] = natural(ext) if ext[a] < 3 else np.concatenate([
+                order(ext[:a] + (mid,) + ext[a + 1:]),
+                order(ext[:a] + (ext[a] - mid - 1,) + ext[a + 1:]) + (mid + 1) * strides[a],
+                natural(ext[:a] + (1,) + ext[a + 1:]) + mid * strides[a]])
+        return memo[ext]
+
+    return order(tuple(shape))
+
+
 @dataclass(frozen=True)
 class SparseSymmetricOperator:
     """A scipy CSR matrix that is exactly symmetric, checked once on build.
 
     The input is copied to CSR with duplicates summed and indices sorted;
     ValueError is raised unless it equals its transpose entry for entry.
+    `assemble_operator` also records the node layout: the `grid_shape`
+    and, when a wall removed nodes, the C-order indices of the `kept` ones.
+    Neither takes part in equality; an operator built from a bare matrix
+    has no layout.
     """
 
     matrix: sp.csr_matrix
+    grid_shape: tuple | None = field(default=None, compare=False, repr=False)
+    kept: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         a = sp.csr_matrix(self.matrix, copy=True)
@@ -66,6 +101,9 @@ class SparseSymmetricOperator:
         a.sort_indices()
         if a.shape[0] != a.shape[1] or (a != a.T).nnz:
             raise ValueError("operator is not exactly symmetric")
+        if self.grid_shape is not None and a.shape[0] != (
+                math.prod(self.grid_shape) if self.kept is None else len(self.kept)):
+            raise ValueError("node layout does not match the matrix dimension")
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -75,6 +113,22 @@ class SparseSymmetricOperator:
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
+
+    @property
+    def grid_order(self) -> np.ndarray | None:
+        """Row order by nested dissection of the grid, None without a layout.
+
+        With walled nodes, the full grid's order filtered to the kept nodes: a
+        separating plane still separates what remains of the grid."""
+        if self.grid_shape is None:
+            return None
+        order = _dissection_order(self.grid_shape)
+        if self.kept is None:
+            return order
+        row = np.full(math.prod(self.grid_shape), -1)
+        row[self.kept] = np.arange(self.dim)
+        order = row[order]
+        return order[order >= 0]
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -87,7 +141,8 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
     `potential` may override V_alpha with any callable (x, t) -> values;
     nodes where it returns +inf are removed (hard Dirichlet wall), which
     decouples the retained block exactly.  A non-finite alpha, a grid built
-    for other dimensions, or potential values NaN or -inf raise ValueError.
+    for other dimensions, potential values NaN or -inf, or a wall on every
+    node raise ValueError.  The operator records the grid's node layout.
     """
     _require_finite("alpha", alpha)
     if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
@@ -118,11 +173,15 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
             term = term + sp.diags(lower[d2 + k] * (c[:, j, k] / grid.ht) ** 2)
         kin = term if kin is None else kin + term
     keep = ~np.isinf(v)
+    if not np.any(keep):
+        raise ValueError("the potential is +inf at every node: every node is walled")
+    idx = None
     if not np.all(keep):
         idx = np.nonzero(keep)[0]
         kin = kin[idx][:, idx]
         v = v[idx]
-    return SparseSymmetricOperator(kin + sp.diags(v, format="csr"))
+    return SparseSymmetricOperator(kin + sp.diags(v, format="csr"),
+                                   grid_shape=grid.shape, kept=idx)
 
 
 @dataclass(frozen=True)
@@ -194,6 +253,7 @@ class EigenCount:
     count: int
     is_lower_bound: bool
     smallest_pivot: float
+    fill: int   # L.nnz + U.nnz of the factorisation
 
 
 def eigen_count_below(h: SparseSymmetricOperator, lam: float,
@@ -205,14 +265,18 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     H - lam*I is factored P (H - lam*I) P^T = L D L^T by SuperLU in symmetric
     mode with diagonal pivots only, and the count is the number of negative
     pivots in D: exact for the assembled matrix up to the factorisation's
-    backward error.  ValueError is raised when the smallest |pivot| is below
-    PIVOT_RTOL * |H - lam*I|_inf (lam on an eigenvalue, as for a diagonal
-    H), and when SuperLU took an off-diagonal pivot, which voids the
-    congruence.  The pivot test does not certify a gap: a shift within
-    rounding of an eigenvalue whose eigenvector is small where elimination
-    ends can pass it, and its count may then be off by one.
+    backward error.  P is the nested-dissection `grid_order` when the
+    operator carries its grid (as `assemble_operator`'s do) and SuperLU's
+    MMD ordering of A^T + A otherwise; the count does not depend on P, but
+    `smallest_pivot` and `fill` do.  ValueError is raised when the smallest
+    |pivot| is below PIVOT_RTOL * |H - lam*I|_inf (lam on an eigenvalue, as
+    for a diagonal H), and when SuperLU took an off-diagonal pivot, which
+    voids the congruence.  The pivot test does not certify a gap: a shift
+    within rounding of an eigenvalue whose eigenvector is small where
+    elimination ends can pass it, and its count may then be off by one.
 
-    `is_lower_bound` is always False and `smallest_pivot` is min |D|.
+    `is_lower_bound` is always False, `smallest_pivot` is min |D| and `fill`
+    is the factor's stored entries, L.nnz + U.nnz.
     `budget`, `tol`, `max_iter`, `seed` and `k_start` are kept for callers of
     the former Lanczos count and do not affect the result; `tol` must still
     be finite and positive.
@@ -220,11 +284,13 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     _require_finite("lam", lam)
     _require_finite("tol", tol, positive=True)
     import scipy.sparse.linalg as spla  # deferred, see the module imports
-    shifted = (h.matrix - lam * sp.identity(h.dim, format="csr")).tocsc()
+    order = h.grid_order
+    a = h.matrix if order is None else h.matrix[order][:, order]
+    shifted = (a - lam * sp.identity(h.dim, format="csr")).tocsc()
     on_eigenvalue = f"lam = {lam} sits on an eigenvalue to working precision"
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU met an exactly zero pivot
         raise ValueError(f"{on_eigenvalue} ({exc})") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -235,7 +301,7 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     if smallest < PIVOT_RTOL * _inf_norm(shifted):
         raise ValueError(f"{on_eigenvalue} (smallest pivot {smallest:.3e})")
     return EigenCount(count=int(np.sum(pivots < 0)), is_lower_bound=False,
-                      smallest_pivot=smallest)
+                      smallest_pivot=smallest, fill=int(lu.L.nnz + lu.U.nnz))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,18 @@ def test_assembly_rejects_non_finite_input(heis):
     walled = assemble_operator(3.0, heis, g,
                                potential=lambda x, t: np.where(x[:, 0] > 0, np.inf, 1.0))
     assert walled.dim == g.dim // 2
+    # +inf everywhere would leave a 0x0 operator
+    with pytest.raises(ValueError, match="every node is walled"):
+        assemble_operator(3.0, heis, g, potential=lambda x, t: np.full(len(x), np.inf))
+
+
+def test_operator_layout_must_match_the_matrix(heis):
+    op = assemble_operator(3.0, heis, Grid3(heis, 1.0, 1.0, 4, 4))
+    assert op.grid_shape == (4, 4, 4) and op.kept is None
+    assert SparseSymmetricOperator(op.matrix).grid_order is None
+    for layout in ({"grid_shape": (4, 4, 5)}, {"grid_shape": (4, 4, 4), "kept": np.arange(63)}):
+        with pytest.raises(ValueError, match="layout"):
+            SparseSymmetricOperator(op.matrix, **layout)
 
 
 def test_dense_assembly_oracle(heis):
@@ -235,6 +247,17 @@ def test_eigen_count_refuses_shift_on_eigenvalue():
     assert eigen_count_below(op, 3.0 - 1e-6).count == 2
 
 
+def test_grid_order_cuts_fill_on_the_count_box(heis):
+    """The large spectral-count box at level 3.1: the nested-dissection order of
+    the assembled operator and SuperLU's MMD order of the same bare matrix give
+    the dense count, 36, and the grid order stores fewer factor entries."""
+    op = assemble_operator(2.0, heis, Grid3(heis, 2.0, 16.0, 8, 32))
+    by_grid = eigen_count_below(op, 3.1)
+    by_mmd = eigen_count_below(SparseSymmetricOperator(op.matrix), 3.1)
+    assert by_grid.count == by_mmd.count == 36
+    assert by_grid.fill < by_mmd.fill
+
+
 def test_eigen_count_matches_dense(heis):
     g = Grid3(heis, 2.0, 2.0, 5, 6)
     op = assemble_operator(3.0, heis, g)
@@ -247,14 +270,23 @@ def test_eigen_count_matches_dense(heis):
 @pytest.mark.parametrize("name", ["heis", "aniso"])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(lx=st.floats(0.5, 3.0), lt=st.floats(0.5, 3.0), nx=st.integers(3, 8),
-       nt=st.integers(3, 8), alpha=st.floats(2.0, 4.0), q=st.floats(0.0, 1.0))
-def test_inertia_count_matches_dense(name, heis, aniso, lx, lt, nx, nt, alpha, q):
-    """The inertia count is the eigvalsh count, on H-type and non-H-type grids."""
+       nt=st.integers(3, 8), alpha=st.floats(2.0, 4.0), q=st.floats(0.0, 1.0),
+       wall=st.sampled_from([0.0, 0.3, 0.7]), wall_seed=st.integers(0, 2**32 - 1))
+def test_inertia_count_matches_dense(name, heis, aniso, lx, lt, nx, nt, alpha, q,
+                                     wall, wall_seed):
+    """The inertia count is the eigvalsh count, on H-type and non-H-type grids,
+    also with a +inf wall on a random share `wall` of the nodes; the grid order
+    is a permutation of the kept rows."""
     s = heis if name == "heis" else aniso
     if s.horizontal_dim > 2:
         nx = 3 + nx % 2
     assume(nx % 2 == 0 or nt % 2 == 0)
-    op = assemble_operator(alpha, s, Grid3(s, lx, lt, nx, nt))
+    grid = Grid3(s, lx, lt, nx, nt)
+    walled = np.random.default_rng(wall_seed).random(grid.dim) < wall
+    assume(not np.all(walled))
+    op = assemble_operator(alpha, s, grid, potential=lambda x, t: np.where(
+        walled, np.inf, potential_value_xt(alpha, s, x, t)))
+    assert np.array_equal(np.sort(op.grid_order), np.arange(op.dim))
     dense = np.linalg.eigvalsh(op.to_dense())
     lam = float(np.quantile(dense, q))
     assume(np.min(np.abs(dense - lam)) > 1e-6)
