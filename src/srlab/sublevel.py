@@ -480,18 +480,12 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     where the tube does not reach.  As v_hat <= beta, a weighted score is at
     most beta_max^ell (up to rounding), so the unbiased estimate gains no heavy
     tail.  `members` counts the outer points in Omega, `evaluated` the inner
-    volumes computed.  At alpha 3, level 10, ell 2, T 64 (8k and 100k outer,
-    10k inner samples, seeds 0-2) 59-61 % of the members were computed,
-    `std_error` rose by 0.9-1.1 % and std_error^2 times the wall time fell to
-    0.40-0.63 of computing every member; the exponent ell in place of ell/2
-    adds 19-35 % of variance, not 1.5-3.2 %, to save 2-3 % of the calls.
-    The tail beyond T gets an upper bound, finite exactly when
-    ell > m / (n (alpha - 2)): `_tail_bound` sums the pointwise tube bound on
-    a log grid at left nodes times each cell's largest rise, and bounds the
-    part beyond the grid by its geometric decay.  For ell = 2 the value is
-    biased upward by Var v_hat, v_hat a member's inner estimate (Jensen:
-    E[v_hat^2] = v^2 + Var v_hat), 0.2 % of the value and 8 % of `std_error`
-    at alpha 3, level 10, T 64 and 100k outer by 10k inner samples.
+    volumes computed.  The tail beyond T gets an upper bound, finite exactly
+    when ell > m / (n (alpha - 2)): `_tail_bound` sums the pointwise tube
+    bound on a log grid at left nodes times each cell's largest rise, and
+    bounds the part beyond the grid by its geometric decay.  For ell = 2 the
+    value is biased upward by Var v_hat, v_hat a member's inner estimate
+    (Jensen: E[v_hat^2] = v^2 + Var v_hat); README gives the measured sizes.
     """
     if spec.alpha <= 2:
         raise ValueError("thinness experiment requires alpha > 2")

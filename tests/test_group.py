@@ -1,15 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from srlab.forms import horizontal_coefficients
 from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate,
                          exact_condition_extremes, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
-                         product, unit_sample, verify_metivier)
+                         product, uniform_ball, unit_sample, verify_metivier)
 
 from conftest import ROT, random_points, skew_structures
 
@@ -231,6 +233,79 @@ def test_unit_sample_matches_linalg_norm(dim):
     got = unit_sample(np.random.default_rng(dim), 20_000, dim)
     v = np.random.default_rng(dim).standard_normal((20_000, dim))
     assert np.array_equal(got, v / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_uniform_ball_is_uniform(dim):
+    """Exactly `count` rows inside the ball, (|x|/radius)^dim uniform on (0, 1)
+    by the KS distance, and each coordinate's mean within 4 standard errors of 0."""
+    count, radius = 20_000, 2.5
+    x = uniform_ball(np.random.default_rng(dim), count, dim, radius)
+    assert x.shape == (count, dim)
+    norms = np.linalg.norm(x, axis=1)
+    assert np.all(norms <= radius)
+    # 1.95 / sqrt(count) is the KS distance's 0.1 % point
+    assert kstest((norms / radius) ** dim, "uniform").statistic < 1.95 / math.sqrt(count)
+    assert np.all(np.abs(x.mean(axis=0)) <= 4.0 * x.std(axis=0, ddof=1) / math.sqrt(count))
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8])
+def test_uniform_ball_keeps_gaussian_directions_above_dim_2(dim):
+    """From dim 3 on the draw is `unit_sample` directions times radius U^(1/dim), bit for bit."""
+    got = uniform_ball(np.random.default_rng(dim), 5_000, dim, 1.5)
+    rng = np.random.default_rng(dim)
+    want = unit_sample(rng, 5_000, dim) * rng.uniform(size=(5_000, 1)) ** (1.0 / dim) * 1.5
+    assert np.array_equal(got, want)
+
+
+class _Stream:
+    """A generator stand-in whose `random` hands out a fixed stream of uniforms in order."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def random(self, size):
+        n = math.prod(size)
+        out = self.values[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out.copy()
+
+
+@pytest.mark.parametrize("dim, count", [(1, 7), (2, 1), (2, 3), (2, 500)])
+def test_uniform_ball_keeps_the_cube_points_in_draw_order(dim, count):
+    """Up to dim 2 the points are the first `count` cube points 2u - 1 of the
+    uniform stream that lie in the unit ball, times radius.  Dim 1 keeps every
+    draw; at dim 2 a stream that opens with 30 corner points makes a small
+    count's first round come back empty."""
+    stream = np.concatenate([np.full(30 * dim, 0.99),
+                             np.random.default_rng(count).random(4 * count * dim + 100)])
+    rng = _Stream(stream)
+    got = uniform_ball(rng, count, dim, 3.0)
+    cube = 2.0 * stream.reshape(-1, dim) - 1.0
+    inside = cube[np.sum(cube * cube, axis=1) <= 1.0]
+    assert np.array_equal(got, inside[:count] * 3.0)
+    assert rng.used == count if dim == 1 else rng.used > 60
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_uniform_ball_seeded_and_small_counts(dim):
+    """The same seed gives the same array; count 0 is a (0, dim) array, count 1
+    one point in the ball, radius 0 the centre."""
+    a = uniform_ball(np.random.default_rng(11), 300, dim, 2.0)
+    assert np.array_equal(a, uniform_ball(np.random.default_rng(11), 300, dim, 2.0))
+    rng = np.random.default_rng(0)
+    assert uniform_ball(rng, 0, dim, 1.0).shape == (0, dim)
+    one = uniform_ball(rng, 1, dim, 0.5)
+    assert one.shape == (1, dim) and np.linalg.norm(one) <= 0.5
+    assert np.array_equal(uniform_ball(rng, 4, dim, 0.0), np.zeros((4, dim)))
+
+
+@pytest.mark.parametrize("dim, count, radius", [
+    (0, 5, 1.0), (-1, 5, 1.0), (2, -1, 1.0), (3, -1, 1.0), (2, 5, -1.0), (4, 5, -0.5),
+    (1, 5, math.nan), (2, 5, math.inf), (3, 5, -math.inf)])
+def test_uniform_ball_refuses_bad_input(dim, count, radius):
+    with pytest.raises(ValueError):
+        uniform_ball(np.random.default_rng(0), count, dim, radius)
 
 
 def test_serialization_round_trip(aniso):

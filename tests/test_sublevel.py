@@ -508,7 +508,11 @@ def test_inclusion_probability_is_the_tube_bound(name, heis):
     const = potential_bounds(3.0, None, s)
     c = cylinder_radius(spec, s)
     rho_t = sublevel._central_reach(s, c, r)
-    t = uniform_ball(np.random.default_rng(0), 400, s.m, 40.0 * rho_t)
+    # the draw plus one central point in each regime: the origin (q = 1) and
+    # 40 rho_t along e_1, so both show whatever the draw holds
+    e_1 = np.eye(s.m)[:1]
+    t = np.concatenate([uniform_ball(np.random.default_rng(0), 400, s.m, 40.0 * rho_t),
+                        np.zeros_like(e_1), 40.0 * rho_t * e_1])
     q = sublevel._inclusion_probability(spec, s, r, ell, c, t)
     for qi, ti in zip(q, np.linalg.norm(t, axis=1)):
         tube = (sublevel._tube_radius(const, spec.level, float(norm_xt([0.0], [ti - rho_t])))
