@@ -14,11 +14,12 @@ with c_{jk}(x) = (1/2)(J_k x)_j.  A `SmoothBump` contracts this from its
 profile derivatives without forming the Hessians; a left translate keeps
 the tensor form.  Only integrals carry discretisation
 error: the tensor midpoint rule is O(h^2) with positive weights.  A node sum
-runs over C-order blocks of `_BLOCK` nodes of the product of the grid's x-nodes
-and t-nodes, for a bump or a central translate only of those in its x-ball and
-t-ball, so memory does not grow with the grid: numpy sums each block pairwise
-and the partials in order, so every sum is bit-stable run to run and
-independent of the worker count.
+runs over C-order blocks of at most `_BLOCK` nodes, x-rows times t-rows passed
+as broadcasting views: memory does not grow with the grid, and x-only and
+t-only factors are evaluated once per table row.  A bump or central translate
+sums only its x-ball's and t-ball's rows.  numpy sums each block pairwise and
+the partials in order, so every sum is bit-stable run to run and independent
+of the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .group import GroupPoint, MetivierStructure, _dot, _require_finite
 from .norms import _weight, weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
-from .potential import (_grad_kaplan, _norm_jet, _potential, _weight_terms,
+from .potential import (_grad_kaplan, _norm_jet, _weight_terms,
                         potential_closed_form_xt, potential_value_xt)
 
 _BLOCK = 1 << 14
@@ -169,7 +170,10 @@ class TranslatedBump:
     def _pullback(self, x, t):
         from .group import product
         xc, tc = self.translation.x, self.translation.t
-        return product(self.structure, -xc, -tc, x, t)
+        if np.any(xc):
+            return product(self.structure, -xc, -tc, x, t)
+        self.structure.check_dims(x, t)   # a central shift keeps x-rows and t-rows apart
+        return np.asarray(x, dtype=float) - xc, np.asarray(t, dtype=float) - tc
 
     def _jacobian_tx(self) -> np.ndarray:
         """G with G[k, i] = d t_q[k] / d x[i] = -(1/2) (J_k xc)_i."""
@@ -316,8 +320,7 @@ class QuadratureGrid:
 
     def covers(self, f) -> bool:
         bx, bt = f.support_box(self.s)
-        cx = f.center(self.s).x
-        ct = f.center(self.s).t
+        cx, ct = f.center(self.s).x, f.center(self.s).t
         ok_x = np.all(cx - bx >= self.center_x - self.x_half - 1e-12) and \
             np.all(cx + bx <= self.center_x + self.x_half + 1e-12)
         ok_t = np.all(ct - bt >= self.center_t - self.t_half - 1e-12) and \
@@ -374,20 +377,23 @@ def _ball_count(offsets, r2: float) -> int:
 
 
 def _node_sum(grid: QuadratureGrid, term, rows=None):
-    """Sum of term(slice, x, t) over C-order blocks of `_BLOCK` nodes, in order,
-    of the product of the x- and t-tables or of their `rows`; each block is cut
-    from the whole x-rows that cover it.  An empty product (a grid with no node
-    in the bump's support) is one empty block, so the sum keeps term's shape."""
+    """Sum in C order of term(slice, x, t) over blocks of at most `_BLOCK` nodes of
+    the product of the x- and t-tables or of their `rows`: views x (k, 1, 2n) of
+    whole x-rows and t (1, c, m) of the t-table, or of one x-row and a t-chunk if
+    the t-table alone exceeds `_BLOCK`, and the block's slice of the flat product.
+    An empty product is one empty block, so the sum keeps term's shape."""
     xs, ts = grid._tables()
     if rows is not None:
         xs, ts = xs[rows[0]], ts[rows[1]]
-    size, nt = len(xs) * len(ts), max(len(ts), 1)
-    total = 0.0
-    for lo in range(0, max(size, 1), _BLOCK):
-        hi = min(lo + _BLOCK, size)
-        first, last, cut = lo // nt, -(-hi // nt), slice(lo % nt, lo % nt + hi - lo)
-        total = total + term(slice(lo, hi), np.repeat(xs[first:last], nt, axis=0)[cut],
-                             np.tile(ts, (last - first, 1))[cut])
+    nt = len(ts)
+    if not len(xs) * nt:
+        return term(slice(0, 0), xs[:0, None], ts[None, :0])
+    step, total = max(_BLOCK // nt, 1), 0.0
+    for r in range(0, len(xs), step):
+        x = xs[r:r + step, None]
+        for c in range(0, nt, _BLOCK):
+            t, lo = ts[None, c:c + _BLOCK], r * nt + c
+            total = total + term(slice(lo, lo + x.shape[0] * t.shape[1]), x, t)
     return total
 
 
@@ -398,7 +404,7 @@ def dirichlet_form(alpha: float, s: MetivierStructure, f,
 
     def energy(b, x, t):
         hg = horizontal_gradient(s, f, x, t)
-        return _dot(hg, hg) @ weight_xt(alpha, x, t)
+        return np.sum(_dot(hg, hg) * weight_xt(alpha, x, t))
     return float(_node_sum(grid, energy, _support_rows(grid, f)) * grid.cell_volume)
 
 
@@ -421,12 +427,12 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         jet = _norm_jet(s, x, t)
         w = _weight(alpha, jet.n)
         # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
-        g = _weight_terms(alpha, jet)[0]
-        shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(jet)
+        g, grad_sq, lw = _weight_terms(alpha, jet)
+        shifted = hg - (0.5 * g * val)[..., None] * _grad_kaplan(jet)
         phi = val * np.sqrt(w)
-        return np.array([_dot(hg, hg) @ w,
-                         _dot(shifted, shifted) @ w
-                         + (phi * phi) @ _potential(alpha, jet)])
+        return np.array([np.sum(_dot(hg, hg) * w),
+                         np.sum(_dot(shifted, shifted) * w)
+                         + np.sum(phi * phi * (-0.25 * grad_sq - 0.5 * lw))])   # V_alpha
     lhs, rhs = _node_sum(grid, sides, _support_rows(grid, f)) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
 
@@ -471,11 +477,10 @@ def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGr
                          "of physical memory")
     _require_cover(grid, psi)
     rows = _support_rows(grid, psi)
-    size = len(rows[0]) * len(rows[1])
-    val, lpsi = np.empty(size), np.empty(size)
+    val, lpsi = np.empty((2, len(rows[0]) * len(rows[1])))
 
     def fill(b, x, t):
-        val[b], lpsi[b] = psi._value_and_sub_laplacian(s, x, t)
+        val[b], lpsi[b] = (a.ravel() for a in psi._value_and_sub_laplacian(s, x, t))
         return np.array([np.sum(val[b] * val[b]), np.sum(lpsi[b] * lpsi[b])])
     norms_sq = _node_sum(grid, fill, rows) * grid.cell_volume
     return rows, val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)
@@ -505,7 +510,7 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
 
     def res_sq(b, x, t):
-        r = lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t) * val[b]
+        r = lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t).ravel() * val[b]
         return np.sum(r * r)
     res = _node_sum(moved, res_sq, rows) * moved.cell_volume
     return WeylRecord(n_index=n, residual=float(np.sqrt(res)), psi_norm=float(np.sqrt(norms_sq[0])),
@@ -522,16 +527,13 @@ def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
     grid's nodes around the identity.
     """
     m = n + max(2, int(math.ceil(2.0 * psi.t_radius)))
-    lo = float(n) - grid.t_half
-    hi = float(m) + grid.t_half
+    lo, hi = float(n) - grid.t_half, float(m) + grid.t_half
     span = hi - lo
     count = int(round(span / grid.ht))
     if abs(count * grid.ht - span) > 1e-9:
         count = int(math.ceil(span / grid.ht))
-    center = np.zeros(s.m)
-    center[0] = 0.5 * (lo + hi)
     union = QuadratureGrid(s, grid.x_half, 0.5 * count * grid.ht, grid.nx, count,
-                           grid.center_x, center)
+                           grid.center_x, 0.5 * (lo + hi) * np.eye(s.m)[0])
     psi_n, psi_m = weyl_sequence(s, psi, n), weyl_sequence(s, psi, m)
 
     def diff_sq(b, x, t):
@@ -578,10 +580,8 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     base = _weyl_base(s, psi, n_values[0], grid)
     sup_c = cylinder_sup_potential(alpha, s)
     if lam is None:
-        if alpha >= 2:
-            lam = 1.0 + max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
-        else:
-            lam = 1.0 + sup_c
+        lam = 1.0 + (max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
+                     if alpha >= 2 else sup_c)
     psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[3]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf
     records = [weyl_residual(alpha, s, psi, n, lam, grid, _base=base) for n in n_values]

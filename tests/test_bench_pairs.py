@@ -60,6 +60,49 @@ def test_summary_direction_ties_and_failed_runs():
     assert "wins 10/10" in row and "gain holds" in row
 
 
+def test_summary_regression_mirrors_the_gain_rule():
+    """A regression shows when the parent wins 9 of 10 pairs and its median is
+    better by more than the change's IQR, or when the change failed more checks."""
+    worse = [p + 0.2 for p in PARENT]
+    s = bench_pairs.summarize(PARENT, worse, "lower")
+    assert s["parent_wins"] == 10 and s["wins"] == 0
+    assert s["gap"] == pytest.approx(-0.2) and s["change_iqr"] == pytest.approx(0.125)
+    assert s["regression_shows"] and not s["gain_holds"]
+    assert "parent wins 10/10" in bench_pairs.format_row("wall_s", "s", s)
+    assert "regression shows" in bench_pairs.format_row("wall_s", "s", s)
+    # the parent wins only 8 of 10, though its median is far better
+    s = bench_pairs.summarize(PARENT, [p + 0.5 for p in PARENT[:8]]
+                              + [p - 0.01 for p in PARENT[8:]], "lower")
+    assert s["parent_wins"] == 8 and -s["gap"] > s["change_iqr"]
+    assert not s["regression_shows"]
+    # 10 of 10 wins inside the change's spread is no regression
+    s = bench_pairs.summarize(PARENT, [p + 0.01 for p in PARENT], "lower")
+    assert s["parent_wins"] == 10 and not s["regression_shows"]
+    # higher is better; a failed change run counts as a parent win, a failed parent run does not
+    s = bench_pairs.summarize([2.0] * 9 + [None], [1.0] * 8 + [None, 0.5], "higher")
+    assert s["parent_wins"] == 9 and s["regression_shows"]
+    # more failed checks on the change side are a regression whatever the timings
+    s = bench_pairs.summarize(PARENT, [0.9] * 10, "lower", failed=(0, 1))
+    assert s["parent_wins"] == 0 and s["regression_shows"]
+    assert not bench_pairs.summarize(PARENT, [0.9] * 10, "lower", failed=(1, 1))["regression_shows"]
+
+
+def test_summary_marks_spread_beyond_the_bound_unresolved():
+    """IQR over median above the bound on either side is unresolved, unless
+    every change run is better than every parent run."""
+    assert not bench_pairs.summarize(PARENT, [0.9] * 10, "lower")["unresolved"]
+    # parent IQR 0.125 over median 1.1 is 0.114
+    assert not bench_pairs.summarize(PARENT, [0.9] * 10, "lower", bound=0.25)["unresolved"]
+    assert bench_pairs.summarize(PARENT, [1.05] * 10, "lower", bound=0.1)["unresolved"]
+    wide = [0.5, 1.5] * 5
+    s = bench_pairs.summarize(PARENT, wide, "lower", bound=0.25)
+    assert s["unresolved"] and "unresolved" in bench_pairs.format_row("wall_s", "s", s)
+    # as wide, but every change run beats every parent run
+    s = bench_pairs.summarize(PARENT, [0.4, 0.9] * 5, "lower", bound=0.25)
+    assert s["change_iqr"] > 0.25 * s["change"][1] and not s["unresolved"]
+    assert bench_pairs.summarize([None] * 3, [1.0] * 3, "lower", bound=0.25)["unresolved"]
+
+
 def _stub_tree(root: Path, wall: float, failed: int = 0) -> Path:
     """A tree whose perfbench/run.py prints one fixed result line."""
     (root / "perfbench").mkdir(parents=True)
@@ -82,6 +125,7 @@ def test_main_on_stub_trees(tmp_path, capsys):
     assert "pair 1/2 (parent first)" in out and "pair 2/2 (change first)" in out
     assert "failed checks: parent 0, change 0" in out
     assert "wins 2/2" in out and "gain holds" in out
+    assert "parent wins 0/2" in out and "regression not shown" in out
 
 
 def test_main_refuses_gain_with_more_failed_checks(tmp_path, capsys):
@@ -91,4 +135,4 @@ def test_main_refuses_gain_with_more_failed_checks(tmp_path, capsys):
                              "--seed", "0", "--pairs", "2"]) == 0
     out = capsys.readouterr().out
     assert "failed checks: parent 0, change 2" in out
-    assert "wins 2/2" in out and "gain not shown" in out
+    assert "wins 2/2" in out and "gain not shown" in out and "regression shows" in out

@@ -435,20 +435,43 @@ def _quaternion_grid(s):
     return QuadratureGrid(s, 1.2, 1.0, 5, 5, center_x=[0.1, 0.0, 0.0, 0.0])
 
 
+def _blocks(grid, rows=None):
+    """The (slice, x, t) blocks `_node_sum` hands its term, in order."""
+    blocks = []
+    forms._node_sum(grid, lambda *blk: blocks.append(blk) or 0.0, rows)
+    return blocks
+
+
+def _assert_blocks_tile(blocks, want, size):
+    """Each block is x-rows (k, 1, 2n) times t-rows (1, c, m), at most `_BLOCK`
+    nodes; their slices tile range(size) in order, and broadcast to the block
+    and flattened, the views concatenate to `want` bit for bit."""
+    assert blocks[0][0].start == 0 and blocks[-1][0].stop == size
+    for (b, x, t), nxt in zip(blocks, blocks[1:] + [(slice(size, None), None, None)]):
+        assert b.stop == nxt[0].start
+        assert x.shape[1] == 1 and t.shape[0] == 1
+        assert b.stop - b.start == x.shape[0] * t.shape[1] <= forms._BLOCK
+    for k in (1, 2):
+        got = [np.broadcast_to(blk[k], (blk[1].shape[0], blk[2].shape[1], blk[k].shape[2]))
+               for blk in blocks]
+        assert np.array_equal(np.concatenate([g.reshape(-1, g.shape[2]) for g in got]),
+                              want[k - 1])
+
+
 def test_blocks_concatenate_to_nodes(heis, quaternion):
-    """The blocks tile the grid in C order and carry the meshgrid's bits."""
+    """The blocks tile the grid in C order, each a run of whole x-rows times the
+    t-table, and broadcast they carry the meshgrid's bits."""
     for grid in (QuadratureGrid(heis, 1.0, 1.0, 30, 30), _quaternion_grid(quaternion),
                  QuadratureGrid(heis, 1.0, 1.0, 7, 8)):
         assert grid.dim % forms._BLOCK != 0
         want = oracles.meshgrid_nodes(grid)
         got = grid.nodes()
         assert all(np.array_equal(g, w) and g.flags.c_contiguous for g, w in zip(got, want))
-        blocks = []
-        forms._node_sum(grid, lambda *blk: blocks.append(blk) or 0.0)
-        assert [b.start for b, _, _ in blocks] == list(range(0, grid.dim, forms._BLOCK))
-        assert blocks[-1][0].stop == grid.dim
-        for k in (1, 2):
-            assert np.array_equal(np.concatenate([blk[k] for blk in blocks]), want[k - 1])
+        blocks = _blocks(grid)
+        n_t = grid.nt ** grid.s.m
+        assert [b.start for b, _, _ in blocks] == list(
+            range(0, grid.dim, forms._BLOCK // n_t * n_t))
+        _assert_blocks_tile(blocks, want, grid.dim)
 
 
 def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
@@ -476,9 +499,9 @@ def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
 
 
 def test_support_blocks_tile_the_support_in_c_order(heis, quaternion):
-    """Over a bump's support rows the blocks still start at multiples of the
-    block size, and concatenate to the whole grid's nodes on those rows, in
-    C order."""
+    """Over a bump's support rows each block is whole support x-rows times the
+    support t-rows, and broadcast the blocks concatenate to the whole grid's
+    nodes on those rows, in C order."""
     for grid in (QuadratureGrid(heis, 1.0, 1.0, 30, 30), _quaternion_grid(quaternion)):
         rows = forms._support_rows(grid, SmoothBump(1.0, 1.0))
         n_t = grid.nt ** grid.s.m
@@ -486,24 +509,42 @@ def test_support_blocks_tile_the_support_in_c_order(heis, quaternion):
         keep = np.isin(flat // n_t, rows[0]) & np.isin(flat % n_t, rows[1])
         assert 0 < keep.sum() < grid.dim
         want = [c[keep] for c in oracles.meshgrid_nodes(grid)]
-        blocks = []
-        forms._node_sum(grid, lambda *blk: blocks.append(blk) or 0.0, rows)
-        assert [b.start for b, _, _ in blocks] == list(range(0, keep.sum(), forms._BLOCK))
-        assert blocks[-1][0].stop == keep.sum()
-        for k in (1, 2):
-            assert np.array_equal(np.concatenate([blk[k] for blk in blocks]), want[k - 1])
+        blocks = _blocks(grid, rows)
+        per_block = forms._BLOCK // len(rows[1]) * len(rows[1])
+        assert [b.start for b, _, _ in blocks] == list(range(0, keep.sum(), per_block))
+        _assert_blocks_tile(blocks, want, keep.sum())
+
+
+def test_long_t_table_blocks_stay_bounded(heis):
+    """A t-table longer than `_BLOCK` is cut into t-chunks: each block is one
+    x-row times at most `_BLOCK` t-rows, the blocks still tile the support in
+    C order, and the sums match the unblocked oracles."""
+    grid = QuadratureGrid(heis, 1.0, 1.0, 4, 16_390)
+    bump = SmoothBump(1.0, 1.0)
+    rows = forms._support_rows(grid, bump)
+    assert [len(r) for r in rows] == [12, 16_390]
+    blocks = _blocks(grid, rows)
+    assert [(x.shape[0], t.shape[1]) for _, x, t in blocks] == [(1, forms._BLOCK), (1, 6)] * 12
+    flat = np.arange(grid.dim)
+    keep = np.isin(flat // grid.nt, rows[0])
+    _assert_blocks_tile(blocks, [c[keep] for c in oracles.meshgrid_nodes(grid)], keep.sum())
+    _assert_sums_match_oracle(heis, bump, grid, [2, 5])
 
 
 def test_grid_with_no_node_in_the_support(heis):
     """A box too coarse to put a node inside the unit bump sums one empty
-    block: every quadrature reads 0, as the whole-box sums do."""
-    grid = QuadratureGrid(heis, 10.0, 10.0, 4, 4)
+    block: every quadrature reads 0, as the whole-box sums do.  That holds
+    also when only the x-rows are empty and the t-rows alone exceed `_BLOCK`."""
     bump = SmoothBump(1.0, 1.0)
-    assert [r.size for r in forms._support_rows(grid, bump)] == [0, 0]
-    assert dirichlet_form(2.5, heis, bump, grid) == 0.0
-    assert conjugation_residual(3.0, heis, bump, grid) == 0.0
-    rec = weyl_scan(1.5, heis, bump, [2, 4], grid).records[0]
-    assert (rec.residual, rec.psi_norm, rec.overlap_check) == (0.0, 0.0, 0.0)
+    for grid, sizes in ((QuadratureGrid(heis, 10.0, 10.0, 4, 4), [0, 0]),
+                        (QuadratureGrid(heis, 10.0, 1.0, 4, 16_390), [0, 16_390])):
+        rows = forms._support_rows(grid, bump)
+        assert [r.size for r in rows] == sizes
+        assert [b for b, _, _ in _blocks(grid, rows)] == [slice(0, 0)]
+        assert dirichlet_form(2.5, heis, bump, grid) == 0.0
+        assert conjugation_residual(3.0, heis, bump, grid) == 0.0
+        rec = weyl_scan(1.5, heis, bump, [2, 4], grid).records[0]
+        assert (rec.residual, rec.psi_norm, rec.overlap_check) == (0.0, 0.0, 0.0)
 
 
 def _assert_sums_match_oracle(s, f, grid, n_values=()):
@@ -556,12 +597,14 @@ def test_non_central_translate_sums_over_the_whole_box(heis, monkeypatch):
 
 
 def _points_seen(monkeypatch, owner, name, arg):
-    """Wrap owner.name; the returned list grows by len(args[arg]) per call."""
+    """Wrap owner.name, whose args[arg] and args[arg + 1] are x and t; the
+    returned list grows by the number of nodes they broadcast to per call."""
     seen = []
     real = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        seen.append(len(args[arg]))
+        seen.append(math.prod(np.broadcast_shapes(np.shape(args[arg])[:-1],
+                                                  np.shape(args[arg + 1])[:-1])))
         return real(*args, **kwargs)
     monkeypatch.setattr(owner, name, counting)
     return seen
@@ -575,13 +618,20 @@ def test_quadratures_evaluate_only_the_support(name, count, dim, support, reques
     48^3 Heisenberg nodes (1,804 x-rows of 2,304, all 48 t-rows) and 367,360
     of the 8^7 quaternion nodes (1,312 of 4,096 and 280 of 512).  The base's
     psi and L psi, one riding pass's closed-form V_alpha and the conjugation
-    residual's norm jet each see exactly those points."""
+    residual's norm jet each see exactly those points.  The bump's profiles
+    see x-rows and t-rows, not nodes: the x-profile runs once per support x-row
+    for psi, and once more for each of the two translates of the overlap check."""
     s = request.getfixturevalue(name)
     grid = QuadratureGrid(s, 1.0, 1.0, count, count)
     bump = SmoothBump(1.0, 1.0)
     assert grid.dim == dim
     base_seen = _points_seen(monkeypatch, SmoothBump, "_value_and_sub_laplacian", 2)
+    profiles, real_profile = [], forms._profile
+    monkeypatch.setattr(forms, "_profile",
+                        lambda sq, order: profiles.append(np.shape(sq)) or real_profile(sq, order))
     base = forms._weyl_base(s, bump, 2, grid)
+    assert all(len(shape) == 2 and 1 in shape for shape in profiles)
+    assert sum(k for k, one in profiles if one == 1) == 3 * len(base[0][0])
     ride_seen = _points_seen(monkeypatch, forms, "potential_closed_form_xt", 2)
     weyl_residual(1.5, s, bump, 5, 1.0, grid, _base=base)
     jet_seen = _points_seen(monkeypatch, forms, "_norm_jet", 1)
@@ -603,7 +653,7 @@ def test_weyl_riding_pass_takes_closed_form_on_h_type(name, request, monkeypatch
     value_calls = count_calls(monkeypatch, "potential_value_xt", forms)
     rec = weyl_residual(1.5, s, bump, 2, 1.0, grid, _base=base)
     assert math.isfinite(rec.residual)
-    blocks = -(-grid.dim // forms._BLOCK)
+    blocks = len(_blocks(grid, base[0]))
     if s.h_type:
         assert jet_calls == [] and value_calls == []
     else:
