@@ -12,8 +12,8 @@ from .group import (ConditionEstimate, GroupPoint, MetivierStructure, dilate,
                     homogeneous_dimension, identity, inverse, make_heisenberg,
                     multiply, point, verify_metivier)
 from .norms import BallSpec, GammaEstimate, estimate_gamma
-from .potential import (PotentialConstants, admissibility_report,
-                        check_sandwich, essential_inf_estimate, potential_bounds)
+from .potential import (Admissibility, PotentialConstants, admissibility,
+                        check_sandwich, potential_bounds)
 from .forms import (QuadratureGrid, SmoothBump, TranslatedBump, WeylRecord,
                     conjugation_residual, dirichlet_form, weyl_residual, weyl_scan,
                     weyl_sequence)

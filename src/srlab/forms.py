@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _dot, _require_finite
-from .norms import _weight, weight_xt
+from .norms import weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _weight_terms,
                         potential_closed_form_xt, potential_value_xt)
@@ -425,9 +425,9 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
     def sides(b, x, t):
         val, hg = _value_and_horizontal_gradient(s, f, x, t)
         jet = _norm_jet(s, x, t)
-        w = _weight(alpha, jet.n)
         # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
         g, grad_sq, lw = _weight_terms(alpha, jet)
+        w = np.exp(-g * jet.n / alpha)
         shifted = hg - (0.5 * g * val)[..., None] * _grad_kaplan(jet)
         phi = val * np.sqrt(w)
         return np.array([np.sum(_dot(hg, hg) * w),

@@ -8,9 +8,10 @@ weight w_alpha = exp(-N^alpha), the potential
             - (1/2) alpha (alpha - 1) N^{alpha - 2} |grad_H N|^2
             + (1/2) alpha N^{alpha - 1} (LN),
 
-its two-sided polynomial sandwich with explicit constants, and diagnostics
-(essential infimum, admissibility probes for uniqueness of the self-adjoint
-extension, sup of |V_alpha| on the unit cylinder from the sandwich).
+its two-sided polynomial sandwich with explicit constants, and diagnostics:
+exact admissibility verdicts for uniqueness of the self-adjoint extension
+and the essential infimum, both from homogeneity with no sampling, and the
+sup of |V_alpha| on the unit cylinder from the sandwich.
 
 Every consumer, here and in `forms` and `sublevel`, evaluates the norm jet
 `_norm_jet` at most once per batch, and each formula is written once.
@@ -32,8 +33,8 @@ import numpy as np
 
 from .group import (ConditionEstimate, MetivierStructure,
                     _dot, _require_finite, exact_condition_extremes,
-                    homogeneous_dimension, unit_sample)
-from .norms import _radial, _weight, norm_xt
+                    homogeneous_dimension)
+from .norms import _radial, _weight
 
 
 class _AtIdentity(ValueError):
@@ -87,7 +88,7 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
 
 
 def _grad_kaplan(jet: _NormJet) -> np.ndarray:
-    return (jet.x2[..., None] * jet.x + 4.0 * jet.jt_x) / (jet.n ** 3)[..., None]
+    return (jet.x2[..., None] * jet.x + 4.0 * jet.jt_x) / (jet.n * jet.n * jet.n)[..., None]
 
 
 def _weight_terms(alpha: float, jet: _NormJet):
@@ -358,64 +359,6 @@ def sandwich_floor(const: PotentialConstants) -> float:
     return min(0.0, phi)
 
 
-@dataclass(frozen=True)
-class EssentialInfEstimate:
-    sampled_min: float
-    analytic_floor: float | None
-    unbounded_below: bool
-    sentinel: float
-    sentinel_hit: bool
-    scales: tuple
-    per_scale: int
-    seed: int
-
-
-def essential_inf_estimate(alpha: float, s: MetivierStructure,
-                           scale_range: tuple[int, int] = (-20, 5),
-                           per_scale: int = 200, seed: int = 0,
-                           sentinel: float = -1e6) -> EssentialInfEstimate:
-    """Sampled minimum of V_alpha over a dilation-graded cloud.
-
-    Each scale 2^j carries `per_scale` random points dilated onto the shell
-    N = 2^j, plus the deterministic axis point (2^j e_1, 0) where the lower
-    bound is attained.  For alpha >= 2 the analytic sandwich floor is
-    attached; for alpha < 2 the potential is unbounded below (reported, not
-    clamped) and the running minimum may cross the sentinel.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = scale_range
-    scales = tuple(2.0 ** j for j in range(lo, hi + 1))
-    running_min = math.inf
-    for r in scales:
-        x, t = _shell_points(s, rng, per_scale, r)
-        running_min = min(running_min, float(potential_value_xt(alpha, s, x, t).min()))
-    floor = sandwich_floor(potential_bounds(alpha, None, s)) if alpha >= 2 else None
-    return EssentialInfEstimate(
-        sampled_min=running_min,
-        analytic_floor=floor,
-        unbounded_below=alpha < 2,
-        sentinel=sentinel,
-        sentinel_hit=running_min < sentinel,
-        scales=(float(scales[0]), float(scales[-1])),
-        per_scale=per_scale,
-        seed=seed,
-    )
-
-
-def _shell_points(s: MetivierStructure, rng: np.random.Generator,
-                  count: int, radius: float):
-    """Random points with N = radius exactly, plus the |x| = N axis point."""
-    raw = unit_sample(rng, count, s.horizontal_dim + s.m)
-    x = raw[:, : s.horizontal_dim]
-    t = raw[:, s.horizontal_dim:]
-    n_unit = norm_xt(x, t)
-    x = x / n_unit[:, None]
-    t = t / (n_unit ** 2)[:, None]
-    x = np.concatenate([x, np.eye(s.horizontal_dim)[:1]], axis=0)
-    t = np.concatenate([t, np.zeros((1, s.m))], axis=0)
-    return x * radius, t * radius * radius
-
-
 def fit_loglog_slope(ns, values) -> float:
     """Least-squares slope of log(values) against log(ns)."""
     ln = np.log(np.asarray(ns, dtype=float))
@@ -425,76 +368,48 @@ def fit_loglog_slope(ns, values) -> float:
 
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class Admissibility:
     alpha: float
-    inner_radii: np.ndarray
-    grad_sup: np.ndarray
-    lap_sup: np.ndarray
-    ratio_radii: np.ndarray
-    ratio_sup: np.ndarray
     grad_locally_bounded: bool
     lap_locally_bounded: bool
     ratio_globally_bounded: bool
     condition_a: bool
     condition_b: bool
+    ess_inf: float
+    ess_inf_status: str
 
 
-def admissibility_report(alpha: float, s: MetivierStructure,
-                         depth: int = 14, per_shell: int = 400,
-                         seed: int = 0, slope_tol: float = 0.05) -> AdmissibilityReport:
-    """Numerical probes behind uniqueness of the self-adjoint extension.
+def admissibility(alpha: float, s: MetivierStructure) -> Admissibility:
+    """Exact verdicts behind uniqueness of the self-adjoint extension, and ess inf V_alpha.
 
-    (a) requires |grad_H w_alpha| and |L w_alpha| bounded on punctured balls
-    around the identity, probed on shells N = 2^{-j}; (b) requires the global
-    ratio |grad_H w_alpha| / ((1 + N) w_alpha) bounded, probed on shells
-    N = 2^{+-j}.  Boundedness is classified by the log-log slope of the shell
-    sups toward the relevant end.  These are sup probes: they are conservative
-    for (a), whose second half is really an integrability condition.
+    (a) asks |grad_H w_alpha| and |L w_alpha| bounded on punctured balls
+    around the identity; (b) asks the ratio |grad_H w_alpha| / ((1 + N) w_alpha)
+    bounded globally.  Each is a power of N times a homogeneous factor of
+    degree 0, continuous off the identity, so bounded (Folland-Stein, ch. 1):
+    |grad_H w| / w = a N^{a-1} |grad_H N|, (L w) / w = a N^{a-2} h
+    - a^2 N^{2a-2} |grad_H N|^2 with h = (a-1)|grad_H N|^2 - N LN, and the
+    ratio goes like N^{a-1} at 0 and N^{a-2} at infinity.  At the axis point
+    (e_1, 0), |grad_H N| = 1 and h = a + 2n - 2 + 2 sum_k |J_k e_1|^2 > 0, so
+    no factor vanishes identically, and the verdicts are the exponent rule:
+    the gradient is bounded near the identity iff a >= 1, L w iff a >= 2,
+    the ratio iff 1 <= a <= 2.
+
+    ess inf V_alpha is -inf for a < 2 (on the axis V = c1 N^{2a-2} - c2 N^{a-2}
+    with c2 > 0), and otherwise the sandwich floor: exact on H-type groups,
+    where the sandwich is an equality; a rigorous lower bound for m = 1;
+    heuristic for m >= 2 off H-type (sampled constants).
     """
-    rng = np.random.default_rng(seed)
-    inner_radii = 2.0 ** (-np.arange(0, depth + 1, dtype=float))
-    grad_sup = np.empty_like(inner_radii)
-    lap_sup = np.empty_like(inner_radii)
-    for i, r in enumerate(inner_radii):
-        jet = _norm_jet(s, *_shell_points(s, rng, per_shell, r))
-        w = _weight(alpha, jet.n)
-        _, grad_sq, lw = _weight_terms(alpha, jet)
-        grad_sup[i] = float((w * np.sqrt(grad_sq)).max())   # |grad w| = w |grad log w|
-        lap_sup[i] = float(np.abs(w * lw).max())
-
-    ratio_radii = 2.0 ** np.arange(-depth, depth + 1, dtype=float)
-    ratio_sup = np.empty_like(ratio_radii)
-    for i, r in enumerate(ratio_radii):
-        jet = _norm_jet(s, *_shell_points(s, rng, per_shell, r))
-        # |grad w| / ((1+N) w) = |grad log w| / (1+N); the weight cancels
-        # exactly and would underflow for large N if kept.
-        ratio_sup[i] = float((np.sqrt(_weight_terms(alpha, jet)[1]) / (1.0 + jet.n)).max())
-
-    def slope(radii, sups, part):
-        keep = sups[part] > 0    # a vanishing sup carries no slope
-        if keep.sum() < 2:
-            return 0.0
-        return fit_loglog_slope(radii[part][keep], sups[part][keep])
-
-    # slope of sup vs radius toward r -> 0: negative slope means blow-up
-    small = slice(len(inner_radii) - 8, len(inner_radii))
-    grad_ok = slope(inner_radii, grad_sup, small) >= -slope_tol
-    lap_ok = slope(inner_radii, lap_sup, small) >= -slope_tol
-    k = len(ratio_radii)
-    low = slice(0, 8)          # radii 2^{-depth} .. : boundedness near identity
-    high = slice(k - 8, k)     # radii .. 2^{depth}: boundedness at infinity
-    ratio_ok = (slope(ratio_radii, ratio_sup, low) >= -slope_tol
-                and slope(ratio_radii, ratio_sup, high) <= slope_tol)
-    return AdmissibilityReport(
-        alpha=alpha,
-        inner_radii=inner_radii, grad_sup=grad_sup, lap_sup=lap_sup,
-        ratio_radii=ratio_radii, ratio_sup=ratio_sup,
-        grad_locally_bounded=grad_ok,
-        lap_locally_bounded=lap_ok,
-        ratio_globally_bounded=ratio_ok,
-        condition_a=grad_ok and lap_ok,
-        condition_b=grad_ok and ratio_ok,
-    )
+    _require_finite("alpha", alpha, positive=True)
+    grad_ok, lap_ok, ratio_ok = alpha >= 1, alpha >= 2, 1 <= alpha <= 2
+    if alpha < 2:
+        ess_inf, status = -math.inf, "exact"
+    else:
+        ess_inf = sandwich_floor(potential_bounds(alpha, None, s))
+        status = "exact" if s.h_type else "bound" if s.m == 1 else "heuristic"
+    return Admissibility(alpha=alpha, grad_locally_bounded=grad_ok,
+                         lap_locally_bounded=lap_ok, ratio_globally_bounded=ratio_ok,
+                         condition_a=grad_ok and lap_ok, condition_b=grad_ok and ratio_ok,
+                         ess_inf=ess_inf, ess_inf_status=status)
 
 
 def cylinder_sup_potential(alpha: float, s: MetivierStructure) -> float:

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from srlab import potential
 from srlab.forms import SmoothBump, horizontal_gradient, sub_laplacian_apply
-from srlab.group import (exact_condition_extremes, identity, point, uniform_ball,
-                         verify_metivier)
+from srlab.group import (MetivierStructure, exact_condition_extremes, identity, point,
+                         uniform_ball, verify_metivier)
 from srlab.norms import BallSpec, in_ball_xt, norm_xt, quasi_distance_xt, weight_xt
-from srlab.potential import (admissibility_report, check_sandwich,
+from srlab.potential import (admissibility, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
-                             essential_inf_estimate, grad_kaplan_xt,
+                             grad_kaplan_xt,
                              grad_norm_sq_xt, grad_weight_xt,
                              laplacian_weight_xt, potential_bounds,
                              potential_closed_form_xt, potential_value_xt,
@@ -22,7 +22,7 @@ from srlab.potential import (admissibility_report, check_sandwich,
 from srlab.sublevel import SublevelSpec, in_sublevel_xt
 
 import oracles
-from conftest import count_calls, random_points, skew_structures
+from conftest import count_calls, quaternion_maps, random_points, skew_structures
 
 # every public batch entry point that takes a structure, as (s, x, t) -> value
 _STRUCTURE_ENTRY_POINTS = {
@@ -293,52 +293,115 @@ def test_sandwich_floor_values(heis):
     assert sandwich_floor(potential_bounds(4.0, None, heis)) == pytest.approx(-8.0, abs=1e-12)
 
 
-def test_essential_inf_alpha2(heis):
-    est = essential_inf_estimate(2.0, heis, seed=0)
-    assert est.analytic_floor == -4.0
-    assert est.sampled_min >= -4.0 - 1e-9
-    assert not est.unbounded_below
+def _axis_scan_min(alpha, s, n_max=5.0, points=200_000):
+    """min of the jet's V_alpha on the axis (N e_1, 0), N in [1e-3, n_max]."""
+    ns = np.linspace(1e-3, n_max, points)
+    x = ns[:, None] * np.eye(s.horizontal_dim)[0]
+    return float(potential_value_xt(alpha, s, x, np.zeros((points, s.m))).min())
+
+
+def _check_exact_floor(alpha, s, floor):
+    """ess inf is the sandwich floor, exact on H-type, and an axis scan of the jet
+    comes down to it from above (at alpha = 2 only in the limit N -> 0)."""
+    adm = admissibility(alpha, s)
+    assert adm.ess_inf == pytest.approx(floor, rel=1e-5)
+    assert adm.ess_inf == sandwich_floor(potential_bounds(alpha, None, s))
+    assert adm.ess_inf_status == "exact"
+    scan = _axis_scan_min(alpha, s)
+    assert adm.ess_inf - 1e-9 <= scan <= adm.ess_inf + 1e-5
+
+
+def test_essential_inf_alpha2(heis, quaternion):
+    _check_exact_floor(2.0, heis, -4.0)
+    _check_exact_floor(2.0, quaternion, -10.0)
     # brute-force oracle over the closed form: min of u(1 - 4/N^2), u <= N^2
     ns = np.linspace(1e-3, 5.0, 4001)
     brute = np.min(ns ** 2 * (1.0 - 4.0 / ns ** 2))
     assert brute >= -4.0 and brute < -3.99
 
 
-def test_essential_inf_alpha4(heis):
-    est = essential_inf_estimate(4.0, heis, seed=0)
-    assert est.analytic_floor == pytest.approx(-8.0, abs=1e-12)
-    assert est.sampled_min >= -12.0
-    assert est.sampled_min >= est.analytic_floor - 1e-9
+def test_essential_inf_alpha3(heis, quaternion):
+    _check_exact_floor(3.0, heis, -5.29333)
+    _check_exact_floor(3.0, quaternion, -15.1458)
+
+
+def test_essential_inf_alpha4(heis, quaternion):
+    _check_exact_floor(4.0, heis, -8.0)
+    _check_exact_floor(4.0, quaternion, -22.6274)
     # grid-search oracle over (u, N): 4 u N^4 - 12 u with u = |x|^2 <= N^2
     ns = np.linspace(1e-3, 3.0, 3001)
     brute = np.min(4.0 * ns ** 2 * ns ** 4 - 12.0 * ns ** 2)
-    assert est.sampled_min == pytest.approx(brute, abs=1e-2)
-    assert brute == pytest.approx(-8.0, abs=1e-2)
+    assert admissibility(4.0, heis).ess_inf == pytest.approx(brute, abs=1e-2)
 
 
-def test_essential_inf_alpha_below_two(heis):
-    est = essential_inf_estimate(1.5, heis, seed=0)
-    assert est.unbounded_below
-    assert est.analytic_floor is None
-    shallow = essential_inf_estimate(1.0, heis, scale_range=(-40, 2),
-                                     per_scale=50, seed=0, sentinel=-1e3)
-    assert shallow.sentinel_hit
+def test_essential_inf_alpha_below_two(heis, quaternion):
+    """Below alpha = 2, V_alpha is unbounded below along the axis: at N = 1e-12
+    the jet's value is already below -1e3."""
+    for s in (heis, quaternion):
+        for alpha in (0.5, 1.0, 1.5):
+            adm = admissibility(alpha, s)
+            assert adm.ess_inf == -math.inf and adm.ess_inf_status == "exact"
+            x = 1e-12 * np.eye(s.horizontal_dim)[:1]
+            assert float(potential_value_xt(alpha, s, x, np.zeros((1, s.m)))[0]) < -1e3
 
 
-def test_admissibility_one_jet_per_shell(heis, monkeypatch):
-    """Each probed shell is evaluated once, for the gradient, L w and the ratio alike."""
-    jets = count_calls(monkeypatch, "_norm_jet", potential)
-    rep = admissibility_report(3.0, heis, depth=6, per_shell=50)
-    assert len(jets) == rep.inner_radii.size + rep.ratio_radii.size
+def test_ess_inf_status(heis, aniso, quaternion):
+    """Exact on H-type, a rigorous bound for m = 1, heuristic for m >= 2 off H-type."""
+    li, lj = quaternion_maps()[:2]
+    # |J_t x|^2 = (t_1^2 + 4 t_2^2) |x|^2: Metivier with (c0, C0) = (1, 4), not H-type
+    stretched = MetivierStructure(n=2, m=2, maps=np.stack([li, 2.0 * lj]))
+    assert admissibility(3.0, heis).ess_inf_status == "exact"
+    assert admissibility(3.0, quaternion).ess_inf_status == "exact"
+    assert admissibility(3.0, aniso).ess_inf_status == "bound"
+    assert admissibility(3.0, stretched).ess_inf_status == "heuristic"
+    for s in (aniso, stretched):
+        assert admissibility(1.5, s).ess_inf_status == "exact"
+        assert math.isfinite(admissibility(3.0, s).ess_inf)
 
 
-def test_admissibility_classification(heis):
-    assert admissibility_report(1.0, heis).condition_b
-    rep3 = admissibility_report(3.0, heis)
-    assert rep3.condition_a
-    rep_half = admissibility_report(0.5, heis)
-    assert not rep_half.condition_a and not rep_half.condition_b
-    assert not rep_half.grad_locally_bounded
+def test_admissibility_evaluates_no_jet(heis, monkeypatch):
+    """The verdicts and the floor are closed forms: no point is evaluated."""
+    calls = count_calls(monkeypatch, "_norm_jet", potential)
+    admissibility(3.0, heis)
+    admissibility(1.5, heis)
+    assert calls == []
+
+
+_NEAR_THRESHOLDS = (1 - 1e-9, 1.0, 1 + 1e-9, 2 - 1e-9, 2.0, 2 + 1e-9,
+                    0.96, 0.98, 0.99, 1.96, 1.98, 1.99, 2.01, 2.03, 2.04)
+
+
+def test_admissibility_classification(heis, quaternion, aniso):
+    """The exponent rule, also next to the thresholds where the old shell-sampled
+    slopes misjudged it (0.96-0.99, 1.96-1.99, 2.01-2.04)."""
+    assert admissibility(1.0, heis).condition_b
+    assert admissibility(3.0, heis).condition_a
+    half = admissibility(0.5, heis)
+    assert not half.condition_a and not half.condition_b
+    assert not half.grad_locally_bounded
+    for s in (heis, quaternion, aniso):
+        for alpha in _NEAR_THRESHOLDS:
+            adm = admissibility(alpha, s)
+            assert adm.alpha == alpha
+            assert adm.grad_locally_bounded == (alpha >= 1)
+            assert adm.lap_locally_bounded == (alpha >= 2)
+            assert adm.ratio_globally_bounded == (1 <= alpha <= 2)
+            assert adm.condition_a == (alpha >= 2)
+            assert adm.condition_b == (1 <= alpha <= 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=skew_structures(), alpha=st.floats(0.05, 5.0))
+def test_axis_point_identity(s, alpha):
+    """At (e_1, 0): |grad_H N|^2 = 1 and h = (a-1)|grad_H N|^2 - N LN
+    = a + 2n - 2 + 2 sum_k |J_k e_1|^2 > 0, the nonzero degree-0 factors
+    behind the exact admissibility verdicts."""
+    x, t = np.eye(s.horizontal_dim)[:1], np.zeros((1, s.m))
+    gns = float(grad_norm_sq_xt(s, x, t)[0])
+    h = (alpha - 1.0) * gns - float(sub_laplacian_norm_xt(s, x, t)[0])
+    closed = alpha + 2 * s.n - 2 + 2 * float(np.sum(s.maps[:, :, 0] ** 2))
+    assert gns == 1.0
+    assert h == pytest.approx(closed, rel=1e-12, abs=1e-12) and h > 0
 
 
 def test_scaling_law_along_orbits(heis):
@@ -486,6 +549,8 @@ def test_kernels_reject_non_finite_alpha(heis):
             potential_bounds(alpha, None, heis)
         with pytest.raises(ValueError, match="alpha"):
             cylinder_sup_potential(alpha, heis)
+        with pytest.raises(ValueError, match="alpha"):
+            admissibility(alpha, heis)
     # a NaN slack made every comparison false, hiding real violations
     assert check_sandwich(3.0, heis, (x, t), slack=-1.0).n_violations > 0
     for bad in (math.nan, math.inf):
