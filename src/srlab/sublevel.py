@@ -187,12 +187,12 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure) -> float:
     Inverts the lower envelope: c = sup { u : phi(u) <= level }.  phi falls
     to its minimum, the sandwich floor, at the k = 2 `_turning_point` u_m
     and rises after it, so c is 0 (empty sublevel set) when the level is
-    below phi(u_m), and otherwise the one crossing beyond u_m, bracketed by
-    doubling and bisected.  So that c stays an enclosure in floating point,
-    its relative margin starts at 1e-9 and doubles until phi(c) exceeds the
-    level by phi's rounding, 8 ulp of c_a1 c^(2a-2) + c_a2 c^(a-2), then
-    narrows until the radius 2e-9 below c does not.  The inversion depends
-    only on the sandwich constants and the level and is memoised on them.
+    below phi(u_m).  Otherwise c is a u past u_m where phi(u) clears the level
+    by phi's rounding, 8 ulp of c_a1 u^(2a-2) + c_a2 u^(a-2), which proves the
+    enclosure as phi rises, while c (1 - 2e-9) does not clear: doubling from
+    u_m, bisection on that test to 1e-12, then steps down by 2e-9.  The
+    inversion depends only on the sandwich constants and the level and is
+    memoised on them.
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
@@ -201,36 +201,27 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure) -> float:
 
 @lru_cache(maxsize=256)
 def _envelope_inverse(const: PotentialConstants, level: float) -> float:
-    lo = _turning_point(const.c_a1, const.c_a2, const.alpha, 2)
-    if level < lower_envelope(const, lo):
+    a = const.alpha
+    u_m = _turning_point(const.c_a1, const.c_a2, a, 2)
+    if level < lower_envelope(const, u_m):
         return 0.0
-    hi = 2.0 * lo
-    while lower_envelope(const, hi) <= level:
+
+    def clears(u):   # phi(u) above the level by more than 8 ulp of its two terms, or overflowed
+        phi = lower_envelope(const, u)
+        return phi == math.inf or phi > level + 8.0 * np.finfo(float).eps * (
+            const.c_a1 * np.power(u, 2.0 * a - 2.0) + const.c_a2 * np.power(u, a - 2.0))
+
+    lo, hi = u_m, 2.0 * u_m
+    while not clears(hi):
         lo, hi = hi, 2.0 * hi
-    for _ in range(80):
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if lower_envelope(const, mid) <= level:
-            lo = mid
-        else:
-            hi = mid
-
-    def clears(u):   # phi(u) above the level by more than 8 ulp of its two terms
-        a = const.alpha
-        return lower_envelope(const, u) > level + 8.0 * np.finfo(float).eps * (
-            const.c_a1 * u ** (2.0 * a - 2.0) + const.c_a2 * u ** (a - 2.0))
-
-    inner, margin = hi, 1e-9
-    while not clears(hi * (1.0 + margin)):
-        inner, margin = hi * (1.0 + margin), 2.0 * margin
-    outer = hi * (1.0 + margin)
-    while outer > inner * (1.0 + 1e-9):
-        mid = 0.5 * (inner + outer)
-        inner, outer = (inner, mid) if clears(mid) else (mid, outer)
+        lo, hi = (lo, mid) if clears(mid) else (mid, hi)
     # where phi is flat to its rounding, `clears` is not monotone: step down
-    # while the radius 2e-9 below still clears (never below hi, where phi > level)
-    while margin > 1e-9 and outer * (1.0 - 2e-9) > hi and clears(outer * (1.0 - 2e-9)):
-        outer *= 1.0 - 2e-9
-    return float(outer)
+    # while the radius 2e-9 below still clears
+    while hi * (1.0 - 2e-9) > u_m and clears(hi * (1.0 - 2e-9)):
+        hi *= 1.0 - 2e-9
+    return float(hi)
 
 
 def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
@@ -255,23 +246,6 @@ def bounding_cylinder(s: MetivierStructure, center: GroupPoint, r: float):
     return xc_norm + r, _central_reach(s, xc_norm, r)
 
 
-def _tube_radius(const: PotentialConstants, level: float, n_min: float):
-    """Largest |x| compatible with membership when every point has N >= n_min.
-
-    Valid when the envelope factor ell(N) is positive and nondecreasing
-    beyond n_min; returns None when unusable and 0.0 when membership is
-    impossible (level below the floor on the region).
-    """
-    if n_min < _turning_point(const.c_a1, const.c_a2, const.alpha, 0):
-        return None
-    ell = _envelope_factor(const.c_a1, const.c_a2, const.alpha, n_min)
-    if ell <= 0.0:
-        return None
-    if level < 0.0:
-        return 0.0
-    return math.sqrt(level / ell)
-
-
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
@@ -279,7 +253,7 @@ class VolumeEstimate:
     n_samples: int
     region_volume: float
     hit_count: int
-    seed: int
+    seed: int | None     # None when the caller's generator drew the points
 
 
 def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
@@ -289,27 +263,29 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     """Monte Carlo measure of (sublevel set) intersect B(center, r).
 
     Uniform samples in the exact bounding cylinder of the ball (tightened by
-    the cylinder radius and the central tube bound when alpha > 2) are scored
-    by ball membership and sublevel membership and scaled by the region
-    volume.
+    the cylinder radius and the tube `_log_tube` when alpha > 2) are scored by
+    ball and sublevel membership and scaled by the region volume.  They come
+    from `rng` if given (the estimate's `seed` is then None), else from `seed`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     s.check_dims(center.x, center.t)
     rho_x, rho_t = bounding_cylinder(s, center, r)
     if spec.alpha > 2:
-        const = potential_bounds(spec.alpha, None, s)
-        rho_x = min(rho_x, cylinder_radius(spec, s))
-        t_norm = float(np.linalg.norm(center.t))
-        if t_norm > rho_t:
-            n_min = float(norm_xt([0.0], [t_norm - rho_t]))   # N >= N(0, |t| - rho_t)
-            tube = _tube_radius(const, spec.level, n_min)
-            if tube is not None:
-                rho_x = min(rho_x, tube * (1.0 + 1e-12))
-    if rho_x == 0.0:
-        return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0, seed)
+        c = cylinder_radius(spec, s)
+        rho_x = min(rho_x, c)
+        if c > 0.0:
+            # N >= N(0, |tc| - rho_t) on the ball; the 1e-12 slack covers the tube's
+            # round trip through exp and log, a few ulp of log values below about 50
+            log_tube = _log_tube(potential_bounds(spec.alpha, None, s), spec.level, c,
+                                 _log_gap_norm(float(np.linalg.norm(center.t)) - rho_t))
+            rho_x = min(rho_x, math.exp(float(log_tube)) * (1.0 + 1e-12))
     if rng is None:
         rng = substream(seed, 0)
+    else:
+        seed = None
+    if rho_x == 0.0:
+        return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0, seed)
     xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
     tau = uniform_ball(rng, n_samples, s.m, rho_t) + center.t
     vol = ball_volume(s.horizontal_dim, rho_x) * ball_volume(s.m, rho_t)
@@ -332,8 +308,7 @@ def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
     bounding cylinder.
     """
     const = potential_bounds(spec.alpha, None, s)
-    c = cylinder_radius(spec, s)
-    rho_t = _central_reach(s, min(center_x_norm, c), r)
+    rho_t = _central_reach(s, min(center_x_norm, cylinder_radius(spec, s)), r)
     return rho_t + (2.0 * const.c_a2 / const.c_a1) ** (2.0 / const.alpha)
 
 
@@ -355,20 +330,22 @@ class ThinnessEstimate:
     seed: int
 
 
-def _log_central_norm() -> float:
-    """log N(0, t) at |t| = 1; N(0, t) = N(0, 1) |t|^(1/2)."""
-    return math.log(float(norm_xt([0.0], [1.0])))
+def _log_gap_norm(gap) -> np.ndarray:
+    """log N(0, t) at |t| = max(gap, 0), batched: log N(0, 1) + (1/2) log |t|."""
+    with np.errstate(divide="ignore"):
+        return math.log(float(norm_xt([0.0], [1.0]))) + 0.5 * np.log(np.maximum(gap, 0.0))
 
 
 def _log_tube(const: PotentialConstants, level: float, c: float, log_n) -> np.ndarray:
     """log min(c, tube) where every point has N >= e^log_n, batched in logs.
 
-    The tube is `_tube_radius`'s sqrt(level / ell(N)), with the envelope factor
-    ell(N) = c_a1 N^(2a-4) (1 - (c_a2/c_a1) N^-a); where it is unusable (ell not
-    yet positive and nondecreasing) the result is log c, and a level <= 0 closes
-    the tube (-inf).  With rho_t the central reach of `_central_reach(s, c, r)`
-    and log_n = log N(0, |t| - rho_t), min(c, tube)^(2n) vol_2n(1) vol_m(rho_t)
-    is the bound beta(|t|) >= |Omega cap B(y, r)| that `_tail_bound` integrates.
+    The tube, the largest |x| of a member there, is sqrt(level / ell(N)) with
+    ell(N) = c_a1 N^(2a-4) (1 - (c_a2/c_a1) N^-a) where ell is positive and
+    nondecreasing; elsewhere the result is log c, and a level <= 0 closes it
+    (-inf).  The ball region, the selection and the tail read it at
+    log_n = log N(0, |t| - rho_t) (`_log_gap_norm`), with rho_t the central
+    reach; min(c, tube)^(2n) vol_2n(1) vol_m(rho_t) is then the bound
+    beta(|t|) >= |Omega cap B(y, r)| that `_tail_bound` integrates.
     """
     a = const.alpha
     log_n = np.asarray(log_n, dtype=float)
@@ -390,9 +367,7 @@ def _inclusion_probability(spec: SublevelSpec, s: MetivierStructure, r: float,
     Exactly 1 where the tube is unusable or wider than c, 0 where it is closed.
     """
     const = potential_bounds(spec.alpha, None, s)
-    gap = np.linalg.norm(t, axis=-1) - _central_reach(s, c, r)
-    with np.errstate(divide="ignore"):
-        log_n = _log_central_norm() + 0.5 * np.log(np.maximum(gap, 0.0))
+    log_n = _log_gap_norm(np.linalg.norm(t, axis=-1) - _central_reach(s, c, r))
     log_ratio = _log_tube(const, spec.level, c, log_n) - math.log(c)
     return np.exp((0.5 * ell * s.horizontal_dim) * log_ratio)
 
@@ -429,13 +404,12 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     delta = -(ell * s.n * (2.0 - spec.alpha) + m)
     if delta <= 0:
         return math.inf
-    surface_m = m * ball_volume(m, 1.0)
     log_band = (math.log(box_measure) + ell * math.log(beta_max) + math.log(band_volume)
                 if t_eff > t_from else -math.inf)
     log_tail = -math.inf
     if spec.level > 0:
         # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
-        log_n1 = _log_central_norm()
+        log_n1 = float(_log_gap_norm(1.0))
         log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
         log_u_c = 2.0 * (log_n_c - log_n1)
         y_c = float(np.logaddexp(math.log(rho_t), log_u_c)) - math.log(t_eff)
@@ -455,7 +429,7 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
         log_cell = m_dy + math.log1p(-math.exp(-m_dy)) - math.log(m)   # log(expm1(m dy) / m)
         log_cells = math.log(float(np.sum(f[:-1]))) + log_cell
         log_rest = math.log(float(f[-1])) - math.log(delta) if f[-1] > 0.0 else -math.inf
-        log_tail = (math.log(box_measure) + math.log(surface_m) + peak
+        log_tail = (math.log(box_measure) + math.log(m * ball_volume(m, 1.0)) + peak
                     + float(np.logaddexp(log_cells, log_rest)))
     log_bound = float(np.logaddexp(log_band, log_tail))
     return math.exp(log_bound) if log_bound < _LOG_MAX_DOUBLE else math.inf

@@ -1,4 +1,4 @@
-"""tools/source_size.py: lines and public symbols of a small package."""
+"""tools/source_size.py: lines, code lines and public symbols of a small package."""
 
 import subprocess
 import sys
@@ -10,13 +10,16 @@ _PATH = Path(__file__).resolve().parents[1] / "tools" / "source_size.py"
 def test_counts_lines_and_public_symbols(tmp_path):
     (tmp_path / "a.py").write_text(
         '"""Doc."""\nimport os\n\nX = 1\n_Y = 2\nZ: int = 3\n\n\n'
-        "def f():\n    inner = 1\n\n\ndef _g():\n    pass\n\n\nclass C:\n    attr = 1\n")
-    (tmp_path / "b.py").write_text("__all__ = []\n")
+        'def f():\n    """Two\n    lines."""\n    # a comment\n    inner = 1  # kept\n\n\n'
+        "def _g():\n    pass\n\n\nclass C:\n    attr = 1\n")
+    (tmp_path / "b.py").write_text('__all__ = []\n_S = """a\nb"""\n')
     proc = subprocess.run([sys.executable, str(_PATH), str(tmp_path)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
-    # X, Z, f and C are public; _Y, _g, os, inner, attr and __all__ are not
-    assert rows == [["a.py", "18", "lines", "4", "public", "symbols"],
-                    ["b.py", "1", "lines", "0", "public", "symbols"],
-                    ["total", "19", "lines", "4", "public", "symbols"]]
+    # X, Z, f and C are public; _Y, _g, os, inner, attr, __all__ and _S are not.
+    # Docstrings, the comment line and blank lines are not code; a string
+    # that is not a docstring is
+    assert rows == [["a.py", "21", "lines", "10", "code", "4", "public", "symbols"],
+                    ["b.py", "3", "lines", "3", "code", "0", "public", "symbols"],
+                    ["total", "24", "lines", "13", "code", "4", "public", "symbols"]]

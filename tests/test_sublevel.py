@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from srlab import group, norms, potential, sublevel
 from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
-from srlab.norms import norm_xt
+from srlab.norms import norm_xt, quasi_distance_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             bounding_cylinder, cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
                             substream, thinness_integral, threshold_k,
@@ -193,6 +194,31 @@ def test_cylinder_contains_members(heis):
     assert np.all(np.linalg.norm(x[member], axis=1) <= c)
 
 
+@pytest.mark.parametrize("name, xc, tc", [("heis", [0.3, 0.0], 20.0),
+                                          ("heis", [0.3, 0.0], 60.0),
+                                          ("quaternion_scaled", [0.0] * 4, 10.0),
+                                          ("quaternion_scaled", [0.0] * 4, 20.0)])
+def test_tube_encloses_ball_members(heis, name, xc, tc):
+    """Hard assertion: every member of B ∩ Omega, rejection-sampled in the
+    untightened `bounding_cylinder`, has |x| at most the region radius that
+    `ball_intersection_volume` used, at centres where the tube binds."""
+    s = heis if name == "heis" else _QUATERNION_SCALED
+    spec = SublevelSpec(3.0, 10.0)
+    center = GroupPoint(np.asarray(xc), tc * np.eye(s.m)[0])
+    rho_x, rho_t = bounding_cylinder(s, center, 1.0)
+    est = ball_intersection_volume(spec, s, center, 1.0, 100, seed=0)
+    region_x = (est.region_volume / ball_volume(s.m, rho_t)
+                / ball_volume(s.horizontal_dim, 1.0)) ** (1.0 / s.horizontal_dim)
+    assert region_x < 0.5 * min(rho_x, cylinder_radius(spec, s))
+    rng = np.random.default_rng(5)
+    xi = uniform_ball(rng, 200_000, s.horizontal_dim, rho_x)
+    tau = uniform_ball(rng, 200_000, s.m, rho_t) + center.t
+    kept = quasi_distance_xt(s, center.x, center.t, xi, tau) < 1.0
+    kept[kept] = in_sublevel_xt(spec, s, xi[kept], tau[kept])
+    assert np.count_nonzero(kept) >= 20
+    assert np.all(np.linalg.norm(xi[kept], axis=1) <= region_x)
+
+
 @pytest.mark.parametrize("alpha", [3.0, 5.0])
 def test_cylinder_encloses_near_floor_member(heis, alpha):
     """Just above the floor the sublevel set is a thin shell around the axis point
@@ -213,7 +239,7 @@ def test_cylinder_radius_is_envelope_sup(heis, aniso, alpha, frac):
     within the 1e-9 margin, both to the rounding of the envelope (8 ulp of the
     two terms c_a1 u^(2a-2) and c_a2 u^(a-2) it subtracts).  Closer to the
     floor the set is narrower than that rounding across the flat bottom."""
-    for s in (heis, aniso):
+    for s in (heis, aniso, _QUATERNION_SCALED):
         const = potential_bounds(alpha, None, s)
         floor = sandwich_floor(const)
         level = floor + 1e-9 * abs(floor) + frac * (100.0 - floor)
@@ -238,6 +264,19 @@ def test_cylinder_radius_clears_rounding_near_alpha_2(heis):
     rounding = 8.0 * np.finfo(float).eps * (const.c_a1 * c ** (2.0 * alpha - 2.0)
                                             + const.c_a2 * c ** (alpha - 2.0))
     assert lower_envelope(const, c) > level + rounding
+
+
+def test_cylinder_radius_near_the_double_range(heis):
+    """Where doubling past the crossing overflows the envelope, the overflow
+    clears the level, and the radius is the crossing (level / c_a1)^(1/(2a-2))
+    of the leading term (H-type, far beyond the turning point)."""
+    with np.errstate(over="ignore"):
+        for alpha in (3.0, 8.0):
+            const = potential_bounds(alpha, None, heis)
+            for level in (1e308, sys.float_info.max):
+                c = cylinder_radius(SublevelSpec(alpha, level), heis)
+                crossing = (level / const.c_a1) ** (1.0 / (2.0 * alpha - 2.0))
+                assert c == pytest.approx(crossing, rel=1e-9)
 
 
 def test_bounding_cylinder_encloses_ball(heis, aniso):
@@ -294,6 +333,9 @@ def test_volume_determinism(heis):
     a = ball_intersection_volume(spec, heis, c, 1.0, 50_000, seed=7)
     b = ball_intersection_volume(spec, heis, c, 1.0, 50_000, seed=7)
     assert a.value == b.value and a.std_error == b.std_error
+    # the same points from the caller's generator: `seed` was not used, so it reads None
+    d = ball_intersection_volume(spec, heis, c, 1.0, 50_000, rng=substream(7, 0))
+    assert (a.seed, d.seed, d.value) == (7, None, a.value)
     assert a.hit_count > 0
 
 
@@ -501,8 +543,9 @@ def test_thinness_scores_are_weighted_oracle_scores(heis, monkeypatch):
 
 @pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
 def test_inclusion_probability_is_the_tube_bound(name, heis):
-    """q = (min(c, tube) / c)^(n ell) with `_tube_radius` at N(0, |t| - rho_t),
-    and exactly 1 where the tube is unusable or wider than c."""
+    """q = (min(c, tube) / c)^(n ell) with tube = sqrt(level / ell(N)) at
+    N = N(0, |t| - rho_t), and exactly 1 where the tube is unusable (ell not yet
+    positive and nondecreasing) or wider than c."""
     s = heis if name == "heis" else _quaternion_scaled()
     spec, r, ell = SublevelSpec(3.0, 10.0), 1.0, 2.0
     const = potential_bounds(3.0, None, s)
@@ -514,10 +557,14 @@ def test_inclusion_probability_is_the_tube_bound(name, heis):
     t = np.concatenate([uniform_ball(np.random.default_rng(0), 400, s.m, 40.0 * rho_t),
                         np.zeros_like(e_1), 40.0 * rho_t * e_1])
     q = sublevel._inclusion_probability(spec, s, r, ell, c, t)
+    turn = potential._turning_point(const.c_a1, const.c_a2, 3.0, 0)
     for qi, ti in zip(q, np.linalg.norm(t, axis=1)):
-        tube = (sublevel._tube_radius(const, spec.level, float(norm_xt([0.0], [ti - rho_t])))
-                if ti > rho_t else None)
-        if tube is None or tube >= c:
+        tube = c
+        if ti > rho_t:
+            n_min = float(norm_xt([0.0], [ti - rho_t]))
+            ell_n = potential._envelope_factor(const.c_a1, const.c_a2, 3.0, n_min)
+            tube = math.sqrt(spec.level / ell_n) if n_min >= turn and ell_n > 0.0 else c
+        if tube >= c:
             assert qi == 1.0
         else:
             assert qi == pytest.approx((tube / c) ** (s.n * ell), rel=1e-12, abs=0.0)
@@ -566,6 +613,9 @@ def _quaternion_scaled():
     """
     d = np.diag([1.0, 1.0, 2.0, 2.0])
     return MetivierStructure(n=2, m=2, maps=d @ quaternion_maps()[:2] @ d)
+
+
+_QUATERNION_SCALED = _quaternion_scaled()   # shared, so its sampled (c0, C0) are drawn once
 
 
 @pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
