@@ -9,10 +9,7 @@ byte-identical output.  `spectrum` reports `iterations` as the number of
 operator applications of the eigensolver.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical non-convergence,
-64 usage errors.  The environment variable SRL_THREADS caps the worker
-count used by the Monte Carlo outer loops; the count used is also at most
-the core count and the number of outer members, and a value that is not an
-integer is a usage error.
+64 usage errors.
 """
 
 from __future__ import annotations
@@ -343,8 +340,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        sublevel.worker_count()  # a malformed SRL_THREADS is a usage error
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -18,8 +18,7 @@ runs over C-order blocks of at most `_BLOCK` nodes, x-rows times t-rows passed
 as broadcasting views: memory does not grow with the grid, and x-only and
 t-only factors are evaluated once per table row.  A bump or central translate
 sums only its x-ball's and t-ball's rows.  numpy sums each block pairwise and
-the partials in order, so every sum is bit-stable run to run and independent
-of the worker count.
+the partials in order, so every sum is bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -76,8 +75,11 @@ class SmoothBump:
     t_radius: float
 
     def __post_init__(self):
-        _require_finite("x_radius", self.x_radius, positive=True)
-        _require_finite("t_radius", self.t_radius, positive=True)
+        for name in ("x_radius", "t_radius"):   # the profiles divide by the squares
+            r = getattr(self, name)
+            _require_finite(name, r, positive=True)
+            if not 2.0 ** -1022 <= r * r < math.inf:
+                raise ValueError(f"{name} squared leaves the normal double range, got {r}")
 
     def center(self, s: MetivierStructure) -> GroupPoint:
         return GroupPoint(np.zeros(s.horizontal_dim), np.zeros(s.m))

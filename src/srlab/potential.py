@@ -253,6 +253,9 @@ def constants_from_condition(alpha: float, c0: float, C0: float,
     c_a2 = C * alpha * alpha / 2.0 - 0.5 * alpha * (4.0 * c - 2.0 * n - 2.0 - 2.0 * m * C0)
     c_a3 = C * alpha * alpha / 4.0
     c_a4 = c * alpha * alpha / 2.0 - 0.5 * alpha * (4.0 * C - 2.0 * n - 2.0 - 2.0 * m * c0)
+    if c_a1 == 0.0 or not all(map(math.isfinite, (c_a2, c_a3, c_a4))):
+        raise ValueError(f"alpha = {alpha} {'under' if c_a1 == 0.0 else 'over'}flows "
+                         "the sandwich constants")
     return PotentialConstants(c0=c0, C0=C0, c=c, C=C, c_a1=c_a1, c_a2=c_a2,
                               c_a3=c_a3, c_a4=c_a4, alpha=alpha, Q=2 * n + 2 * m)
 

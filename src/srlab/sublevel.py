@@ -17,16 +17,14 @@ around the level, and the jet decides the points inside it; other
 structures evaluate the jet on every point.
 
 All sampling is counter-seeded: identical inputs and seed reproduce every
-estimate bit for bit, regardless of the worker count used for the outer
-loop (workers only fill disjoint slots of a preallocated array).
+estimate bit for bit.  The outer loop is serial; each member's inner volume
+draws from its own substream, so the order of evaluation changes nothing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,32 +37,15 @@ from .potential import (PotentialConstants, _AtIdentity, _closed_form_coeffs,
                         fit_loglog_slope, potential_bounds, potential_value_xt)
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+_MAX_STEPS = 4096   # envelope tests per radius: doubling leaves the double range in < 2100
 
 
 def worker_count() -> int:
-    """Requested Monte Carlo worker count: SRL_THREADS if set, else the usable CPUs.
+    """Monte Carlo worker count: always 1, as the outer loop is serial.
 
-    A value that is not an integer raises ValueError; values below 1 mean 1.
+    `perfbench/layers.py` reads it for the `sublevel.workers` metric.
     """
-    env = os.environ.get("SRL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SRL_THREADS must be an integer, got {env!r}") from None
-    return _usable_cpus()
-
-
-def _clamp_workers(requested: int, members: int, cpus: int | None) -> int:
-    """Workers actually used: at most one per core and one per member, at least 1."""
-    return max(1, min(requested, cpus or 1, members))
+    return 1
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -190,9 +171,10 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure) -> float:
     below phi(u_m).  Otherwise c is a u past u_m where phi(u) clears the level
     by phi's rounding, 8 ulp of c_a1 u^(2a-2) + c_a2 u^(a-2), which proves the
     enclosure as phi rises, while c (1 - 2e-9) does not clear: doubling from
-    u_m, bisection on that test to 1e-12, then steps down by 2e-9.  The
-    inversion depends only on the sandwich constants and the level and is
-    memoised on them.
+    u_m, bisection on that test to 1e-12, then steps down by 2e-9.  A phi that
+    overflows (inf, or NaN from inf - inf) clears, and more than `_MAX_STEPS`
+    tests raise ValueError.  The inversion depends only on the sandwich
+    constants and the level and is memoised on them.
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
@@ -206,13 +188,18 @@ def _envelope_inverse(const: PotentialConstants, level: float) -> float:
     if level < lower_envelope(const, u_m):
         return 0.0
 
+    calls = iter(range(_MAX_STEPS))   # each loop step tests once, so this bounds every loop
+
     def clears(u):   # phi(u) above the level by more than 8 ulp of its two terms, or overflowed
-        phi = lower_envelope(const, u)
-        return phi == math.inf or phi > level + 8.0 * np.finfo(float).eps * (
-            const.c_a1 * np.power(u, 2.0 * a - 2.0) + const.c_a2 * np.power(u, a - 2.0))
+        if next(calls, None) is None:
+            raise ValueError(f"cylinder radius did not settle for alpha = {a}, level = {level}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi = lower_envelope(const, u)
+            return phi == math.inf or not phi <= level + 8.0 * np.finfo(float).eps * (
+                const.c_a1 * np.power(u, 2.0 * a - 2.0) + const.c_a2 * np.power(u, a - 2.0))
 
     lo, hi = u_m, 2.0 * u_m
-    while not clears(hi):
+    while not clears(hi):   # phi overflows, and clears, once hi leaves the double range
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
@@ -385,7 +372,8 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     is <= -delta = m - ell n (a - 2), so the rest is f(y_max) / delta at most.
     Every factor is taken in logs, as |t| = t_eff e^y and beta_max^ell can
     pass the double range; a bound past that range is inf, also on the
-    finite side of the threshold (large ell near a = 2).
+    finite side of the threshold (large ell near a = 2), and a positive bound
+    below it is the smallest positive double, never 0.
     """
     const = potential_bounds(spec.alpha, None, s)
     c = cylinder_radius(spec, s)
@@ -432,7 +420,9 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
         log_tail = (math.log(box_measure) + math.log(m * ball_volume(m, 1.0)) + peak
                     + float(np.logaddexp(log_cells, log_rest)))
     log_bound = float(np.logaddexp(log_band, log_tail))
-    return math.exp(log_bound) if log_bound < _LOG_MAX_DOUBLE else math.inf
+    if log_bound == -math.inf:   # the tube is closed (level <= 0) and no band is left
+        return 0.0
+    return max(math.exp(log_bound), math.ulp(0.0)) if log_bound < _LOG_MAX_DOUBLE else math.inf
 
 
 def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
@@ -446,10 +436,9 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     outer points uniform in the confining cylinder {|x| <= c, |t| <= T}.
     Horvitz-Thompson selection: member i gets its inner volume v_hat, from
     `ball_intersection_volume` on its own substream, only when u_i < q_i, u_i
-    the i-th draw of one selection stream over the outer positions (so the
-    worker count changes nothing), and then scores v_hat^ell / q_i; the other
-    members score 0.  q_i = (beta(|t_i|) / beta_max)^(ell/2) comes from the
-    tube bound the tail integrates,
+    the i-th draw of one selection stream over the outer positions, and then
+    scores v_hat^ell / q_i; the other members score 0.
+    q_i = (beta(|t_i|) / beta_max)^(ell/2) comes from the tube bound the tail integrates,
     beta(|t|) / beta_max = (min(c, tube(N(0, |t| - rho_t))) / c)^(2n), and is 1
     where the tube does not reach.  As v_hat <= beta, a weighted score is at
     most beta_max^ell (up to rounding), so the unbiased estimate gains no heavy
@@ -487,20 +476,10 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
         idx, q = idx[keep], q[keep]
         evaluated = idx.size
         scores = np.zeros(outer_samples)
-
-        def run_member(pos: int) -> float:
-            i = int(idx[pos])
-            center = GroupPoint(xi[i], tau[i])
-            est = ball_intersection_volume(spec, s, center, r, inner_samples,
-                                           rng=substream(seed, 1, i))
-            return est.value ** ell / q[pos]
-
-        workers = _clamp_workers(worker_count(), idx.size, _usable_cpus())
-        if workers > 1 and idx.size > 8:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scores[idx] = list(pool.map(run_member, range(idx.size)))
-        else:
-            scores[idx] = [run_member(pos) for pos in range(idx.size)]
+        for i, qi in zip(idx, q):
+            est = ball_intersection_volume(spec, s, GroupPoint(xi[i], tau[i]), r,
+                                           inner_samples, rng=substream(seed, 1, int(i)))
+            scores[i] = est.value ** ell / qi
 
         value, se = _mean_and_error(scores, outer_volume)
         tail_finite = ell > ell_threshold

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -82,3 +85,18 @@ def random_points(s, count, seed, box=2.0, min_norm=0.0):
         keep = norm_xt(x, t) >= min_norm
         x, t = x[keep], t[keep]
     return x, t
+
+
+@contextlib.contextmanager
+def time_cap(seconds: float):
+    """Raise TimeoutError in the block once `seconds` of wall time pass (main thread, POSIX)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"time cap of {seconds} s exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

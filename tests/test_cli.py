@@ -308,19 +308,16 @@ def test_thinness_tail_past_double_range(tmp_path):
     assert estimate["tail_bound"] == "inf" and estimate["tail_finite"] is True
 
 
-def test_malformed_srl_threads_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("SRL_THREADS", "abc")
-    code, payload = invoke(["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
-                            "--outer", "50", "--inner", "10"], tmp_path, "t.json")
-    assert code == 64 and payload == b""
+@pytest.mark.parametrize("radius", ["--x-radius", "--t-radius"])
+@pytest.mark.parametrize("value", ["1e200", "1e-200"])
+def test_weyl_refuses_radius_squared_out_of_range(radius, value, capsys):
+    assert run(["weyl", "--alpha", "3", radius, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "squared leaves the normal double range" in err
 
 
-def test_thinness_stdout_independent_of_workers(monkeypatch, capsysbinary):
-    cmd = ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
-           "--truncation", "8", "--outer", "400", "--inner", "60", "--seed", "3"]
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SRL_THREADS", threads)
-        assert run(cmd) == 0
-        outputs.append(capsysbinary.readouterr().out)
-    assert outputs[0] == outputs[1] and len(outputs[0]) > 0
+def test_potential_names_alpha_underflowing_the_constants(capsys):
+    assert run(["potential", "--alpha", "1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: alpha = 1e-300 underflows the sandwich constants\n"

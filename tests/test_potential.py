@@ -252,6 +252,9 @@ def test_constants_reject_degenerate():
             constants_from_condition(3.0, bad, 1.0, 1, 1)
         with pytest.raises(ValueError, match="C0 must be finite"):
             constants_from_condition(3.0, 0.5, bad, 1, 1)
+    for alpha, word in ((1e-300, "underflows"), (1e300, "overflows")):
+        with pytest.raises(ValueError, match=f"alpha = .* {word} the sandwich constants"):
+            constants_from_condition(alpha, 1.0, 1.0, 1, 1)
 
 
 def test_sandwich_heisenberg_equality(heis):

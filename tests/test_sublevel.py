@@ -16,7 +16,7 @@ from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
 from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
 
 import oracles
-from conftest import count_calls, quaternion_maps, random_points
+from conftest import count_calls, quaternion_maps, random_points, time_cap
 
 
 def test_spec_validation():
@@ -279,6 +279,26 @@ def test_cylinder_radius_near_the_double_range(heis):
                 assert c == pytest.approx(crossing, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha, radius", [(1500.0, 1.0004630965716728),
+                                           (1e4, 1.0000693371303262)])
+def test_cylinder_radius_at_large_alpha(heis, alpha, radius):
+    """Past alpha ~ 1000 both envelope terms overflow at 2 u_m and their
+    difference is NaN, which clears: the radius returns at once, unchanged
+    from before the enclosure test, and without an overflow warning."""
+    sublevel._envelope_inverse.cache_clear()
+    with time_cap(5.0), np.errstate(all="raise"):
+        assert cylinder_radius(SublevelSpec(alpha, 10.0), heis) == radius
+
+
+def test_cylinder_radius_stall_raises(heis, monkeypatch):
+    """An inversion that needs more than `_MAX_STEPS` tests is a ValueError, not a hang."""
+    const = potential_bounds(2.0001, None, heis)
+    assert sublevel._envelope_inverse.__wrapped__(const, 10.0) > 0.0   # 8 doublings
+    monkeypatch.setattr(sublevel, "_MAX_STEPS", 4)
+    with pytest.raises(ValueError, match="did not settle"):
+        sublevel._envelope_inverse.__wrapped__(const, 10.0)
+
+
 def test_bounding_cylinder_encloses_ball(heis, aniso):
     for s in (heis, aniso):
         rng = np.random.default_rng(2)
@@ -457,6 +477,14 @@ def test_tail_bound_past_double_range_is_inf(heis):
     assert math.isfinite(sublevel._tail_bound(SublevelSpec(3.0, 10.0), heis, 1.0, 1 + 4e-6, 16.0))
 
 
+@pytest.mark.parametrize("alpha", [100.0, 300.0])
+def test_tail_bound_below_double_range_is_positive(heis, alpha):
+    """At large alpha the tube bound makes the tail far below 2^-1074; it reads
+    as the smallest positive double, an upper bound, not as 0."""
+    bound = sublevel._tail_bound(SublevelSpec(alpha, 10.0), heis, 1.0, 2.0, 64.0)
+    assert bound == math.ulp(0.0)
+
+
 def test_mean_and_error_scaling_is_exact():
     """Scaling by a power of two leaves ordinary scores' results bit for bit,
     and keeps the error finite where squaring the scores would overflow."""
@@ -491,14 +519,12 @@ def test_threshold_law_classification(heis, aniso):
             assert math.isfinite(est.tail_bound) == expect
 
 
-def test_thinness_determinism_across_workers(heis, monkeypatch):
+def test_thinness_rerun_is_bit_identical(heis):
     spec = SublevelSpec(3.0, 10.0)
-    monkeypatch.setenv("SRL_THREADS", "4")
     a = thinness_integral(spec, heis, 1.0, 2.0, 16.0, 1500, 200, seed=5)
-    monkeypatch.setenv("SRL_THREADS", "1")
     b = thinness_integral(spec, heis, 1.0, 2.0, 16.0, 1500, 200, seed=5)
     assert 0 < a.evaluated < a.members    # the selection skips members
-    assert a == b
+    assert a == b and worker_count() == 1
 
 
 @pytest.mark.parametrize("name", ["heis", "aniso"])
@@ -589,13 +615,6 @@ def test_thinness_selection_is_unbiased(heis):
     assert abs(diffs.mean()) <= 4.0 * diffs.std(ddof=1) / math.sqrt(diffs.size)
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("SRL_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.delenv("SRL_THREADS")
-    assert worker_count() >= 1
-
-
 def test_spec_rejects_non_finite():
     for alpha in (math.nan, math.inf):
         with pytest.raises(ValueError, match="alpha"):
@@ -664,27 +683,3 @@ def test_thinness_takes_one_maps_svd(make, monkeypatch):
     thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
     assert calls["member"] > 1
     assert calls["svd"] <= 1
-
-
-def test_worker_count_follows_cpu_affinity(monkeypatch):
-    """Pinned to one CPU of several, the default is one worker, not os.cpu_count()."""
-    monkeypatch.delenv("SRL_THREADS", raising=False)
-    monkeypatch.setattr(sublevel.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(sublevel.os, "cpu_count", lambda: 8)
-    assert worker_count() == 1
-    assert sublevel._usable_cpus() == 1
-
-
-def test_worker_count_rejects_non_integer(monkeypatch):
-    monkeypatch.setenv("SRL_THREADS", "abc")
-    with pytest.raises(ValueError, match="SRL_THREADS"):
-        worker_count()
-
-
-def test_clamp_workers():
-    huge = 10 ** 12
-    assert sublevel._clamp_workers(huge, huge, 2) == 2
-    assert sublevel._clamp_workers(huge, 3, 64) == 3
-    assert sublevel._clamp_workers(4, huge, None) == 1
-    assert sublevel._clamp_workers(1, 0, 8) == 1
-    assert sublevel._clamp_workers(3, huge, 8) == 3
