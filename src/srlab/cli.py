@@ -249,8 +249,11 @@ def _run_potential(args, s):
         grid = forms.QuadratureGrid(s, args.lx, args.lt, args.nx, args.nt)
         x, t = grid.nodes()
     jet = potential._norm_jet(s, x, t)
-    v = potential._potential(args.alpha, jet)
-    lo, hi = potential._sandwich(const, jet.x2, jet.n)
+    with np.errstate(over="ignore", invalid="ignore"):   # N^alpha past the double range
+        v = potential._potential(args.alpha, jet)
+        lo, hi = potential._sandwich(const, jet.x2, jet.n)
+    if not (np.isfinite(v).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"alpha = {args.alpha} overflows V_alpha or its sandwich bounds")
     config = {"command": "potential", "structure": args.structure, "alpha": args.alpha,
               "seed": args.seed, "points": args.points or "grid",
               "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,

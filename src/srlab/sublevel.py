@@ -8,7 +8,9 @@ bound, estimates ball-intersection measures and the truncated thinness
 integral by seeded Monte Carlo, attaches an analytic tail bound (finite
 exactly when ell > m / (n (alpha - 2))), and fits the decay exponent.
 The integral computes inner measures for a Horvitz-Thompson selection of
-its members, with inclusion probabilities from the same tube bound.
+its members, with inclusion probabilities from the same tube bound; it bounds
+their ball regions in one batch (`_ball_regions`) and counts each member's
+inner hits with `_inner_hits`, the two steps of `ball_intersection_volume`.
 
 Membership V_alpha <= level takes at most one norm jet per batch.  On
 H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2
@@ -37,6 +39,7 @@ from .potential import (PotentialConstants, _AtIdentity, _closed_form_coeffs,
                         fit_loglog_slope, potential_bounds, potential_value_xt)
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
+_LOG_N01 = math.log(float(norm_xt([0.0], [1.0])))   # log N(0, t) at |t| = 1
 _MAX_STEPS = 4096   # envelope tests per radius: doubling leaves the double range in < 2100
 
 
@@ -243,6 +246,40 @@ class VolumeEstimate:
     seed: int | None     # None when the caller's generator drew the points
 
 
+def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
+    """Lists rho_x, rho_t, volume of the regions {|xi| <= rho_x, |tau - tc_i| <= rho_t}
+    holding the balls B((xc_i, tc_i), r): bounding cylinders, x-radius capped by
+    the cylinder radius and the tube when alpha > 2.  Norms, exp and volumes are
+    taken centre by centre, so a region has the bits of a batch of one.
+    """
+    x_norm = np.array([float(np.linalg.norm(x)) for x in xc])
+    rho_x, rho_t = x_norm + r, _central_reach(s, x_norm, r)
+    if spec.alpha > 2:
+        c = cylinder_radius(spec, s)
+        rho_x = np.minimum(rho_x, c)
+        if c > 0.0:
+            # N >= N(0, |tc| - rho_t) on the ball; the 1e-12 slack covers the tube's
+            # round trip through exp and log, a few ulp of log values below about 50
+            t_norm = np.array([float(np.linalg.norm(t)) for t in tc])
+            log_tube = _log_tube(potential_bounds(spec.alpha, None, s), spec.level, c,
+                                 _log_gap_norm(t_norm - rho_t))
+            rho_x = np.minimum(rho_x, [math.exp(v) * (1.0 + 1e-12) for v in log_tube.tolist()])
+    rho_x, rho_t = rho_x.tolist(), rho_t.tolist()
+    return rho_x, rho_t, [ball_volume(s.horizontal_dim, a) * ball_volume(s.m, b)
+                          for a, b in zip(rho_x, rho_t)]
+
+
+def _inner_hits(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float,
+                rho_x: float, rho_t: float, n_samples: int, rng: np.random.Generator):
+    """(hits, inside): which of `n_samples` uniform points of the region
+    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng`, lie in B((xc, tc), r),
+    and which of those hits lie in the sublevel set."""
+    xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
+    tau = uniform_ball(rng, n_samples, s.m, rho_t) + tc
+    hits = quasi_distance_xt(s, xc, tc, xi, tau) < r
+    return hits, in_sublevel_xt(spec, s, xi[hits], tau[hits])
+
+
 def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
                              center: GroupPoint, r: float, n_samples: int,
                              seed: int = 0,
@@ -257,33 +294,21 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     s.check_dims(center.x, center.t)
-    rho_x, rho_t = bounding_cylinder(s, center, r)
-    if spec.alpha > 2:
-        c = cylinder_radius(spec, s)
-        rho_x = min(rho_x, c)
-        if c > 0.0:
-            # N >= N(0, |tc| - rho_t) on the ball; the 1e-12 slack covers the tube's
-            # round trip through exp and log, a few ulp of log values below about 50
-            log_tube = _log_tube(potential_bounds(spec.alpha, None, s), spec.level, c,
-                                 _log_gap_norm(float(np.linalg.norm(center.t)) - rho_t))
-            rho_x = min(rho_x, math.exp(float(log_tube)) * (1.0 + 1e-12))
+    _require_finite("r", r, positive=True)
+    (rho_x,), (rho_t,), (vol,) = _ball_regions(spec, s, [center.x], [center.t], r)
     if rng is None:
         rng = substream(seed, 0)
     else:
         seed = None
     if rho_x == 0.0:
         return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0, seed)
-    xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
-    tau = uniform_ball(rng, n_samples, s.m, rho_t) + center.t
-    vol = ball_volume(s.horizontal_dim, rho_x) * ball_volume(s.m, rho_t)
-    hits = quasi_distance_xt(s, center.x, center.t, xi, tau) < r
+    hits, inside = _inner_hits(spec, s, center.x, center.t, r, rho_x, rho_t, n_samples, rng)
     score = np.zeros(n_samples)
-    if np.any(hits):
-        score[hits] = in_sublevel_xt(spec, s, xi[hits], tau[hits])
+    score[hits] = inside
     value, se = _mean_and_error(score, vol)
     return VolumeEstimate(value=value, std_error=se,
                           n_samples=n_samples, region_volume=vol,
-                          hit_count=int(score.sum()), seed=seed)
+                          hit_count=int(np.count_nonzero(inside)), seed=seed)
 
 
 def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
@@ -320,7 +345,7 @@ class ThinnessEstimate:
 def _log_gap_norm(gap) -> np.ndarray:
     """log N(0, t) at |t| = max(gap, 0), batched: log N(0, 1) + (1/2) log |t|."""
     with np.errstate(divide="ignore"):
-        return math.log(float(norm_xt([0.0], [1.0]))) + 0.5 * np.log(np.maximum(gap, 0.0))
+        return _LOG_N01 + 0.5 * np.log(np.maximum(gap, 0.0))
 
 
 def _log_tube(const: PotentialConstants, level: float, c: float, log_n) -> np.ndarray:
@@ -397,9 +422,8 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     log_tail = -math.inf
     if spec.level > 0:
         # the tube is below c once N >= n_c, i.e. |t| >= rho_t + (n_c / N(0, 1))^2
-        log_n1 = float(_log_gap_norm(1.0))
         log_n_c = (0.5 * math.log(2.0 * spec.level / const.c_a1) - math.log(c)) / (a - 2.0)
-        log_u_c = 2.0 * (log_n_c - log_n1)
+        log_u_c = 2.0 * (log_n_c - _LOG_N01)
         y_c = float(np.logaddexp(math.log(rho_t), log_u_c)) - math.log(t_eff)
         # past y_c the slope is <= -delta and settles there within a few units,
         # so f(y_max) / delta is close for any such y_max: the grid need not grow as 1 / delta
@@ -407,7 +431,7 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
         ys = np.linspace(0.0, y_max, 20000)
         # log N(0, |t| - rho_t) = log N(0, 1) + (1/2) log(|t| - rho_t)
         log_t = math.log(t_eff) + ys
-        log_n = log_n1 + 0.5 * (log_t + np.log1p(-rho_t / t_eff * np.exp(-ys)))
+        log_n = _LOG_N01 + 0.5 * (log_t + np.log1p(-rho_t / t_eff * np.exp(-ys)))
         log_tube = _log_tube(const, spec.level, c, log_n)
         log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
         log_integrand = ell * log_beta + m * log_t
@@ -434,10 +458,12 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
         integral over {y in Omega, |t(y)| <= T} of |Omega cap B(y, r)|^ell,
 
     outer points uniform in the confining cylinder {|x| <= c, |t| <= T}.
-    Horvitz-Thompson selection: member i gets its inner volume v_hat, from
-    `ball_intersection_volume` on its own substream, only when u_i < q_i, u_i
-    the i-th draw of one selection stream over the outer positions, and then
-    scores v_hat^ell / q_i; the other members score 0.
+    Horvitz-Thompson selection: member i gets its inner volume v_hat only when
+    u_i < q_i, u_i the i-th draw of one selection stream over the outer
+    positions, and then scores v_hat^ell / q_i; the other members score 0.
+    v_hat = vol (hits / inner_samples), from one `_ball_regions` batch and the
+    member's `_inner_hits` on its own substream, is `ball_intersection_volume`'s
+    value for that centre and generator, bit for bit.
     q_i = (beta(|t_i|) / beta_max)^(ell/2) comes from the tube bound the tail integrates,
     beta(|t|) / beta_max = (min(c, tube(N(0, |t| - rho_t))) / c)^(2n), and is 1
     where the tube does not reach.  As v_hat <= beta, a weighted score is at
@@ -476,10 +502,12 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
         idx, q = idx[keep], q[keep]
         evaluated = idx.size
         scores = np.zeros(outer_samples)
-        for i, qi in zip(idx, q):
-            est = ball_intersection_volume(spec, s, GroupPoint(xi[i], tau[i]), r,
-                                           inner_samples, rng=substream(seed, 1, int(i)))
-            scores[i] = est.value ** ell / qi
+        regions = _ball_regions(spec, s, xi[idx], tau[idx], r)
+        for i, qi, rho_x, rho_t, vol in zip(idx.tolist(), q.tolist(), *regions):
+            inside = _inner_hits(spec, s, xi[i], tau[i], r, rho_x, rho_t, inner_samples,
+                                 substream(seed, 1, i))[1]
+            # vol (hits / n) is `_mean_and_error`'s mean of the 0/1 scores, bit for bit
+            scores[i] = (vol * (np.count_nonzero(inside) / inner_samples)) ** ell / qi
 
         value, se = _mean_and_error(scores, outer_volume)
         tail_finite = ell > ell_threshold

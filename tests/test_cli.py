@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -321,3 +322,15 @@ def test_potential_names_alpha_underflowing_the_constants(capsys):
     assert run(["potential", "--alpha", "1e-300"]) == 1
     err = capsys.readouterr().err
     assert err == "error: alpha = 1e-300 underflows the sandwich constants\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_potential_names_alpha_overflowing_the_values(fmt, capsys):
+    """Where N^alpha passes the double range V_alpha and its bounds are not
+    finite: one error line naming alpha, and no RuntimeWarning on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")    # printed to stderr, as outside the suite
+        assert run(["potential", "--alpha", "1e100", "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: alpha = 1e+100 overflows V_alpha or its sandwich bounds\n"

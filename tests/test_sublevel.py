@@ -527,44 +527,66 @@ def test_thinness_rerun_is_bit_identical(heis):
     assert a == b and worker_count() == 1
 
 
-@pytest.mark.parametrize("name", ["heis", "aniso"])
+@pytest.mark.parametrize("name", ["heis", "aniso", "quaternion_scaled"])
 def test_thinness_below_the_tube_is_the_oracle(name, heis, aniso):
     """With T below the tube's reach every q is 1: every member is computed and
-    value and std_error are the every-member oracle's, bit for bit."""
-    s = heis if name == "heis" else aniso
-    spec = SublevelSpec(3.0, 10.0)
+    value and std_error are the every-member oracle's, bit for bit.  The
+    quaternion structure's sandwich constants are loose, so its sublevel set
+    fills a small part of the cylinder: a higher level gives it members."""
+    s = {"heis": heis, "aniso": aniso}.get(name) or _quaternion_scaled()
+    level, outer = (1e4, 4000) if name == "quaternion_scaled" else (10.0, 600)
+    spec = SublevelSpec(3.0, level)
     c = cylinder_radius(spec, s)
     T = 0.9 * sublevel._central_reach(s, c, 1.0)
-    est = thinness_integral(spec, s, 1.0, 2.0, T, 600, 60, seed=2)
-    ref = oracles.thinness_every_member(spec, s, 1.0, 2.0, T, 600, 60, 2)
+    est = thinness_integral(spec, s, 1.0, 2.0, T, outer, 60, seed=2)
+    ref = oracles.thinness_every_member(spec, s, 1.0, 2.0, T, outer, 60, 2)
     assert np.all(sublevel._inclusion_probability(spec, s, 1.0, 2.0, c, ref.tau) == 1.0)
     assert est.members == est.evaluated == int(ref.member.sum()) > 0
     assert (est.value, est.std_error) == (ref.value, ref.std_error)
 
 
-def test_thinness_scores_are_weighted_oracle_scores(heis, monkeypatch):
+def _check_weighted_oracle_scores(s, level, outer, monkeypatch):
     """A computed member scores the oracle's v_hat^ell / q to the bit, the others
-    0; the kept members are those with u < q on the selection stream, and no
-    weighted score passes beta_max^ell."""
-    spec, r, ell, T, outer, seed = SublevelSpec(3.0, 10.0), 1.0, 2.0, 64.0, 1200, 3
+    0; the kept members are those with u < q on the selection stream, at T = 64
+    the tube caps some kept member's ball region, and no weighted score passes
+    beta_max^ell.  Returns the estimate."""
+    spec, r, ell, T, seed = SublevelSpec(3.0, level), 1.0, 2.0, 64.0, 3
     seen = []     # every score vector `_mean_and_error` sees; the integral's comes last
     mean_and_error = sublevel._mean_and_error
     monkeypatch.setattr(sublevel, "_mean_and_error", lambda scores, scale: (
         seen.append(scores.copy()) or mean_and_error(scores, scale)))
-    est = thinness_integral(spec, heis, r, ell, T, outer, 100, seed=seed)
+    est = thinness_integral(spec, s, r, ell, T, outer, 100, seed=seed)
     scores = seen[-1]
-    ref = oracles.thinness_every_member(spec, heis, r, ell, T, outer, 100, seed)
-    c = cylinder_radius(spec, heis)
+    ref = oracles.thinness_every_member(spec, s, r, ell, T, outer, 100, seed)
+    c = cylinder_radius(spec, s)
     q = np.zeros(outer)
-    q[ref.member] = sublevel._inclusion_probability(spec, heis, r, ell, c, ref.tau[ref.member])
+    q[ref.member] = sublevel._inclusion_probability(spec, s, r, ell, c, ref.tau[ref.member])
     kept = ref.member & (substream(seed, 4).random(outer) < q)
     expected = np.zeros(outer)
     expected[kept] = ref.scores[kept] / q[kept]
     assert scores.tolist() == expected.tolist()
     assert est.members == int(ref.member.sum()) and est.evaluated == int(kept.sum())
-    assert 0 < est.evaluated < est.members
-    beta_max = ball_volume(2, c) * ball_volume(1, sublevel._central_reach(heis, c, r))
+    xi = uniform_ball(substream(seed, 0), outer, s.horizontal_dim, c)   # the oracle's x draws
+    rho_x = sublevel._ball_regions(spec, s, xi[kept], ref.tau[kept], r)[0]
+    assert np.any(rho_x < np.minimum(np.linalg.norm(xi[kept], axis=1) + r, c))
+    beta_max = (ball_volume(s.horizontal_dim, c)
+                * ball_volume(s.m, sublevel._central_reach(s, c, r)))
     assert scores.max() <= beta_max ** ell * (1.0 + 1e-9)
+    return est
+
+
+def test_thinness_scores_are_weighted_oracle_scores(heis, monkeypatch):
+    """The weighted-score oracle check on heis, where the selection skips members."""
+    est = _check_weighted_oracle_scores(heis, 10.0, 1200, monkeypatch)
+    assert 0 < est.evaluated < est.members
+
+
+def test_thinness_scores_are_weighted_oracle_scores_on_quaternion(monkeypatch):
+    """The same check on n = m = 2, not H-type, where |t| is a 2-norm.  Every
+    member lies inside the central reach of the loose sandwich bound, so every
+    q is 1; a level of 1e4 gives the set members (none at level 10)."""
+    est = _check_weighted_oracle_scores(_quaternion_scaled(), 1e4, 4000, monkeypatch)
+    assert 0 < est.evaluated == est.members
 
 
 @pytest.mark.parametrize("name", ["heis", "quaternion_scaled"])
@@ -643,7 +665,7 @@ def test_thinness_computes_invariants_once(name, heis, monkeypatch):
     s = heis if name == "heis" else _quaternion_scaled()
     calls = {"verify": 0, "member": 0}
     verify = group.verify_metivier
-    member = sublevel.ball_intersection_volume
+    member = sublevel._inner_hits
 
     def counting_verify(*args, **kwargs):
         calls["verify"] += 1
@@ -654,7 +676,7 @@ def test_thinness_computes_invariants_once(name, heis, monkeypatch):
         return member(*args, **kwargs)
 
     monkeypatch.setattr(group, "verify_metivier", counting_verify)
-    monkeypatch.setattr(sublevel, "ball_intersection_volume", counting_member)
+    monkeypatch.setattr(sublevel, "_inner_hits", counting_member)
     sublevel._envelope_inverse.cache_clear()
     thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
     assert calls["member"] > 1
@@ -668,7 +690,7 @@ def test_thinness_takes_one_maps_svd(make, monkeypatch):
     s = make()  # fresh, so nothing is cached on it yet
     calls = {"svd": 0, "member": 0}
     svd = np.linalg.svd
-    member = sublevel.ball_intersection_volume
+    member = sublevel._inner_hits
 
     def counting_svd(*args, **kwargs):
         calls["svd"] += 1
@@ -679,7 +701,26 @@ def test_thinness_takes_one_maps_svd(make, monkeypatch):
         return member(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(sublevel, "ball_intersection_volume", counting_member)
+    monkeypatch.setattr(sublevel, "_inner_hits", counting_member)
     thinness_integral(SublevelSpec(3.0, 10.0), s, 1.0, 2.0, 2.0, 600, 50, seed=0)
     assert calls["member"] > 1
     assert calls["svd"] <= 1
+
+
+def test_thinness_derives_regions_once(heis, monkeypatch):
+    """One integral derives the sandwich constants and the cylinder radius a fixed
+    number of times, however many members it computes, and never calls the
+    public `ball_intersection_volume`."""
+    counts = []
+    for outer in (1000, 4000):
+        bounds = count_calls(monkeypatch, "potential_bounds", sublevel)
+        radii = count_calls(monkeypatch, "cylinder_radius", sublevel)
+        members = count_calls(monkeypatch, "_inner_hits", sublevel)
+        balls = count_calls(monkeypatch, "ball_intersection_volume", sublevel)
+        thinness_integral(SublevelSpec(3.0, 10.0), heis, 1.0, 2.0, 64.0, outer, 50, seed=0)
+        monkeypatch.undo()
+        assert balls == []
+        counts.append((len(bounds), len(radii), len(members)))
+    (*few, small), (*many, large) = counts
+    assert large > 50 and large > 2 * small
+    assert few == many
