@@ -214,7 +214,7 @@ def _run_verify(args, s):
     est = verify_metivier(s, args.samples, seed=args.seed)
     checks.append(("metivier_condition_c0_positive", -est.c0, -1e-12))
 
-    rep = potential.check_sandwich(3.0, s, (x1 * 0.2, t1 * 0.2), est=est)
+    rep = potential.check_sandwich(3.0, s, (x1 * 0.2, t1 * 0.2))
     checks.append(("sandwich_violations_alpha3", float(rep.n_violations), 0.5))
 
     rows = [(name, value, bound, "pass" if value <= bound else "FAIL")
@@ -237,7 +237,7 @@ def _run_gamma(args, s):
 
 
 def _run_potential(args, s):
-    const = potential.potential_bounds(args.alpha, None, s)
+    const = potential.potential_bounds(args.alpha, s)
     if args.points:
         data = np.loadtxt(args.points, delimiter=",", ndmin=2)
         if data.shape[1] != s.horizontal_dim + s.m:

@@ -582,7 +582,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     base = _weyl_base(s, psi, n_values[0], grid)
     sup_c = cylinder_sup_potential(alpha, s)
     if lam is None:
-        lam = 1.0 + (max(0.0, -sandwich_floor(potential_bounds(alpha, None, s)))
+        lam = 1.0 + (max(0.0, -sandwich_floor(potential_bounds(alpha, s)))
                      if alpha >= 2 else sup_c)
     psi_norm, l_psi_norm = (float(v) for v in np.sqrt(base[3]))
     bound = (abs(lam) + sup_c) * psi_norm + l_psi_norm if math.isfinite(sup_c) else math.inf

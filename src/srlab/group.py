@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,16 +60,16 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 class MetivierStructure:
     """Dimensions (n, m) and the m skew maps acting on the horizontal layer.
 
-    ``maps`` has shape (m, 2n, 2n).  ``h_type`` records that the stronger
-    J_t^2 = -|t|^2 Id identity was requested and verified exactly at
-    construction time, through the equivalent Clifford relations
-    (J_k J_l + J_l J_k) / 2 = -delta_kl Id, to HTYPE_TOL.
+    ``maps`` has shape (m, 2n, 2n).  ``h_type`` is derived from the maps: it
+    is True when the stronger J_t^2 = -|t|^2 Id identity holds, checked
+    through the equivalent Clifford relations
+    (J_k J_l + J_l J_k) / 2 = -delta_kl Id to HTYPE_TOL.
     """
 
     n: int
     m: int
     maps: np.ndarray
-    h_type: bool = False
+    h_type: bool = field(init=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -82,15 +82,14 @@ class MetivierStructure:
         if skew_defect > SKEW_TOL:
             raise ValueError(f"maps are not skew-symmetric (defect {skew_defect:.3e})")
         object.__setattr__(self, "maps", maps)
-        if self.h_type:
-            self._check_h_type()
+        object.__setattr__(self, "h_type", bool(self._clifford_defect <= HTYPE_TOL))
 
-    def _check_h_type(self):
+    @property
+    def _clifford_defect(self) -> float:
+        """max |(J_k J_l + J_l J_k) / 2 + delta_kl Id|: 0 exactly on H-type maps."""
         prods = np.einsum("kij,ljh->klih", self.maps, self.maps)
         clifford = np.einsum("kl,ih->klih", np.eye(self.m), np.eye(2 * self.n))
-        defect = np.max(np.abs(0.5 * (prods + prods.transpose(1, 0, 2, 3)) + clifford))
-        if defect > HTYPE_TOL:
-            raise ValueError(f"h_type requested but J_t^2 != -|t|^2 Id (defect {defect:.3e})")
+        return float(np.max(np.abs(0.5 * (prods + prods.transpose(1, 0, 2, 3)) + clifford)))
 
     @property
     def horizontal_dim(self) -> int:
@@ -103,14 +102,17 @@ class MetivierStructure:
 
     @cached_property
     def _condition_extremes(self) -> tuple:
-        """(c0, C0) when no estimate is supplied, computed once per structure.
+        """(c0, C0), the extremes of |J_t x|^2 over unit pairs, once per structure.
 
-        Exact where `exact_condition_extremes` applies, else the extremes of
-        a 10,000-pair `verify_metivier` sample at seed 0.
+        Exact on H-type maps, (1, 1), and for m = 1, the squared extreme
+        singular values of the single map (t = +-u_1).  Otherwise heuristic:
+        the extremes of a 10,000-pair `verify_metivier` sample at seed 0.
         """
-        exact = exact_condition_extremes(self)
-        if exact is not None:
-            return exact
+        if self.h_type:
+            return 1.0, 1.0
+        if self.m == 1:
+            sv = self._map_singular_values[0]
+            return float(sv[-1] ** 2), float(sv[0] ** 2)
         est = verify_metivier(self, samples=10_000, seed=0)
         return est.c0, est.C0
 
@@ -153,8 +155,12 @@ class MetivierStructure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetivierStructure":
-        return cls(n=int(d["n"]), m=int(d["m"]), maps=np.asarray(d["J"], dtype=float),
-                   h_type=bool(d.get("h_type", False)))
+        """The structure of `d`; a true "h_type" claim that the maps fail raises ValueError."""
+        s = cls(n=int(d["n"]), m=int(d["m"]), maps=np.asarray(d["J"], dtype=float))
+        if d.get("h_type", False) and not s.h_type:
+            raise ValueError(f"h_type claimed but J_t^2 != -|t|^2 Id "
+                             f"(defect {s._clifford_defect:.3e})")
+        return s
 
     @classmethod
     def from_json(cls, text: str) -> "MetivierStructure":
@@ -198,7 +204,7 @@ class ConditionEstimate:
 def make_heisenberg() -> MetivierStructure:
     """Canonical 3-dimensional instance: n = m = 1, J = [[0, 1], [-1, 0]]."""
     j = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
-    return MetivierStructure(n=1, m=1, maps=j, h_type=True)
+    return MetivierStructure(n=1, m=1, maps=j)
 
 
 def identity(s: MetivierStructure) -> GroupPoint:
@@ -310,17 +316,3 @@ def verify_metivier(s: MetivierStructure, samples: int, seed: int = 0) -> Condit
     return ConditionEstimate(c0=float(sq.min()), C0=float(sq.max()),
                              sample_count=samples, seed=seed)
 
-
-def exact_condition_extremes(s: MetivierStructure):
-    """Exact (c0, C0) where tractable, else None.
-
-    H-type gives (1, 1).  For a one-dimensional centre the unit central
-    vectors are +-u_1 and the extremes are the squared extreme singular
-    values of the single map.
-    """
-    if s.h_type:
-        return 1.0, 1.0
-    if s.m == 1:
-        sv = s._map_singular_values[0]
-        return float(sv[-1] ** 2), float(sv[0] ** 2)
-    return None

@@ -31,9 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .group import (ConditionEstimate, MetivierStructure,
-                    _dot, _require_finite, exact_condition_extremes,
-                    homogeneous_dimension)
+from .group import MetivierStructure, _dot, _require_finite, homogeneous_dimension
 from .norms import _radial, _weight
 
 
@@ -260,25 +258,17 @@ def constants_from_condition(alpha: float, c0: float, C0: float,
                               c_a3=c_a3, c_a4=c_a4, alpha=alpha, Q=2 * n + 2 * m)
 
 
-def potential_bounds(alpha: float, est: ConditionEstimate | None,
-                     s: MetivierStructure) -> PotentialConstants:
-    """Sandwich constants for (alpha, structure).
+def potential_bounds(alpha: float, s: MetivierStructure) -> PotentialConstants:
+    """Sandwich constants for (alpha, structure) from the structure's (c0, C0).
 
-    Where the extremes of |J_t x|^2 are exactly computable (H-type gives
-    (1, 1); a one-dimensional centre gives the squared extreme singular
-    values of the single map) the exact values override the sampled
-    estimate, so the resulting bounds are rigorous rather than
-    sample-dependent.  Otherwise (a non-H-type structure with m >= 2) the
-    sampled (c0, C0) are used, without an estimate those of a 10,000-pair
-    sample drawn once per structure.  Those constants are heuristic, not
-    rigorous: a sample can miss the true extremes, and the sandwich built
-    from it can fail at some points.
+    Those are exact on H-type groups, (1, 1), and for a one-dimensional
+    centre, the squared extreme singular values of the single map, so the
+    bounds are rigorous there.  Otherwise (a non-H-type structure with
+    m >= 2) they are the extremes of a 10,000-pair sample drawn once per
+    structure: heuristic, not rigorous, as a sample can miss the true
+    extremes and the sandwich built from it can fail at some points.
     """
-    if est is None:
-        c0, C0 = s._condition_extremes
-    else:
-        c0, C0 = exact_condition_extremes(s) or (est.c0, est.C0)
-    return constants_from_condition(alpha, c0, C0, s.n, s.m)
+    return constants_from_condition(alpha, *s._condition_extremes, s.n, s.m)
 
 
 def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
@@ -313,7 +303,6 @@ class SandwichReport:
 
 
 def check_sandwich(alpha: float, s: MetivierStructure, points,
-                   est: ConditionEstimate | None = None,
                    slack: float = 1e-12) -> SandwichReport:
     """Assert lower <= V_alpha <= upper at each supplied point.
 
@@ -324,7 +313,7 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
     """
     x, t = points
     _require_finite("slack", slack)
-    const = potential_bounds(alpha, est, s)
+    const = potential_bounds(alpha, s)
     jet = _norm_jet(s, x, t)
     v = _potential(alpha, jet)
     lo, hi = _sandwich(const, jet.x2, jet.n)
@@ -398,16 +387,17 @@ def admissibility(alpha: float, s: MetivierStructure) -> Admissibility:
     the ratio iff 1 <= a <= 2.
 
     ess inf V_alpha is -inf for a < 2 (on the axis V = c1 N^{2a-2} - c2 N^{a-2}
-    with c2 > 0), and otherwise the sandwich floor: exact on H-type groups,
-    where the sandwich is an equality; a rigorous lower bound for m = 1;
-    heuristic for m >= 2 off H-type (sampled constants).
+    with c2 > 0), and otherwise the sandwich floor of `potential_bounds`:
+    "exact" when the maps are H-type, where the sandwich is an equality; a
+    rigorous lower bound ("bound") for m = 1; "heuristic" for m >= 2 off
+    H-type (sampled constants).
     """
     _require_finite("alpha", alpha, positive=True)
     grad_ok, lap_ok, ratio_ok = alpha >= 1, alpha >= 2, 1 <= alpha <= 2
     if alpha < 2:
         ess_inf, status = -math.inf, "exact"
     else:
-        ess_inf = sandwich_floor(potential_bounds(alpha, None, s))
+        ess_inf = sandwich_floor(potential_bounds(alpha, s))
         status = "exact" if s.h_type else "bound" if s.m == 1 else "heuristic"
     return Admissibility(alpha=alpha, grad_locally_bounded=grad_ok,
                          lap_locally_bounded=lap_ok, ratio_globally_bounded=ratio_ok,
@@ -426,6 +416,6 @@ def cylinder_sup_potential(alpha: float, s: MetivierStructure) -> float:
     _require_finite("alpha", alpha, positive=True)
     if alpha > 2:
         return math.inf
-    const = potential_bounds(alpha, None, s)
+    const = potential_bounds(alpha, s)
     return max(_factor_sup(const.c_a1, const.c_a2, alpha),
                _factor_sup(const.c_a3, const.c_a4, alpha))

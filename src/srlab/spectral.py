@@ -141,8 +141,9 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
     `potential` may override V_alpha with any callable (x, t) -> values;
     nodes where it returns +inf are removed (hard Dirichlet wall), which
     decouples the retained block exactly.  A non-finite alpha, a grid built
-    for other dimensions, potential values NaN or -inf, or a wall on every
-    node raise ValueError.  The operator records the grid's node layout.
+    for other dimensions, potential values NaN or -inf, a wall on every node,
+    or an entry that overflows raise ValueError.  The operator records the
+    grid's node layout.
     """
     _require_finite("alpha", alpha)
     if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
@@ -164,14 +165,15 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
     dt = [_difference(grid, d2 + k) for k in range(s.m)]
     inv_hx = 1.0 / grid.hx
     kin = None
-    for j in range(d2):
-        dj = _difference(grid, j)
-        for k in range(s.m):
-            dj = dj + sp.diags(c[:, j, k], format="csr") @ dt[k]
-        term = dj.T @ dj + sp.diags(lower[j] * (inv_hx * inv_hx))
-        for k in range(s.m):
-            term = term + sp.diags(lower[d2 + k] * (c[:, j, k] / grid.ht) ** 2)
-        kin = term if kin is None else kin + term
+    with np.errstate(over="ignore", invalid="ignore"):   # the entries are checked below
+        for j in range(d2):
+            dj = _difference(grid, j)
+            for k in range(s.m):
+                dj = dj + sp.diags(c[:, j, k], format="csr") @ dt[k]
+            term = dj.T @ dj + sp.diags(lower[j] * (inv_hx * inv_hx))
+            for k in range(s.m):
+                term = term + sp.diags(lower[d2 + k] * (c[:, j, k] / grid.ht) ** 2)
+            kin = term if kin is None else kin + term
     keep = ~np.isinf(v)
     if not np.any(keep):
         raise ValueError("the potential is +inf at every node: every node is walled")
@@ -180,8 +182,10 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
         idx = np.nonzero(keep)[0]
         kin = kin[idx][:, idx]
         v = v[idx]
-    return SparseSymmetricOperator(kin + sp.diags(v, format="csr"),
-                                   grid_shape=grid.shape, kept=idx)
+    h = kin + sp.diags(v, format="csr")
+    if not np.all(np.isfinite(h.data)):
+        raise ValueError(f"an operator entry overflows at hx = {grid.hx}, ht = {grid.ht}")
+    return SparseSymmetricOperator(h, grid_shape=grid.shape, kept=idx)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ def cylinder_radius(spec: SublevelSpec, s: MetivierStructure) -> float:
     """
     if spec.alpha <= 2:
         raise ValueError("cylinder confinement requires alpha > 2")
-    return _envelope_inverse(potential_bounds(spec.alpha, None, s), spec.level)
+    return _envelope_inverse(potential_bounds(spec.alpha, s), spec.level)
 
 
 @lru_cache(maxsize=256)
@@ -225,17 +225,6 @@ def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
     return 0.25 * r * r + 0.5 * kappa * xc_norm * (xc_norm + r)
 
 
-def bounding_cylinder(s: MetivierStructure, center: GroupPoint, r: float):
-    """(rho_x, rho_t): B(center, r) lies inside {|xi| <= rho_x, |tau - tc| <= rho_t}.
-
-    The x-part is |xc| + r; the central part is `_central_reach` (no
-    unproven quasi-triangle constant is needed).
-    """
-    _require_finite("r", r, positive=True)
-    xc_norm = float(np.linalg.norm(center.x))
-    return xc_norm + r, _central_reach(s, xc_norm, r)
-
-
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
@@ -261,7 +250,7 @@ def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
             # N >= N(0, |tc| - rho_t) on the ball; the 1e-12 slack covers the tube's
             # round trip through exp and log, a few ulp of log values below about 50
             t_norm = np.array([float(np.linalg.norm(t)) for t in tc])
-            log_tube = _log_tube(potential_bounds(spec.alpha, None, s), spec.level, c,
+            log_tube = _log_tube(potential_bounds(spec.alpha, s), spec.level, c,
                                  _log_gap_norm(t_norm - rho_t))
             rho_x = np.minimum(rho_x, [math.exp(v) * (1.0 + 1e-12) for v in log_tube.tolist()])
     rho_x, rho_t = rho_x.tolist(), rho_t.tolist()
@@ -319,7 +308,7 @@ def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
     k = rho_t + (2 c_a2 / c_a1)^{2/a}, with rho_t the central reach of the
     bounding cylinder.
     """
-    const = potential_bounds(spec.alpha, None, s)
+    const = potential_bounds(spec.alpha, s)
     rho_t = _central_reach(s, min(center_x_norm, cylinder_radius(spec, s)), r)
     return rho_t + (2.0 * const.c_a2 / const.c_a1) ** (2.0 / const.alpha)
 
@@ -378,7 +367,7 @@ def _inclusion_probability(spec: SublevelSpec, s: MetivierStructure, r: float,
 
     Exactly 1 where the tube is unusable or wider than c, 0 where it is closed.
     """
-    const = potential_bounds(spec.alpha, None, s)
+    const = potential_bounds(spec.alpha, s)
     log_n = _log_gap_norm(np.linalg.norm(t, axis=-1) - _central_reach(s, c, r))
     log_ratio = _log_tube(const, spec.level, c, log_n) - math.log(c)
     return np.exp((0.5 * ell * s.horizontal_dim) * log_ratio)
@@ -400,7 +389,7 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     finite side of the threshold (large ell near a = 2), and a positive bound
     below it is the smallest positive double, never 0.
     """
-    const = potential_bounds(spec.alpha, None, s)
+    const = potential_bounds(spec.alpha, s)
     c = cylinder_radius(spec, s)
     if c == 0.0:
         return 0.0
@@ -507,8 +496,10 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
             inside = _inner_hits(spec, s, xi[i], tau[i], r, rho_x, rho_t, inner_samples,
                                  substream(seed, 1, i))[1]
             # vol (hits / n) is `_mean_and_error`'s mean of the 0/1 scores, bit for bit
-            scores[i] = (vol * (np.count_nonzero(inside) / inner_samples)) ** ell / qi
-
+            with np.errstate(over="ignore"):
+                scores[i] = (vol * (np.count_nonzero(inside) / inner_samples)) ** ell / qi
+        if not np.all(np.isfinite(scores)):
+            raise ValueError(f"ell = {ell} overflows a member score v_hat^ell / q")
         value, se = _mean_and_error(scores, outer_volume)
         tail_finite = ell > ell_threshold
         tail = _tail_bound(spec, s, r, ell, truncation_T) if tail_finite else math.inf

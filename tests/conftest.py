@@ -34,7 +34,7 @@ def quaternion_maps():
 @pytest.fixture(scope="session")
 def quaternion():
     """H-type with n = 2, m = 3 (Q = 10): the quaternionic Heisenberg group."""
-    return MetivierStructure(n=2, m=3, maps=quaternion_maps(), h_type=True)
+    return MetivierStructure(n=2, m=3, maps=quaternion_maps())
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,8 @@ def degenerate():
 
 @st.composite
 def skew_structures(draw, n_range=(1, 2), m_range=(1, 2)):
-    """Random skew maps with n, m in the inclusive ranges; the h_type flag stays off."""
+    """Random skew maps with n, m in the inclusive ranges; a draw may be H-type
+    (such as +-ROT), which the structure derives from its maps."""
     n = draw(st.integers(*n_range))
     m = draw(st.integers(*m_range))
     d = 2 * n

@@ -128,7 +128,7 @@ def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
 
     from srlab import potential
 
-    const = potential.potential_bounds(spec.alpha, None, s)
+    const = potential.potential_bounds(spec.alpha, s)
     c = sublevel.cylinder_radius(spec, s)
     rho_t = sublevel._central_reach(s, c, r)
     k = sublevel.threshold_k(spec, s, r, center_x_norm=c)

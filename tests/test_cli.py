@@ -98,15 +98,14 @@ def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
     the bump's support, 11 TB of psi and L psi: refused with exit 1 before any
     sampling, and nothing on stdout."""
     sf = tmp_path / "quaternion.json"
-    sf.write_text(MetivierStructure(n=2, m=3, maps=quaternion_maps(), h_type=True).to_json())
+    sf.write_text(MetivierStructure(n=2, m=3, maps=quaternion_maps()).to_json())
     assert run(["weyl", "--structure", str(sf), "--alpha", "2", "--grid", "64"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "physical memory" in err
 
 
 def test_structure_json_loading(tmp_path):
-    s = MetivierStructure(n=1, m=1, maps=np.array([[[0.0, 1.0], [-1.0, 0.0]]]),
-                          h_type=True)
+    s = MetivierStructure(n=1, m=1, maps=np.array([[[0.0, 1.0], [-1.0, 0.0]]]))
     sf = tmp_path / "heis.json"
     sf.write_text(s.to_json())
     code, payload = invoke(["gamma", "--structure", str(sf), "--samples", "100"],
@@ -219,8 +218,7 @@ def test_weyl_default_grid_scales_with_the_structure(tmp_path, aniso):
     code, payload = invoke(["weyl", "--structure", str(sf), "--alpha", "1"], tmp_path, "wa.csv")
     assert code == 0 and time.perf_counter() - start < 30.0
     assert "# grid = 10\n" in payload.decode()
-    assert cli._default_weyl_grid(MetivierStructure(n=2, m=3, maps=quaternion_maps(),
-                                                    h_type=True)) == 4
+    assert cli._default_weyl_grid(MetivierStructure(n=2, m=3, maps=quaternion_maps())) == 4
     code, default = invoke(["weyl", "--alpha", "1", "--n-max", "4"], tmp_path, "wh.csv")
     _, explicit = invoke(["weyl", "--alpha", "1", "--n-max", "4", "--grid", "48"],
                          tmp_path, "wg.csv")
@@ -334,3 +332,51 @@ def test_potential_names_alpha_overflowing_the_values(fmt, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: alpha = 1e+100 overflows V_alpha or its sandwich bounds\n"
+
+
+@pytest.mark.parametrize("step", [["--lx", "1e-154"], ["--lt", "1e-300"]])
+def test_spectrum_refuses_grid_steps_overflowing_the_operator(step, capsys):
+    """A grid step whose inverse square overflows: one error line naming hx and
+    ht, and no RuntimeWarning on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")    # printed to stderr, as outside the suite
+        assert run(["spectrum", "--alpha", "3", *step, "--nx", "4", "--nt", "4",
+                    "--k", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: an operator entry overflows at hx = ") and ", ht = " in err
+
+
+def test_thinness_refuses_ell_overflowing_a_score(capsys):
+    """ell = 1e300 raises a member's inner volume past the double range: one
+    error line naming ell, and no RuntimeWarning on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(["thinness", "--alpha", "3", "--m-level", "10", "--ell", "1e300",
+                    "--outer", "200", "--inner", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ell = 1e+300 overflows a member score v_hat^ell / q\n"
+
+
+def test_h_type_claim_changes_no_output(tmp_path, aniso, capsys):
+    """The maps decide h_type: a quaternion file claiming it, denying it or
+    silent on it gives the same stdout, and a false claim is refused."""
+    sf = tmp_path / "structure.json"
+    doc = {"n": 2, "m": 3, "J": quaternion_maps().tolist()}
+    commands = [["verify", "--samples", "500"],
+                ["potential", "--alpha", "2.5", "--nx", "4", "--nt", "4"],
+                ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+                 "--truncation", "4", "--outer", "200", "--inner", "50"]]
+    outputs = []
+    for claim in ({"h_type": True}, {"h_type": False}, {}):
+        sf.write_text(json.dumps({**doc, **claim}))
+        for command in commands:
+            assert run(command + ["--structure", str(sf)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    sf.write_text(json.dumps({**aniso.to_dict(), "h_type": True}))
+    assert run(["verify", "--structure", str(sf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: h_type claimed but J_t^2 != -|t|^2 Id (defect ")

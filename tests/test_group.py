@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from srlab.forms import horizontal_coefficients
-from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate,
-                         exact_condition_extremes, homogeneous_dimension,
+from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate, homogeneous_dimension,
                          identity, inverse, make_heisenberg, multiply, point,
                          product, uniform_ball, unit_sample, verify_metivier)
 
@@ -47,15 +46,22 @@ def test_skew_validation_rejected():
 
 
 def test_h_type_flag_validated(aniso, quaternion):
-    with pytest.raises(ValueError, match="h_type"):
-        MetivierStructure(n=2, m=1, maps=aniso.maps, h_type=True)
+    """h_type is whether the maps meet the Clifford relations: no argument sets
+    it, and a dict's claim is checked, never trusted."""
+    assert quaternion.h_type and not aniso.h_type
+    with pytest.raises(TypeError):
+        MetivierStructure(n=2, m=3, maps=quaternion.maps, h_type=True)
     # a skew perturbation of one map breaks the Clifford relations
     maps = quaternion.maps.copy()
     maps[2, 0, 3] += 1e-9
     maps[2, 3, 0] -= 1e-9
-    with pytest.raises(ValueError, match="h_type"):
-        MetivierStructure(n=2, m=3, maps=maps, h_type=True)
     assert not MetivierStructure(n=2, m=3, maps=maps).h_type
+    for claim in ({"h_type": False}, {}):
+        s = MetivierStructure.from_dict({"n": 2, "m": 3, "J": quaternion.maps.tolist(), **claim})
+        assert s.h_type and s._condition_extremes == (1.0, 1.0)
+    for bad in (aniso.to_dict(), {"n": 2, "m": 3, "J": maps.tolist()}):
+        with pytest.raises(ValueError, match=r"h_type claimed .* \(defect \d"):
+            MetivierStructure.from_dict({**bad, "h_type": True})
 
 
 def test_group_product_example(heis):
@@ -211,7 +217,7 @@ def test_verify_metivier_degenerate(degenerate):
 
 def test_verify_metivier_aniso_against_svd(aniso):
     est = verify_metivier(aniso, 10_000, seed=0)
-    lo, hi = exact_condition_extremes(aniso)
+    lo, hi = aniso._condition_extremes
     assert (lo, hi) == (1.0, 4.0)
     assert lo <= est.c0 <= lo + 0.05
     assert hi - 0.05 <= est.C0 <= hi

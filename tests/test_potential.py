@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from srlab import potential
 from srlab.forms import SmoothBump, horizontal_gradient, sub_laplacian_apply
-from srlab.group import (MetivierStructure, exact_condition_extremes, identity, point,
-                         uniform_ball, verify_metivier)
+from srlab.group import MetivierStructure, identity, point, uniform_ball
 from srlab.norms import BallSpec, in_ball_xt, norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import (admissibility, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
@@ -19,7 +18,7 @@ from srlab.potential import (admissibility, check_sandwich,
                              sandwich_bounds_xt, sandwich_floor,
                              sub_laplacian_norm_xt)
 
-from srlab.sublevel import SublevelSpec, in_sublevel_xt
+from srlab.sublevel import SublevelSpec, cylinder_radius, in_sublevel_xt
 
 import oracles
 from conftest import count_calls, quaternion_maps, random_points, skew_structures
@@ -40,7 +39,7 @@ _STRUCTURE_ENTRY_POINTS = {
     "horizontal_gradient": lambda s, x, t: horizontal_gradient(s, SmoothBump(1.0, 1.0), x, t),
     "sub_laplacian_apply": lambda s, x, t: sub_laplacian_apply(s, SmoothBump(1.0, 1.0), x, t),
     "sandwich_bounds_xt": lambda s, x, t: sandwich_bounds_xt(
-        potential_bounds(3.0, None, s), s, x, t),
+        potential_bounds(3.0, s), s, x, t),
 }
 
 
@@ -67,7 +66,7 @@ def test_grad_norm_sq_examples(heis):
 def test_grad_norm_sq_range(heis, aniso):
     for s in (heis, aniso):
         x, t = random_points(s, 2000, seed=0)
-        const = potential_bounds(1.0, None, s)
+        const = potential_bounds(1.0, s)
         gns = grad_norm_sq_xt(s, x, t)
         n = norm_xt(x, t)
         x2 = np.einsum("si,si->s", x, x)
@@ -214,21 +213,30 @@ def test_norm_jet_refuses_scales_past_double_range(heis):
 
 
 def test_potential_bounds_constants(heis):
-    c3 = potential_bounds(3.0, None, heis)
+    c3 = potential_bounds(3.0, heis)
     assert c3.c_a1 == pytest.approx(2.25, abs=1e-14)
     assert c3.c_a2 == pytest.approx(7.5, abs=1e-14)
     # generic formula cross-check: C a^2/2 - (a/2)(4c - 2n - 2 - 2 m C0)
     assert c3.c_a2 == pytest.approx(
         1.0 * 9.0 / 2.0 - 1.5 * (4.0 - 2.0 - 2.0 - 2.0), abs=1e-14)
-    c2 = potential_bounds(2.0, None, heis)
+    c2 = potential_bounds(2.0, heis)
     assert c2.c_a1 == pytest.approx(1.0) and c2.c_a2 == pytest.approx(4.0)
     assert c2.c_a1 == c2.c_a3 and c2.c_a2 == c2.c_a4
 
 
 def test_potential_bounds_aniso_exact(aniso):
-    const = potential_bounds(2.5, None, aniso)
+    const = potential_bounds(2.5, aniso)
     assert const.c0 == 1.0 and const.C0 == 4.0
     assert const.c == 1.0 and const.C == 4.0
+
+
+def test_unflagged_quaternion_gets_the_exact_constants(quaternion):
+    """The quaternion maps are H-type by themselves: exact (c0, C0) = (1, 1),
+    an exact essential infimum, and the flagged structure's cylinder radius."""
+    const = potential_bounds(3.0, quaternion)
+    assert const.c0 == const.C0 == 1.0
+    assert admissibility(3.0, quaternion).ess_inf_status == "exact"
+    assert cylinder_radius(SublevelSpec(3.0, 10.0), quaternion) == 2.1131846745487315
 
 
 def test_c_a2_positive_random():
@@ -267,8 +275,7 @@ def test_sandwich_heisenberg_equality(heis):
 
 def test_sandwich_aniso_strict(aniso):
     x, t = random_points(aniso, 10_000, seed=10)
-    est = verify_metivier(aniso, 10_000, seed=0)
-    rep = check_sandwich(2.5, aniso, (x, t), est=est)
+    rep = check_sandwich(2.5, aniso, (x, t))
     assert rep.n_violations == 0
     v = potential_value_xt(2.5, aniso, x, t)
     lo, hi = sandwich_bounds_xt(rep.constants, aniso, x, t)
@@ -286,14 +293,14 @@ def test_sandwich_x_zero_trivial(heis):
 
 def test_sandwich_bounds_refuse_other_structure(heis, quaternion):
     """Constants for one homogeneous dimension are refused on another."""
-    c = potential_bounds(3.0, None, heis)
+    c = potential_bounds(3.0, heis)
     with pytest.raises(ValueError, match="Q = 4"):
         sandwich_bounds_xt(c, quaternion, np.ones((2, 4)), np.ones((2, 3)))
 
 
 def test_sandwich_floor_values(heis):
-    assert sandwich_floor(potential_bounds(2.0, None, heis)) == -4.0
-    assert sandwich_floor(potential_bounds(4.0, None, heis)) == pytest.approx(-8.0, abs=1e-12)
+    assert sandwich_floor(potential_bounds(2.0, heis)) == -4.0
+    assert sandwich_floor(potential_bounds(4.0, heis)) == pytest.approx(-8.0, abs=1e-12)
 
 
 def _axis_scan_min(alpha, s, n_max=5.0, points=200_000):
@@ -308,7 +315,7 @@ def _check_exact_floor(alpha, s, floor):
     comes down to it from above (at alpha = 2 only in the limit N -> 0)."""
     adm = admissibility(alpha, s)
     assert adm.ess_inf == pytest.approx(floor, rel=1e-5)
-    assert adm.ess_inf == sandwich_floor(potential_bounds(alpha, None, s))
+    assert adm.ess_inf == sandwich_floor(potential_bounds(alpha, s))
     assert adm.ess_inf_status == "exact"
     scan = _axis_scan_min(alpha, s)
     assert adm.ess_inf - 1e-9 <= scan <= adm.ess_inf + 1e-5
@@ -411,7 +418,7 @@ def test_scaling_law_along_orbits(heis):
     """N^{4-2a} V / |x|^2 + c_a2 N^{-a} is constant (= c_a1) on dilation orbits."""
     x, t = random_points(heis, 200, seed=11)
     alpha = 3.0
-    const = potential_bounds(alpha, None, heis)
+    const = potential_bounds(alpha, heis)
     for r in (0.5, 1.0, 2.0, 4.0):
         xr, tr = r * x, r * r * t
         n = norm_xt(xr, tr)
@@ -478,7 +485,7 @@ def test_factor_sup_against_a_dense_grid():
 def test_cylinder_sup_bounds_random_one_dimensional_centre(s, alpha, seed):
     """sup >= |V_alpha| at random cylinder points {|x| <= 1, N >= 1} of random
     m = 1 structures, half of them on |x| = 1, with |t| over 40 decades."""
-    assume(exact_condition_extremes(s)[0] >= 0.05 ** 2)   # smallest singular value >= 0.05
+    assume(s._condition_extremes[0] >= 0.05 ** 2)   # smallest singular value >= 0.05
     rng = np.random.default_rng(seed)
     x = uniform_ball(rng, 4000, s.horizontal_dim, 1.0)
     x[::2] /= np.linalg.norm(x[::2], axis=1, keepdims=True)
@@ -493,7 +500,7 @@ def test_cylinder_sup_bounds_random_one_dimensional_centre(s, alpha, seed):
 def test_norm_jet_matches_fd_oracles(s, alpha, seed):
     """|grad_H N|^2, LN and V_alpha against differences through X_j, order h^2.
 
-    Random skew structures, not H-type; the Metivier condition is not needed
+    Random skew structures, H-type or not; the Metivier condition is not needed
     for these pointwise identities.  V_alpha is checked through the weight alone, as
     -(1/4) |grad_H w|^2 / w^2 - (1/2) (L w) / w with both derivatives of
     w = exp(-N^alpha) taken by the oracle.
@@ -528,12 +535,12 @@ def test_norm_jet_matches_fd_oracles(s, alpha, seed):
 @given(s=skew_structures(n_range=(1, 3), m_range=(1, 1)), alpha=st.floats(1.5, 4.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_sandwich_random_one_dimensional_centre(s, alpha, seed):
-    """The sandwich holds on random non-H-type structures with m = 1.
+    """The sandwich holds on random structures with m = 1.
 
-    There `exact_condition_extremes` gives (c0, C0) exactly, so the
+    There `_condition_extremes` gives (c0, C0) exactly, so the
     constants are rigorous; points span dilation scales 2^-4 .. 2^4.
     """
-    assume(exact_condition_extremes(s)[0] > 1e-6)   # Metivier: J invertible
+    assume(s._condition_extremes[0] > 1e-6)   # Metivier: J invertible
     rng = np.random.default_rng(seed)
     r = 2.0 ** rng.integers(-4, 5, size=(2000, 1))
     x = rng.uniform(-1.0, 1.0, size=(2000, s.horizontal_dim)) * r
@@ -549,7 +556,7 @@ def test_kernels_reject_non_finite_alpha(heis):
             with pytest.raises(ValueError, match="alpha"):
                 kernel(alpha, heis, x, t)
         with pytest.raises(ValueError, match="alpha"):
-            potential_bounds(alpha, None, heis)
+            potential_bounds(alpha, heis)
         with pytest.raises(ValueError, match="alpha"):
             cylinder_sup_potential(alpha, heis)
         with pytest.raises(ValueError, match="alpha"):

@@ -23,3 +23,12 @@ def test_counts_lines_and_public_symbols(tmp_path):
     assert rows == [["a.py", "21", "lines", "10", "code", "4", "public", "symbols"],
                     ["b.py", "3", "lines", "3", "code", "0", "public", "symbols"],
                     ["total", "24", "lines", "13", "code", "4", "public", "symbols"]]
+
+
+def test_package_public_symbols_within_budget():
+    """`src/srlab` keeps at most 92 public module-level symbols."""
+    proc = subprocess.run([sys.executable, str(_PATH), str(_PATH.parents[1] / "src" / "srlab")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    total = proc.stdout.splitlines()[-1].split()
+    assert total[0] == "total" and int(total[5]) <= 92, proc.stdout

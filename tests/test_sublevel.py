@@ -10,7 +10,7 @@ from srlab import group, norms, potential, sublevel
 from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
 from srlab.norms import norm_xt, quasi_distance_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
-                            bounding_cylinder, cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
+                            cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
                             substream, thinness_integral, threshold_k,
                             uniform_ball, worker_count)
 from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
@@ -117,7 +117,7 @@ def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, draw
     (relative, in |x|) of the level set, with identity rows in the batch."""
     s = heis if name == "heis" else quaternion
     # alpha < 2 has no sandwich floor; -1 stands in for it
-    floor = sandwich_floor(potential_bounds(alpha, None, s)) if alpha >= 2 else -1.0
+    floor = sandwich_floor(potential_bounds(alpha, s)) if alpha >= 2 else -1.0
     level = {"zero": 0.0, "floor": floor, "above_floor": floor + 1e-9 * abs(floor),
              "drawn": drawn}[which]
     spec = SublevelSpec(alpha, level)
@@ -163,7 +163,7 @@ def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
 
 def test_lower_envelope_is_lower_bound(heis, aniso):
     for s in (heis, aniso):
-        const = potential_bounds(3.0, None, s)
+        const = potential_bounds(3.0, s)
         x, t = random_points(s, 3000, seed=0, box=3.0)
         u = np.linalg.norm(x, axis=1)
         v = potential_value_xt(3.0, s, x, t)
@@ -194,18 +194,24 @@ def test_cylinder_contains_members(heis):
     assert np.all(np.linalg.norm(x[member], axis=1) <= c)
 
 
+def _bounding_cylinder(s, center, r):
+    """(|xc| + r, `_central_reach`): the untightened region of B(center, r)."""
+    xc_norm = float(np.linalg.norm(center.x))
+    return xc_norm + r, sublevel._central_reach(s, xc_norm, r)
+
+
 @pytest.mark.parametrize("name, xc, tc", [("heis", [0.3, 0.0], 20.0),
                                           ("heis", [0.3, 0.0], 60.0),
                                           ("quaternion_scaled", [0.0] * 4, 10.0),
                                           ("quaternion_scaled", [0.0] * 4, 20.0)])
 def test_tube_encloses_ball_members(heis, name, xc, tc):
     """Hard assertion: every member of B ∩ Omega, rejection-sampled in the
-    untightened `bounding_cylinder`, has |x| at most the region radius that
+    untightened bounding cylinder, has |x| at most the region radius that
     `ball_intersection_volume` used, at centres where the tube binds."""
     s = heis if name == "heis" else _QUATERNION_SCALED
     spec = SublevelSpec(3.0, 10.0)
     center = GroupPoint(np.asarray(xc), tc * np.eye(s.m)[0])
-    rho_x, rho_t = bounding_cylinder(s, center, 1.0)
+    rho_x, rho_t = _bounding_cylinder(s, center, 1.0)
     est = ball_intersection_volume(spec, s, center, 1.0, 100, seed=0)
     region_x = (est.region_volume / ball_volume(s.m, rho_t)
                 / ball_volume(s.horizontal_dim, 1.0)) ** (1.0 / s.horizontal_dim)
@@ -223,7 +229,7 @@ def test_tube_encloses_ball_members(heis, name, xc, tc):
 def test_cylinder_encloses_near_floor_member(heis, alpha):
     """Just above the floor the sublevel set is a thin shell around the axis point
     (N*, 0; 0) where the sandwich floor is attained; the radius must enclose it."""
-    const = potential_bounds(alpha, None, heis)
+    const = potential_bounds(alpha, heis)
     floor = sandwich_floor(const)
     spec = SublevelSpec(alpha, floor + 1e-9 * abs(floor))
     n_star = (const.c_a2 * (alpha - 2.0) / (const.c_a1 * (2.0 * alpha - 2.0))) ** (1.0 / alpha)
@@ -240,7 +246,7 @@ def test_cylinder_radius_is_envelope_sup(heis, aniso, alpha, frac):
     two terms c_a1 u^(2a-2) and c_a2 u^(a-2) it subtracts).  Closer to the
     floor the set is narrower than that rounding across the flat bottom."""
     for s in (heis, aniso, _QUATERNION_SCALED):
-        const = potential_bounds(alpha, None, s)
+        const = potential_bounds(alpha, s)
         floor = sandwich_floor(const)
         level = floor + 1e-9 * abs(floor) + frac * (100.0 - floor)
         c = cylinder_radius(SublevelSpec(alpha, level), s)
@@ -258,7 +264,7 @@ def test_cylinder_radius_is_envelope_sup(heis, aniso, alpha, frac):
 def test_cylinder_radius_clears_rounding_near_alpha_2(heis):
     """One ulp above alpha = 2 the 1e-9 margin sat inside the envelope's rounding."""
     alpha = 2.0 + 4e-16
-    const = potential_bounds(alpha, None, heis)
+    const = potential_bounds(alpha, heis)
     level = sandwich_floor(const) + 4e-9
     c = cylinder_radius(SublevelSpec(alpha, level), heis)
     rounding = 8.0 * np.finfo(float).eps * (const.c_a1 * c ** (2.0 * alpha - 2.0)
@@ -272,7 +278,7 @@ def test_cylinder_radius_near_the_double_range(heis):
     of the leading term (H-type, far beyond the turning point)."""
     with np.errstate(over="ignore"):
         for alpha in (3.0, 8.0):
-            const = potential_bounds(alpha, None, heis)
+            const = potential_bounds(alpha, heis)
             for level in (1e308, sys.float_info.max):
                 c = cylinder_radius(SublevelSpec(alpha, level), heis)
                 crossing = (level / const.c_a1) ** (1.0 / (2.0 * alpha - 2.0))
@@ -292,7 +298,7 @@ def test_cylinder_radius_at_large_alpha(heis, alpha, radius):
 
 def test_cylinder_radius_stall_raises(heis, monkeypatch):
     """An inversion that needs more than `_MAX_STEPS` tests is a ValueError, not a hang."""
-    const = potential_bounds(2.0001, None, heis)
+    const = potential_bounds(2.0001, heis)
     assert sublevel._envelope_inverse.__wrapped__(const, 10.0) > 0.0   # 8 doublings
     monkeypatch.setattr(sublevel, "_MAX_STEPS", 4)
     with pytest.raises(ValueError, match="did not settle"):
@@ -305,8 +311,7 @@ def test_bounding_cylinder_encloses_ball(heis, aniso):
         center = GroupPoint(rng.uniform(-1, 1, s.horizontal_dim),
                             rng.uniform(-3, 3, s.m))
         r = 1.3
-        rho_x, rho_t = bounding_cylinder(s, center, r)
-        from srlab.norms import quasi_distance_xt
+        rho_x, rho_t = _bounding_cylinder(s, center, r)
         xi = uniform_ball(rng, 20_000, s.horizontal_dim, rho_x * 1.5)
         tau = uniform_ball(rng, 20_000, s.m, rho_t * 1.5) + center.t
         inside = quasi_distance_xt(s, center.x, center.t, xi, tau) < r
@@ -416,7 +421,7 @@ def test_scaling_fit_slope(heis):
 
 def test_threshold_k_formula(heis):
     spec = SublevelSpec(3.0, 10.0)
-    const = potential_bounds(3.0, None, heis)
+    const = potential_bounds(3.0, heis)
     k = threshold_k(spec, heis, 1.0, center_x_norm=0.5)
     rho_t = 0.25 + 0.5 * 1.0 * 0.5 * 1.5
     assert k == pytest.approx(rho_t + (2.0 * const.c_a2 / const.c_a1) ** (2.0 / 3.0))
@@ -596,7 +601,7 @@ def test_inclusion_probability_is_the_tube_bound(name, heis):
     positive and nondecreasing) or wider than c."""
     s = heis if name == "heis" else _quaternion_scaled()
     spec, r, ell = SublevelSpec(3.0, 10.0), 1.0, 2.0
-    const = potential_bounds(3.0, None, s)
+    const = potential_bounds(3.0, s)
     c = cylinder_radius(spec, s)
     rho_t = sublevel._central_reach(s, c, r)
     # the draw plus one central point in each regime: the origin (q = 1) and
