@@ -11,7 +11,7 @@ operator, and Monte Carlo thinness measurements of potential sublevel sets.
 from .group import (ConditionEstimate, GroupPoint, MetivierStructure, dilate,
                     homogeneous_dimension, identity, inverse, make_heisenberg,
                     multiply, point, verify_metivier)
-from .norms import BallSpec, GammaEstimate, estimate_gamma
+from .norms import GammaEstimate, estimate_gamma
 from .potential import (Admissibility, PotentialConstants, admissibility,
                         check_sandwich, potential_bounds)
 from .forms import (QuadratureGrid, SmoothBump, TranslatedBump, WeylRecord,

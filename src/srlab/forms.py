@@ -58,11 +58,6 @@ def _profile(sq, order: int):
     return out
 
 
-def bump_profile(sq: np.ndarray):
-    """Flat profile g(s) = exp(-1/(1-s)) for s < 1, 0 otherwise, with g', g''."""
-    return tuple(_profile(sq, 2))
-
-
 @dataclass(frozen=True)
 class SmoothBump:
     """Product bump psi(x, t) = g(|x|^2 / a^2) g(|t|^2 / b^2).
@@ -328,11 +323,6 @@ class QuadratureGrid:
         ok_t = np.all(ct - bt >= self.center_t - self.t_half - 1e-12) and \
             np.all(ct + bt <= self.center_t + self.t_half + 1e-12)
         return bool(ok_x and ok_t)
-
-    def refined(self, factor: int = 2) -> "QuadratureGrid":
-        return QuadratureGrid(self.s, self.x_half, self.t_half,
-                              self.nx * factor, self.nt * factor,
-                              self.center_x, self.center_t)
 
     def translated(self, dt: np.ndarray) -> "QuadratureGrid":
         """Shift of the box along the centre; node sets translate exactly."""

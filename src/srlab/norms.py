@@ -1,4 +1,4 @@
-"""Homogeneous norm, quasi-distance, balls and the exponential weights.
+"""Homogeneous norm, quasi-distance and the exponential weights.
 
 The fixed homogeneous norm is N(x, t) = (|x|^4 + 16 |t|^2)^{1/4}, the norm
 entering the fundamental solution of the sub-Laplacian on H-type groups.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, _dot, _require_finite, product
+from .group import MetivierStructure, _dot, _require_finite, product
 
 
 def _radial(x, t):
@@ -49,21 +49,6 @@ def _weight(alpha: float, n) -> np.ndarray:
 
 def weight_xt(alpha: float, x, t) -> np.ndarray:
     return _weight(alpha, norm_xt(x, t))
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Open quasi-metric ball B(center, radius)."""
-
-    center: GroupPoint
-    radius: float
-
-    def __post_init__(self):
-        _require_finite("radius", self.radius, positive=True)
-
-
-def in_ball_xt(s: MetivierStructure, ball: BallSpec, x, t) -> np.ndarray:
-    return quasi_distance_xt(s, ball.center.x, ball.center.t, x, t) < ball.radius
 
 
 @dataclass(frozen=True)

@@ -35,15 +35,11 @@ from .group import MetivierStructure, _dot, _require_finite, homogeneous_dimensi
 from .norms import _radial, _weight
 
 
-class _AtIdentity(ValueError):
-    """A batch holds the group identity, where N = 0 and the formulas have no value."""
-
-
 def _off_identity(x, t):
     """`norms._radial` (x, t, |x|^2, N); the identity is a hard error."""
     x, t, x2, n = _radial(x, t)
     if np.any(n == 0.0):
-        raise _AtIdentity("formula undefined at the group identity (N = 0)")
+        raise ValueError("formula undefined at the group identity (N = 0)")
     return x, t, x2, n
 
 

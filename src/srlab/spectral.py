@@ -229,15 +229,19 @@ def lanczos_lowest(h: SparseSymmetricOperator, k: int, tol: float = 1e-8,
         return a @ v
 
     v0 = np.random.default_rng(seed).standard_normal(n)
+    scale = _inf_norm(a)
     try:
         theta, vectors = spla.eigsh(spla.LinearOperator((n, n), matvec=matvec, dtype=float),
                                     k=k, which="SA", v0=v0, maxiter=max_iter,
-                                    tol=tol / _inf_norm(a))
+                                    tol=tol / scale)
     except spla.ArpackNoConvergence as exc:
         theta, vectors = exc.eigenvalues, exc.eigenvectors
     order = np.argsort(theta)
     theta, vectors = theta[order], vectors[:, order]
-    residuals = np.linalg.norm(a @ vectors - vectors * theta, axis=0)
+    # in units of a power of two near |H|_inf, so no square overflows; the scaling
+    # is exact, so norms that were finite keep their bits
+    unit = 2.0 ** math.frexp(scale)[1]
+    residuals = unit * np.linalg.norm((a @ vectors - vectors * theta) / unit, axis=0)
     pad = np.full(k - theta.size, np.inf)
     converged = bool(theta.size == k and np.all(residuals <= tol))
     return SpectrumResult(eigenvalues=np.concatenate([theta, pad]),
@@ -324,7 +328,7 @@ class BoxStudy:
 
 def box_convergence_study(alpha: float, s: MetivierStructure, grids,
                           k: int, tol: float = 1e-6, max_iter: int = 2000,
-                          seed: int = 0, potential=None) -> BoxStudy:
+                          seed: int = 0) -> BoxStudy:
     """Lowest-k eigenvalues over a nested family of boxes.
 
     Dirichlet eigenvalues are non-increasing along nested aligned grids; a
@@ -338,7 +342,7 @@ def box_convergence_study(alpha: float, s: MetivierStructure, grids,
     rows = []
     prev = None
     for g in grids:
-        op = assemble_operator(alpha, s, g, potential=potential)
+        op = assemble_operator(alpha, s, g)
         res = lanczos_lowest(op, k=k, tol=tol, max_iter=max_iter, seed=seed, grid=g)
         rel = None
         if prev is not None:

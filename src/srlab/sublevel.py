@@ -34,7 +34,7 @@ import numpy as np
 
 from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import _radial, norm_xt, quasi_distance_xt
-from .potential import (PotentialConstants, _AtIdentity, _closed_form_coeffs,
+from .potential import (PotentialConstants, _closed_form_coeffs,
                         _envelope_factor, _envelope_terms, _turning_point,
                         fit_loglog_slope, potential_bounds, potential_value_xt)
 
@@ -92,25 +92,19 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     every point farther than 1e-9 of its two terms from the level, and
     `potential_value_xt` evaluates only the points left in that band (see
     `_closed_form_decides`), so the answer is the jet's, bit for bit.  Other
-    structures evaluate the jet on every point.  At the identity V extends
-    by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
+    structures evaluate the jet on every point but the identity, where V
+    extends by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
     potential has no value there).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
+    s.check_dims(x, t)
+    _, _, x2, n = _radial(x, t)
     if s.h_type:
-        s.check_dims(x, t)
-        _, _, x2, n = _radial(x, t)
         decided, v = _closed_form_decides(spec, s, x2, n)
         out, band = v <= spec.level, ~decided     # the band holds the identity
-        if not np.any(band):
-            return out
     else:
-        try:
-            return potential_value_xt(spec.alpha, s, x, t) <= spec.level
-        except _AtIdentity:
-            n = norm_xt(x, t)
-            out, band = np.empty(n.shape, dtype=bool), np.ones(n.shape, dtype=bool)
+        out, band = np.empty(n.shape, dtype=bool), np.ones(n.shape, dtype=bool)
     at_identity = n == 0.0
     if np.any(at_identity):
         if spec.alpha < 2:
@@ -260,13 +254,13 @@ def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
 
 def _inner_hits(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float,
                 rho_x: float, rho_t: float, n_samples: int, rng: np.random.Generator):
-    """(hits, inside): which of `n_samples` uniform points of the region
-    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng`, lie in B((xc, tc), r),
-    and which of those hits lie in the sublevel set."""
+    """How many of `n_samples` uniform points of the region
+    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng`, lie both in
+    B((xc, tc), r) and in the sublevel set, as numpy's integer."""
     xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
     tau = uniform_ball(rng, n_samples, s.m, rho_t) + tc
     hits = quasi_distance_xt(s, xc, tc, xi, tau) < r
-    return hits, in_sublevel_xt(spec, s, xi[hits], tau[hits])
+    return np.count_nonzero(in_sublevel_xt(spec, s, xi[hits], tau[hits]))
 
 
 def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
@@ -276,8 +270,9 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
     """Monte Carlo measure of (sublevel set) intersect B(center, r).
 
     Uniform samples in the exact bounding cylinder of the ball (tightened by
-    the cylinder radius and the tube `_log_tube` when alpha > 2) are scored by
-    ball and sublevel membership and scaled by the region volume.  They come
+    the cylinder radius and the tube `_log_tube` when alpha > 2) are counted by
+    ball and sublevel membership: k of n gives vol (k / n) with the binomial
+    standard error vol sqrt(k (n - k) / (n - 1)) / n (0 for n = 1).  They come
     from `rng` if given (the estimate's `seed` is then None), else from `seed`.
     """
     if n_samples < 1:
@@ -291,13 +286,11 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
         seed = None
     if rho_x == 0.0:
         return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0, seed)
-    hits, inside = _inner_hits(spec, s, center.x, center.t, r, rho_x, rho_t, n_samples, rng)
-    score = np.zeros(n_samples)
-    score[hits] = inside
-    value, se = _mean_and_error(score, vol)
-    return VolumeEstimate(value=value, std_error=se,
-                          n_samples=n_samples, region_volume=vol,
-                          hit_count=int(np.count_nonzero(inside)), seed=seed)
+    k = _inner_hits(spec, s, center.x, center.t, r, rho_x, rho_t, n_samples, rng)
+    n = n_samples
+    se = vol * math.sqrt(k * (n - k) / (n - 1)) / n if n > 1 else 0.0
+    return VolumeEstimate(value=float(vol * (k / n)), std_error=float(se),
+                          n_samples=n_samples, region_volume=vol, hit_count=int(k), seed=seed)
 
 
 def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
@@ -450,9 +443,9 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
     Horvitz-Thompson selection: member i gets its inner volume v_hat only when
     u_i < q_i, u_i the i-th draw of one selection stream over the outer
     positions, and then scores v_hat^ell / q_i; the other members score 0.
-    v_hat = vol (hits / inner_samples), from one `_ball_regions` batch and the
-    member's `_inner_hits` on its own substream, is `ball_intersection_volume`'s
-    value for that centre and generator, bit for bit.
+    v_hat = vol (k / inner_samples), from one `_ball_regions` batch and the
+    member's `_inner_hits` count k on its own substream, is
+    `ball_intersection_volume`'s value for that centre and generator, bit for bit.
     q_i = (beta(|t_i|) / beta_max)^(ell/2) comes from the tube bound the tail integrates,
     beta(|t|) / beta_max = (min(c, tube(N(0, |t| - rho_t))) / c)^(2n), and is 1
     where the tube does not reach.  As v_hat <= beta, a weighted score is at
@@ -493,11 +486,10 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
         scores = np.zeros(outer_samples)
         regions = _ball_regions(spec, s, xi[idx], tau[idx], r)
         for i, qi, rho_x, rho_t, vol in zip(idx.tolist(), q.tolist(), *regions):
-            inside = _inner_hits(spec, s, xi[i], tau[i], r, rho_x, rho_t, inner_samples,
-                                 substream(seed, 1, i))[1]
-            # vol (hits / n) is `_mean_and_error`'s mean of the 0/1 scores, bit for bit
+            k = _inner_hits(spec, s, xi[i], tau[i], r, rho_x, rho_t, inner_samples,
+                            substream(seed, 1, i))
             with np.errstate(over="ignore"):
-                scores[i] = (vol * (np.count_nonzero(inside) / inner_samples)) ** ell / qi
+                scores[i] = (vol * (k / inner_samples)) ** ell / qi
         if not np.all(np.isfinite(scores)):
             raise ValueError(f"ell = {ell} overflows a member score v_hat^ell / q")
         value, se = _mean_and_error(scores, outer_volume)
@@ -528,11 +520,10 @@ class ScalingFit:
 
 
 def scaling_fit(spec: SublevelSpec, s: MetivierStructure, r: float,
-                t_values, samples: int, seed: int = 0,
-                center_x: np.ndarray | None = None) -> ScalingFit:
+                t_values, samples: int, seed: int = 0) -> ScalingFit:
     """Least-squares slope of log |Omega cap B(y, r)| against log |t|.
 
-    Centers ride along the centre at y = (center_x, t u_1); all t values
+    Centers ride along the centre at y = (0.5 u_1, t u_1); all t values
     must lie beyond the threshold k of the thinness lemma.  A zero estimate
     is retried once with 4x samples, then reported as failure.
     """
@@ -541,11 +532,8 @@ def scaling_fit(spec: SublevelSpec, s: MetivierStructure, r: float,
     t_values = [float(v) for v in t_values]
     if len(t_values) < 4:
         raise ValueError("need at least 4 central heights")
-    if center_x is None:
-        center_x = np.zeros(s.horizontal_dim)
-        center_x[0] = 0.5
-    center_x = np.asarray(center_x, dtype=float)
-    kval = threshold_k(spec, s, r, center_x_norm=float(np.linalg.norm(center_x)))
+    center_x = 0.5 * np.eye(s.horizontal_dim)[0]
+    kval = threshold_k(spec, s, r, center_x_norm=0.5)
     if min(t_values) <= kval:
         raise ValueError(f"all central heights must exceed the threshold k = {kval:.3f}")
     estimates, std_errors = [], []

@@ -347,6 +347,21 @@ def test_spectrum_refuses_grid_steps_overflowing_the_operator(step, capsys):
     assert err.startswith("error: an operator entry overflows at hx = ") and ", ht = " in err
 
 
+def test_spectrum_residuals_of_a_huge_operator_stay_finite(capsys):
+    """Entries up to about 1.6e301 pass the assembly check; the solve does not
+    converge (exit 2), but its residual norms are finite numbers, not "inf",
+    and squaring them warns of no overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(["spectrum", "--alpha", "3", "--lx", "1e-150", "--nx", "4", "--nt", "4",
+                    "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["converged"] is False
+    assert all(isinstance(r, float) and 0.0 < r < math.inf for r in doc["residuals"])
+
+
 def test_thinness_refuses_ell_overflowing_a_score(capsys):
     """ell = 1e300 raises a member's inner volume past the double range: one
     error line naming ell, and no RuntimeWarning on stderr."""

@@ -6,7 +6,7 @@ import pytest
 
 from srlab import forms, norms, potential, sublevel
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
-                         _overlap_norm_sq, bump_profile, conjugation_residual, dirichlet_form,
+                         _overlap_norm_sq, _profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
@@ -60,15 +60,15 @@ class HorizontalSquare:
 
 def test_profile_closed_forms():
     s = np.array([0.0, 0.3, 0.9, 1.0, 1.5])
-    g, g1, g2 = bump_profile(s)
+    g, g1, g2 = _profile(s, 2)
     assert g[0] == pytest.approx(math.exp(-1.0))
     assert np.all(g[s >= 1.0] == 0.0) and np.all(g1[s >= 1.0] == 0.0)
     h = 1e-6
     for sv in (0.1, 0.5, 0.8):
-        gp = (bump_profile(np.array([sv + h]))[0] - bump_profile(np.array([sv - h]))[0]) / (2 * h)
-        assert gp[0] == pytest.approx(bump_profile(np.array([sv]))[1][0], rel=1e-8)
-        gpp = (bump_profile(np.array([sv + h]))[1] - bump_profile(np.array([sv - h]))[1]) / (2 * h)
-        assert gpp[0] == pytest.approx(bump_profile(np.array([sv]))[2][0], rel=1e-7)
+        gp = (_profile(np.array([sv + h]), 2)[0] - _profile(np.array([sv - h]), 2)[0]) / (2 * h)
+        assert gp[0] == pytest.approx(_profile(np.array([sv]), 2)[1][0], rel=1e-8)
+        gpp = (_profile(np.array([sv + h]), 2)[1] - _profile(np.array([sv - h]), 2)[1]) / (2 * h)
+        assert gpp[0] == pytest.approx(_profile(np.array([sv]), 2)[2][0], rel=1e-7)
 
 
 def test_bump_support_and_center(heis):
@@ -283,7 +283,7 @@ def test_dirichlet_form_basic(heis):
             return self.f.center(s)
 
     assert dirichlet_form(2.0, heis, Scaled(bump, 3.0), grid) == pytest.approx(9.0 * base, rel=1e-12)
-    fine = dirichlet_form(2.0, heis, bump, grid.refined())
+    fine = dirichlet_form(2.0, heis, bump, QuadratureGrid(heis, 1.0, 1.0, 48, 48))
     assert abs(base - fine) / fine < 0.01
 
 

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from srlab.group import GroupPoint, dilate, identity, inverse, point, product
-from srlab.norms import (BallSpec, estimate_gamma, in_ball_xt, norm_xt,
-                         quasi_distance_xt, weight_xt)
+from srlab.norms import estimate_gamma, norm_xt, quasi_distance_xt, weight_xt
 
 from srlab.potential import potential_value_xt
 
@@ -78,17 +75,15 @@ def test_weight_homogeneity_transfer(heis):
 
 
 def test_in_ball(heis):
+    """A ball test is d(center, p) < r."""
     c = point(heis, [0.7, 0.1], [2.0])
-    assert in_ball_xt(heis, BallSpec(c, 0.5), c.x, c.t)
-    assert not in_ball_xt(heis, BallSpec(identity(heis), 1.0), [0, 0], [1.0])
-    ball = BallSpec(point(heis, [0.0, 0.0], [5.0]), 1.0)
+    assert quasi_distance_xt(heis, c.x, c.t, c.x, c.t) < 0.5
+    e = identity(heis)
+    assert not quasi_distance_xt(heis, e.x, e.t, [0, 0], [1.0]) < 1.0
+    center = point(heis, [0.0, 0.0], [5.0])
     inside = point(heis, [0.0, 0.0], [5.2])
-    assert abs(float(quasi_distance_xt(heis, ball.center.x, ball.center.t, inside.x, inside.t))
-               - 2.0 * 0.2 ** 0.5) <= 1e-12
-    assert in_ball_xt(heis, ball, inside.x, inside.t)
-    for bad in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            BallSpec(c, bad)
+    d = float(quasi_distance_xt(heis, center.x, center.t, inside.x, inside.t))
+    assert abs(d - 2.0 * 0.2 ** 0.5) <= 1e-12 and d < 1.0
 
 
 def test_gamma_lower_bound_properties(heis):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from srlab import potential
 from srlab.forms import SmoothBump, horizontal_gradient, sub_laplacian_apply
 from srlab.group import MetivierStructure, identity, point, uniform_ball
-from srlab.norms import BallSpec, in_ball_xt, norm_xt, quasi_distance_xt, weight_xt
+from srlab.norms import norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import (admissibility, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
                              grad_kaplan_xt,
@@ -34,7 +34,6 @@ _STRUCTURE_ENTRY_POINTS = {
     "potential_closed_form_xt": lambda s, x, t: potential_closed_form_xt(2.0, s, x, t),
     "quasi_distance_xt": lambda s, x, t: quasi_distance_xt(
         s, np.zeros(s.horizontal_dim), np.zeros(s.m), x, t),
-    "in_ball_xt": lambda s, x, t: in_ball_xt(s, BallSpec(identity(s), 1.0), x, t),
     "in_sublevel_xt": lambda s, x, t: in_sublevel_xt(SublevelSpec(3.0, 0.0), s, x, t),
     "horizontal_gradient": lambda s, x, t: horizontal_gradient(s, SmoothBump(1.0, 1.0), x, t),
     "sub_laplacian_apply": lambda s, x, t: sub_laplacian_apply(s, SmoothBump(1.0, 1.0), x, t),

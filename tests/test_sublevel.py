@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlab import group, norms, potential, sublevel
-from srlab.group import GroupPoint, MetivierStructure, make_heisenberg, point
+from srlab.group import GroupPoint, MetivierStructure, identity, make_heisenberg, point
 from srlab.norms import norm_xt, quasi_distance_xt
 from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
@@ -33,21 +33,26 @@ def test_in_sublevel_examples(heis):
     assert not in_sublevel_xt(SublevelSpec(3.0, -1.0), heis, [0.0, 0.0], [2.0])[0]
 
 
-def test_identity_handling(heis):
-    e = point(heis, [0.0, 0.0], [0.0])
-    assert in_sublevel_xt(SublevelSpec(2.0, 0.0), heis, e.x, e.t)[0]
-    assert not in_sublevel_xt(SublevelSpec(2.0, -0.5), heis, e.x, e.t)[0]
+@pytest.mark.parametrize("name", ["heis", "aniso"])
+def test_identity_handling(name, request):
+    """The identity rule holds alone and inside a batch, on the closed-form
+    branch (heis) and on the jet-only branch (aniso, not H-type)."""
+    s = request.getfixturevalue(name)
+    e = identity(s)
+    assert in_sublevel_xt(SublevelSpec(2.0, 0.0), s, e.x, e.t)[0]
+    assert not in_sublevel_xt(SublevelSpec(2.0, -0.5), s, e.x, e.t)[0]
     with pytest.raises(ValueError):
-        in_sublevel_xt(SublevelSpec(1.5, 0.0), heis, e.x, e.t)
+        in_sublevel_xt(SublevelSpec(1.5, 0.0), s, e.x, e.t)
     # a batch holding the identity answers as point by point
-    x = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+    x = np.zeros((4, s.horizontal_dim))
+    x[1, 0], x[2, 0] = 1.0, 3.0
     t = np.array([[0.0], [0.0], [0.0], [2.0]])
     for spec in (SublevelSpec(3.0, 0.0), SublevelSpec(2.0, -0.5)):
-        expected = [in_sublevel_xt(spec, heis, xi[None], ti[None])[0] for xi, ti in zip(x, t)]
-        assert in_sublevel_xt(spec, heis, x, t).tolist() == expected
-    assert in_sublevel_xt(SublevelSpec(3.0, 0.0), heis, x, t).tolist() == [True, True, False, True]
+        expected = [in_sublevel_xt(spec, s, xi[None], ti[None])[0] for xi, ti in zip(x, t)]
+        assert in_sublevel_xt(spec, s, x, t).tolist() == expected
+    assert in_sublevel_xt(SublevelSpec(3.0, 0.0), s, x, t).tolist() == [True, True, False, True]
     with pytest.raises(ValueError, match="identity"):
-        in_sublevel_xt(SublevelSpec(1.5, 0.0), heis, x, t)
+        in_sublevel_xt(SublevelSpec(1.5, 0.0), s, x, t)
 
 
 def test_in_sublevel_evaluates_one_jet(heis, monkeypatch):
@@ -384,9 +389,7 @@ def test_scaling_fit_validation(heis):
         scaling_fit(spec, heis, 1.0, [2, 4, 8, 16], 1000)
     with pytest.raises(ValueError):
         scaling_fit(SublevelSpec(2.0, 1.0), heis, 1.0, [8, 16, 32, 64], 1000)
-    # a NaN centre gave a NaN slope, a NaN height a misleading "no sublevel mass"
-    with pytest.raises(ValueError, match="finite"):
-        scaling_fit(spec, heis, 1.0, [8, 16, 32, 64], 1000, center_x=[math.nan, 0.0])
+    # a NaN height gave a misleading "no sublevel mass"
     with pytest.raises(ValueError, match="finite"):
         scaling_fit(spec, heis, 1.0, [8, 16, math.nan, 64], 1000)
 
@@ -502,6 +505,26 @@ def test_mean_and_error_scaling_is_exact():
     assert value > 1e226 and 0.0 < se < math.inf
     assert sublevel._mean_and_error(np.zeros(3), 1.0) == (0.0, 0.0)
     assert sublevel._mean_and_error(np.array([4.0]), 2.0) == (8.0, 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(50_000, 0), (50_000, 50_000), (1, 0), (1, 1), (50_000, 1),
+                                  (50_000, 17), (50_000, 12_345), (50_000, 25_000),
+                                  (50_000, 49_999)])
+def test_ball_volume_from_the_count(heis, n, k, monkeypatch):
+    """From a count k of n (numpy's integer, as `np.count_nonzero` gives it) the
+    value is `_mean_and_error`'s mean of the equivalent 0/1 scores bit for bit,
+    its error within 4 ulp of that one's and exactly 0 for k = 0, k = n or
+    n = 1, and both are Python floats."""
+    monkeypatch.setattr(sublevel, "_inner_hits", lambda *args: np.count_nonzero(np.arange(n) < k))
+    est = ball_intersection_volume(SublevelSpec(3.0, 10.0), heis, point(heis, [0.5, 0.0], [8.0]),
+                                   1.0, n)
+    scores = np.zeros(n)
+    scores[:k] = 1.0
+    value, se = sublevel._mean_and_error(scores, est.region_volume)
+    assert est.value == value and est.hit_count == k
+    assert abs(est.std_error - se) <= 4.0 * math.ulp(se)
+    assert est.std_error == 0.0 if k in (0, n) else est.std_error > 0.0
+    assert type(est.value) is float and type(est.std_error) is float
 
 
 def test_thinness_divergent_tail(heis):
