@@ -72,14 +72,8 @@ def _csv(config: dict, header: list, rows) -> str:
 
 def _json(config: dict, payload: dict) -> str:
     def clean(obj):
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, (np.ndarray, np.generic)):   # arrays and numpy scalars
             return clean(obj.tolist())
-        if isinstance(obj, (np.floating,)):
-            return clean(float(obj))
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        if isinstance(obj, (np.bool_,)):
-            return bool(obj)
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):

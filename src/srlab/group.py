@@ -264,7 +264,8 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int,
     """Uniform points in the ball of `radius` in R^dim, shape (count, dim).
 
     Dims 1 and 2 scale points 2u - 1 of the cube [-1, 1]^dim, at dim 2 the first
-    `count` in the unit disc in draw order (acceptance pi/4); higher dims scale
+    `count` in the unit disc in draw order (acceptance pi/4), each rejection
+    round's kept rows written straight into the output; higher dims scale
     `unit_sample` directions by U^(1/dim), as a normal costs about six uniforms
     and the cube's acceptance falls with dim (Devroye 1986, ch. 2).
     """
@@ -278,8 +279,7 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int,
         out *= 2.0
         out -= 1.0
     else:
-        # kept rows are copied into one output: returning them as drawn left the
-        # allocator holding more pages (peak RSS +0.15 MB on a thinness run)
+        # mode "clip" takes into `out` unbuffered; every index is in range
         out = np.empty((count, 2))
         kept = 0
         while kept < count:     # a second round is rare: the first keeps ~1.05 need + 12
@@ -287,9 +287,9 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int,
             v = rng.random((need * 4 // 3 + 16, 2))
             v *= 2.0
             v -= 1.0
-            v = np.take(v, np.flatnonzero(_dot(v, v) <= 1.0)[:need], axis=0)
-            out[kept:kept + len(v)] = v
-            kept += len(v)
+            idx = np.flatnonzero(_dot(v, v) <= 1.0)[:need]
+            np.take(v, idx, axis=0, out=out[kept:kept + idx.size], mode="clip")
+            kept += idx.size
     out *= radius
     return out
 

@@ -33,22 +33,21 @@ from .group import MetivierStructure, _require_finite
 from .potential import potential_value_xt
 
 # scipy.sparse.linalg (ARPACK, SuperLU) is imported inside the two solvers:
-# at module level it adds 0.05-0.1 s to every `import srlab`, also for runs
-# that never solve an eigenproblem.
+# in a fresh process it takes 0.09-0.14 s (about 80 ms in scipy.linalg) and
+# 9 MB of RSS, which runs that never solve an eigenproblem do not pay.
 
 
 Grid3 = QuadratureGrid   # the cell-midpoint grid, shared with the quadrature rules
 
 
 def _difference(grid: Grid3, axis: int) -> sp.csr_matrix:
-    # (Du)_i = (u_{i+1} - u_i)/h along one axis, with u = 0 past the upper face
-    shape = grid.shape
+    # (Du)_i = (u_{i+1} - u_i)/h along one axis, with u = 0 past the upper face;
+    # the axis's neighbour is `stride` entries on in the flat C-order index
     h = grid.hx if axis < grid.s.horizontal_dim else grid.ht
-    op = sp.diags([-np.ones(shape[axis]) / h, np.ones(shape[axis] - 1) / h], [0, 1],
-                  format="csr")
-    before = sp.identity(math.prod(shape[:axis]), format="csr")
-    after = sp.identity(math.prod(shape[axis + 1:]), format="csr")
-    return sp.kron(before, sp.kron(op, after, format="csr"), format="csr")
+    stride = math.prod(grid.shape[axis + 1:])
+    upper = np.full(grid.dim, 1.0 / h)
+    upper.reshape(-1, grid.shape[axis], stride)[:, -1] = 0.0   # the upper face; tocsr drops 0s
+    return sp.diags([np.full(grid.dim, -1.0 / h), upper[:-stride]], [0, stride], format="csr")
 
 
 def _dissection_order(shape: tuple) -> np.ndarray:
@@ -207,11 +206,11 @@ def lanczos_lowest(h: SparseSymmetricOperator, k: int, tol: float = 1e-8,
     """Lowest k eigenpairs by implicitly restarted Lanczos (ARPACK, which="SA").
 
     `tol` bounds the true residual norms |H v - theta v| absolutely; ARPACK's
-    own test is relative to |theta|, so it is handed tol / |H|_inf, and
-    `converged` is decided on the recomputed residuals.  `max_iter` is
-    ARPACK's restart budget; `iterations` reports the operator applications
-    made, about max(20, 2k + 1) - k per restart.  Deterministic for a given seed (it
-    draws the start vector).  Non-convergence is reported through
+    own test is relative to |theta|, so it is handed tol / |H|_inf floored at eps
+    (a subnormal one made reruns differ); `converged` is decided on the recomputed
+    residuals.  `max_iter` is ARPACK's restart budget; `iterations` reports the
+    operator applications made, about max(20, 2k + 1) - k per restart.
+    Deterministic for a given seed (it draws the start vector).  Non-convergence is reported through
     `converged=False`, not as an exception: pairs ARPACK did not deliver
     read +inf in both `eigenvalues` and `residual_norms`.
     """
@@ -233,7 +232,7 @@ def lanczos_lowest(h: SparseSymmetricOperator, k: int, tol: float = 1e-8,
     try:
         theta, vectors = spla.eigsh(spla.LinearOperator((n, n), matvec=matvec, dtype=float),
                                     k=k, which="SA", v0=v0, maxiter=max_iter,
-                                    tol=tol / scale)
+                                    tol=max(tol / scale, np.finfo(float).eps))
     except spla.ArpackNoConvergence as exc:
         theta, vectors = exc.eigenvalues, exc.eigenvectors
     order = np.argsort(theta)

@@ -11,6 +11,9 @@ The integral computes inner measures for a Horvitz-Thompson selection of
 its members, with inclusion probabilities from the same tube bound; it bounds
 their ball regions in one batch (`_ball_regions`) and counts each member's
 inner hits with `_inner_hits`, the two steps of `ball_intersection_volume`.
+Each member's ball and membership tests run on blocks of at most
+`forms._BLOCK` samples drawn whole, which bounds their temporaries and
+changes no estimate.
 
 Membership V_alpha <= level takes at most one norm jet per batch.  On
 H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2
@@ -32,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .forms import _BLOCK
 from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import _radial, norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, _closed_form_coeffs,
@@ -94,7 +98,8 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     `_closed_form_decides`), so the answer is the jet's, bit for bit.  Other
     structures evaluate the jet on every point but the identity, where V
     extends by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
-    potential has no value there).
+    potential has no value there).  Where the jet's terms overflow, a V of
+    +inf is a non-member and a NaN V raises ValueError naming alpha.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -114,7 +119,11 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     if np.any(band):
         x = np.broadcast_to(x, n.shape + x.shape[-1:])[band]
         t = np.broadcast_to(t, n.shape + t.shape[-1:])[band]
-        out[band] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = potential_value_xt(spec.alpha, s, x, t)
+        if np.isnan(v).any():
+            raise ValueError(f"V_alpha is NaN at alpha = {spec.alpha} (its terms overflow)")
+        out[band] = v <= spec.level
     return out
 
 
@@ -255,12 +264,18 @@ def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
 def _inner_hits(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float,
                 rho_x: float, rho_t: float, n_samples: int, rng: np.random.Generator):
     """How many of `n_samples` uniform points of the region
-    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng`, lie both in
-    B((xc, tc), r) and in the sublevel set, as numpy's integer."""
+    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng` in one call per axis,
+    lie both in B((xc, tc), r) and in the sublevel set, as numpy's integer; the
+    elementwise tests run on blocks of `_BLOCK` points, so the count is a batch's."""
     xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
-    tau = uniform_ball(rng, n_samples, s.m, rho_t) + tc
-    hits = quasi_distance_xt(s, xc, tc, xi, tau) < r
-    return np.count_nonzero(in_sublevel_xt(spec, s, xi[hits], tau[hits]))
+    tau = uniform_ball(rng, n_samples, s.m, rho_t)
+    tau += tc
+    k = 0
+    for b in range(0, n_samples, _BLOCK):
+        x, t = xi[b:b + _BLOCK], tau[b:b + _BLOCK]
+        hits = quasi_distance_xt(s, xc, tc, x, t) < r
+        k += np.count_nonzero(in_sublevel_xt(spec, s, x[hits], t[hits]))
+    return k
 
 
 def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,

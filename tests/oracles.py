@@ -13,11 +13,12 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse as sp
 
 from srlab import sublevel
 from srlab.forms import QuadratureGrid, horizontal_gradient, sub_laplacian_apply
-from srlab.group import GroupPoint, MetivierStructure, product, uniform_ball
-from srlab.norms import norm_xt, weight_xt
+from srlab.group import GroupPoint, MetivierStructure, _dot, product, uniform_ball
+from srlab.norms import norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import grad_kaplan_xt, potential_value_xt
 
 
@@ -112,6 +113,18 @@ def dense_operator_oracle(alpha, s, grid, potential_fn):
     return dense
 
 
+def kron_difference(grid: QuadratureGrid, axis: int):
+    """`spectral._difference` as the Kronecker chain I (x) D_1 (x) I of the
+    one-axis forward difference with identities on the other axes."""
+    shape = grid.shape
+    h = grid.hx if axis < grid.s.horizontal_dim else grid.ht
+    op = sp.diags([-np.ones(shape[axis]) / h, np.ones(shape[axis] - 1) / h], [0, 1],
+                  format="csr")
+    before = sp.identity(math.prod(shape[:axis]), format="csr")
+    after = sp.identity(math.prod(shape[axis + 1:]), format="csr")
+    return sp.kron(before, sp.kron(op, after, format="csr"), format="csr")
+
+
 def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
                        t_from: float) -> float:
     """The thinness tail beyond |t| = t_from by adaptive quadrature (positive level).
@@ -159,7 +172,8 @@ def jet_membership(spec, s: MetivierStructure, x, t) -> np.ndarray:
     """V_alpha <= level from the norm jet on every point off the identity.
 
     The identity reads V_alpha = 0 when alpha >= 2 and raises ValueError
-    when alpha < 2, as `sublevel.in_sublevel_xt` documents.
+    when alpha < 2, and a NaN V_alpha raises ValueError, as
+    `sublevel.in_sublevel_xt` documents.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -167,7 +181,10 @@ def jet_membership(spec, s: MetivierStructure, x, t) -> np.ndarray:
     if spec.alpha < 2 and not np.all(off):
         raise ValueError("V_alpha undefined at the identity for alpha < 2")
     out = np.full(off.shape, 0.0 <= spec.level)
-    out[off] = potential_value_xt(spec.alpha, s, x[off], t[off]) <= spec.level
+    v = potential_value_xt(spec.alpha, s, x[off], t[off])
+    if np.isnan(v).any():
+        raise ValueError(f"V_alpha is NaN at alpha = {spec.alpha}")
+    out[off] = v <= spec.level
     return out
 
 
@@ -251,3 +268,34 @@ def thinness_every_member(spec, s: MetivierStructure, r: float, ell: float,
         scores[i] = est.value ** ell
     value, se = sublevel._mean_and_error(scores, outer_volume)
     return SimpleNamespace(value=value, std_error=se, scores=scores, member=member, tau=tau)
+
+
+def unblocked_ball_hits(spec, s: MetivierStructure, center: GroupPoint, r: float,
+                        n_samples: int, seed: int) -> int:
+    """`sublevel.ball_intersection_volume`'s hit count at `seed`, with the ball
+    and sublevel tests each run once on all `n_samples` points: the same region
+    and draws, no blocks."""
+    (rho_x,), (rho_t,), _ = sublevel._ball_regions(spec, s, [center.x], [center.t], r)
+    rng = sublevel.substream(seed, 0)
+    xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
+    tau = uniform_ball(rng, n_samples, s.m, rho_t) + center.t
+    hits = quasi_distance_xt(s, center.x, center.t, xi, tau) < r
+    return int(np.count_nonzero(sublevel.in_sublevel_xt(spec, s, xi[hits], tau[hits])))
+
+
+def disc_take_then_copy(rng: np.random.Generator, count: int, radius: float):
+    """`group.uniform_ball` at dim 2 with each round's kept rows taken into a new
+    array and then copied into the output.  Returns (points, rejection rounds)."""
+    out = np.empty((count, 2))
+    kept = rounds = 0
+    while kept < count:
+        need = count - kept
+        v = rng.random((need * 4 // 3 + 16, 2))
+        v *= 2.0
+        v -= 1.0
+        v = np.take(v, np.flatnonzero(_dot(v, v) <= 1.0)[:need], axis=0)
+        out[kept:kept + len(v)] = v
+        kept += len(v)
+        rounds += 1
+    out *= radius
+    return out, rounds

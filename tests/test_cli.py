@@ -362,6 +362,29 @@ def test_spectrum_residuals_of_a_huge_operator_stay_finite(capsys):
     assert all(isinstance(r, float) and 0.0 < r < math.inf for r in doc["residuals"])
 
 
+def test_spectrum_on_a_huge_operator_reruns_byte_identical(tmp_path):
+    """tol / |H|_inf is subnormal here; ARPACK gets it floored at machine
+    epsilon, and two runs give the same bytes (exit 2, not converged)."""
+    args = ["spectrum", "--alpha", "3", "--lx", "1e-150", "--nx", "4", "--nt", "4",
+            "--k", "2", "--format", "json"]
+    code_a, a = invoke(args, tmp_path, "a.json")
+    code_b, b = invoke(args, tmp_path, "b.json")
+    assert code_a == code_b == 2 and a == b
+    assert json.loads(a)["converged"] is False
+
+
+def test_thinness_refuses_a_nan_potential(capsys):
+    """At alpha = 1500 the norm jet's terms overflow to a NaN V_alpha on outer
+    draws: one error line naming alpha, and no RuntimeWarning on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(["thinness", "--alpha", "1500", "--m-level", "10", "--ell", "2",
+                    "--outer", "200", "--inner", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: V_alpha is NaN at alpha = 1500.0 (its terms overflow)\n"
+
+
 def test_thinness_refuses_ell_overflowing_a_score(capsys):
     """ell = 1e300 raises a member's inner volume past the double range: one
     error line naming ell, and no RuntimeWarning on stderr."""

@@ -12,6 +12,7 @@ from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate, homogeneou
                          identity, inverse, make_heisenberg, multiply, point,
                          product, uniform_ball, unit_sample, verify_metivier)
 
+import oracles
 from conftest import ROT, random_points, skew_structures
 
 
@@ -291,6 +292,19 @@ def test_uniform_ball_keeps_the_cube_points_in_draw_order(dim, count):
     inside = cube[np.sum(cube * cube, axis=1) <= 1.0]
     assert np.array_equal(got, inside[:count] * 3.0)
     assert rng.used == count if dim == 1 else rng.used > 60
+
+
+@pytest.mark.parametrize("count, seed, rounds", [(1, 0, 1), (268, 2715, 2),
+                                                 (3 * 2 ** 14 + 5, 0, 1)])
+def test_uniform_disc_matches_take_then_copy(count, seed, rounds):
+    """The disc's kept rows, taken straight into the output, have the bits of
+    the take-then-copy reference and leave the stream where it does; seed 2715
+    at count 268 needs a second rejection round."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected, used = oracles.disc_take_then_copy(ref_rng, count, 1.5)
+    assert used == rounds
+    assert uniform_ball(rng, count, 2, 1.5).tobytes() == expected.tobytes()
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

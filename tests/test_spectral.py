@@ -98,6 +98,21 @@ def test_operator_csr_matches_meshgrid_rebuild(heis, aniso, monkeypatch):
             assert np.array_equal(getattr(a, part), getattr(b, part)), part
 
 
+def test_operator_csr_matches_kronecker_differences(heis, aniso, monkeypatch):
+    """Each difference factor is one stride-offset diagonal pair; H's CSR arrays
+    are those of the Kronecker-chain factors, bit for bit, on the spectral-count
+    small box, a spectral-lowest box and an aniso box."""
+    cases = ((2.0, heis, Grid3(heis, 2.0, 8.0, 8, 16)),
+             (3.0, heis, Grid3(heis, 3.0, 12.0, 10, 30)),
+             (3.0, aniso, Grid3(aniso, 2.0, 2.0, 5, 6)))
+    built = [assemble_operator(alpha, s, g).matrix for alpha, s, g in cases]
+    monkeypatch.setattr(spectral, "_difference", oracles.kron_difference)
+    for (alpha, s, g), a in zip(cases, built):
+        b = assemble_operator(alpha, s, g).matrix
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
 def test_assembly_psd_and_symmetric(heis):
     g = Grid3(heis, 1.5, 1.5, 6, 6)
     op = assemble_operator(3.0, heis, g, potential=lambda x, t: np.zeros(x.shape[0]))

@@ -146,8 +146,10 @@ def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, draw
 def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
     """Where the closed form's intermediates leave their safe range but the
     jet's stay normal (N up to 1e50 by the axis) the jet decides, so
-    membership stays the jet's.  Past that (N^6 beyond the double range) the
-    jet raises, and so does membership."""
+    membership stays the jet's; where the jet's terms overflow to a NaN V
+    (alpha 8 from N = 1e30, N^(2 alpha - 4) past the double range) both
+    refuse the batch.  Past that (N^6 beyond the double range) the jet
+    raises, and so does membership."""
     for s in (heis, quaternion):
         for scale in 10.0 ** np.arange(-80.0, 81.0, 10.0):
             x = np.zeros((3, s.horizontal_dim))
@@ -157,6 +159,11 @@ def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
             for level in (0.0, 1e-300, -1e-300, 1.0):
                 spec = SublevelSpec(alpha, level)
                 with np.errstate(all="ignore"):
+                    if alpha == 8.0 and 1e30 <= scale <= 1e50:
+                        for membership in (oracles.jet_membership, in_sublevel_xt):
+                            with pytest.raises(ValueError, match="NaN at alpha = 8.0"):
+                                membership(spec, s, x, t)
+                        continue
                     if 1e-50 <= scale <= 1e50:
                         expected = oracles.jet_membership(spec, s, x, t)
                         assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
@@ -367,6 +374,16 @@ def test_volume_determinism(heis):
     d = ball_intersection_volume(spec, heis, c, 1.0, 50_000, rng=substream(7, 0))
     assert (a.seed, d.seed, d.value) == (7, None, a.value)
     assert a.hit_count > 0
+
+
+def test_blocked_ball_count_matches_one_batch(heis, aniso):
+    """Three full blocks and 5 points more: the blocked count is that of both
+    tests run once on every point, on and off H-type."""
+    spec, n = SublevelSpec(3.0, 10.0), 3 * sublevel._BLOCK + 5
+    for s in (heis, aniso):
+        center = point(s, 0.5 * np.eye(s.horizontal_dim)[0], [8.0])
+        est = ball_intersection_volume(spec, s, center, 1.0, n, seed=5)
+        assert est.hit_count == oracles.unblocked_ball_hits(spec, s, center, 1.0, n, 5) > 0
 
 
 def test_measure_decay_along_centre(heis):
