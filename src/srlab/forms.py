@@ -500,12 +500,16 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     rows, val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
     moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
     v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
+    # in units of a power of two at most |lam|, so no square overflows; the scaling
+    # is exact, so residuals that were finite keep their bits
+    unit = math.ldexp(1.0, max(0, math.frexp(abs(lam))[1] - 1))
 
     def res_sq(b, x, t):
-        r = lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t).ravel() * val[b]
+        r = (lam * val[b] + lpsi[b] + v_alpha(alpha, s, x, t).ravel() * val[b]) / unit
         return np.sum(r * r)
     res = _node_sum(moved, res_sq, rows) * moved.cell_volume
-    return WeylRecord(n_index=n, residual=float(np.sqrt(res)), psi_norm=float(np.sqrt(norms_sq[0])),
+    return WeylRecord(n_index=n, residual=unit * float(np.sqrt(res)),
+                      psi_norm=float(np.sqrt(norms_sq[0])),
                       overlap_check=float(overlap), lam=lam)
 
 

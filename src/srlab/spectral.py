@@ -7,9 +7,9 @@ semidefinite by construction and second-order consistent at interior nodes
 (the first-order errors of the paired forward/backward factors cancel).
 The coefficient (1/2)(J_k x, e_j) of d/dt_k in X_j does not depend on x_j
 or t, so sampling it at the source node equals sampling at the face
-midpoint.  `assemble_operator` builds H in one pass (there is no separate
-`assemble_derivative`); each exterior row below a lower face has one
-nonzero, so that layer adds a diagonal to D_j^T D_j.
+midpoint.  `assemble_operator` builds H in one pass; each exterior row
+below a lower face has one nonzero, so that layer adds a diagonal to
+D_j^T D_j.
 
 The lowest eigenvalues come from ARPACK's implicitly restarted Lanczos
 (`scipy.sparse.linalg.eigsh`).  Counts below a level are exact inertia
@@ -84,15 +84,13 @@ class SparseSymmetricOperator:
 
     The input is copied to CSR with duplicates summed and indices sorted;
     ValueError is raised unless it equals its transpose entry for entry.
-    `assemble_operator` also records the node layout: the `grid_shape`
-    and, when a wall removed nodes, the C-order indices of the `kept` ones.
-    Neither takes part in equality; an operator built from a bare matrix
-    has no layout.
+    `assemble_operator` also records the node layout, the `grid_shape`; it
+    takes no part in equality, and an operator built from a bare matrix has
+    no layout.
     """
 
     matrix: sp.csr_matrix
     grid_shape: tuple | None = field(default=None, compare=False, repr=False)
-    kept: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         a = sp.csr_matrix(self.matrix, copy=True)
@@ -100,8 +98,7 @@ class SparseSymmetricOperator:
         a.sort_indices()
         if a.shape[0] != a.shape[1] or (a != a.T).nnz:
             raise ValueError("operator is not exactly symmetric")
-        if self.grid_shape is not None and a.shape[0] != (
-                math.prod(self.grid_shape) if self.kept is None else len(self.kept)):
+        if self.grid_shape is not None and a.shape[0] != math.prod(self.grid_shape):
             raise ValueError("node layout does not match the matrix dimension")
         object.__setattr__(self, "matrix", a)
 
@@ -115,45 +112,28 @@ class SparseSymmetricOperator:
 
     @property
     def grid_order(self) -> np.ndarray | None:
-        """Row order by nested dissection of the grid, None without a layout.
-
-        With walled nodes, the full grid's order filtered to the kept nodes: a
-        separating plane still separates what remains of the grid."""
-        if self.grid_shape is None:
-            return None
-        order = _dissection_order(self.grid_shape)
-        if self.kept is None:
-            return order
-        row = np.full(math.prod(self.grid_shape), -1)
-        row[self.kept] = np.arange(self.dim)
-        order = row[order]
-        return order[order >= 0]
+        """Row order by nested dissection of the grid, None without a layout."""
+        return None if self.grid_shape is None else _dissection_order(self.grid_shape)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
 
-def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
-                      potential=None) -> SparseSymmetricOperator:
+def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3) -> SparseSymmetricOperator:
     """H = sum_j D_j^T D_j + diag(V_alpha at nodes), exactly symmetric.
 
-    `potential` may override V_alpha with any callable (x, t) -> values;
-    nodes where it returns +inf are removed (hard Dirichlet wall), which
-    decouples the retained block exactly.  A non-finite alpha, a grid built
-    for other dimensions, potential values NaN or -inf, a wall on every node,
-    or an entry that overflows raise ValueError.  The operator records the
-    grid's node layout.
+    A non-finite alpha, a grid built for other dimensions, a V_alpha that
+    is not finite at some node, or an entry that overflows raise ValueError.
+    The operator records the grid's node layout.
     """
     _require_finite("alpha", alpha)
     if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
         raise ValueError("grid was built for a structure of different dimensions")
     x, t = grid.nodes()
-    if potential is None:
+    with np.errstate(over="ignore", invalid="ignore"):   # N^alpha past the double range
         v = potential_value_xt(alpha, s, x, t)
-    else:
-        v = np.asarray(potential(x, t), dtype=float)
-    if not np.all(np.isfinite(v) | (v == np.inf)):
-        raise ValueError("potential values must be finite or +inf")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"alpha = {alpha} overflows V_alpha at a grid node")
     # The exterior rows of D_j below the lower faces (one nonzero each, so a
     # diagonal of D_j^T D_j) make those faces Dirichlet, not Neumann, so
     # eigenvalues do not increase as the box grows.  Added in D_j's row order,
@@ -173,18 +153,10 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3,
             for k in range(s.m):
                 term = term + sp.diags(lower[d2 + k] * (c[:, j, k] / grid.ht) ** 2)
             kin = term if kin is None else kin + term
-    keep = ~np.isinf(v)
-    if not np.any(keep):
-        raise ValueError("the potential is +inf at every node: every node is walled")
-    idx = None
-    if not np.all(keep):
-        idx = np.nonzero(keep)[0]
-        kin = kin[idx][:, idx]
-        v = v[idx]
     h = kin + sp.diags(v, format="csr")
     if not np.all(np.isfinite(h.data)):
         raise ValueError(f"an operator entry overflows at hx = {grid.hx}, ht = {grid.ht}")
-    return SparseSymmetricOperator(h, grid_shape=grid.shape, kept=idx)
+    return SparseSymmetricOperator(h, grid_shape=grid.shape)
 
 
 @dataclass(frozen=True)

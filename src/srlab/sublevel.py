@@ -235,7 +235,6 @@ class VolumeEstimate:
     n_samples: int
     region_volume: float
     hit_count: int
-    seed: int | None     # None when the caller's generator drew the points
 
 
 def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
@@ -280,32 +279,26 @@ def _inner_hits(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float,
 
 def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
                              center: GroupPoint, r: float, n_samples: int,
-                             seed: int = 0,
-                             rng: np.random.Generator | None = None) -> VolumeEstimate:
+                             rng: np.random.Generator) -> VolumeEstimate:
     """Monte Carlo measure of (sublevel set) intersect B(center, r).
 
-    Uniform samples in the exact bounding cylinder of the ball (tightened by
-    the cylinder radius and the tube `_log_tube` when alpha > 2) are counted by
-    ball and sublevel membership: k of n gives vol (k / n) with the binomial
-    standard error vol sqrt(k (n - k) / (n - 1)) / n (0 for n = 1).  They come
-    from `rng` if given (the estimate's `seed` is then None), else from `seed`.
+    Uniform samples from `rng` in the exact bounding cylinder of the ball
+    (tightened by the cylinder radius and the tube `_log_tube` when alpha > 2)
+    are counted by ball and sublevel membership: k of n gives vol (k / n) with
+    the binomial standard error vol sqrt(k (n - k) / (n - 1)) / n (0 for n = 1).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     s.check_dims(center.x, center.t)
     _require_finite("r", r, positive=True)
     (rho_x,), (rho_t,), (vol,) = _ball_regions(spec, s, [center.x], [center.t], r)
-    if rng is None:
-        rng = substream(seed, 0)
-    else:
-        seed = None
     if rho_x == 0.0:
-        return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0, seed)
+        return VolumeEstimate(0.0, 0.0, n_samples, 0.0, 0)
     k = _inner_hits(spec, s, center.x, center.t, r, rho_x, rho_t, n_samples, rng)
     n = n_samples
     se = vol * math.sqrt(k * (n - k) / (n - 1)) / n if n > 1 else 0.0
     return VolumeEstimate(value=float(vol * (k / n)), std_error=float(se),
-                          n_samples=n_samples, region_volume=vol, hit_count=int(k), seed=seed)
+                          n_samples=n_samples, region_volume=vol, hit_count=int(k))
 
 
 def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,

@@ -272,9 +272,9 @@ def thinness_every_member(spec, s: MetivierStructure, r: float, ell: float,
 
 def unblocked_ball_hits(spec, s: MetivierStructure, center: GroupPoint, r: float,
                         n_samples: int, seed: int) -> int:
-    """`sublevel.ball_intersection_volume`'s hit count at `seed`, with the ball
-    and sublevel tests each run once on all `n_samples` points: the same region
-    and draws, no blocks."""
+    """`sublevel.ball_intersection_volume`'s hit count with `rng=substream(seed, 0)`,
+    with the ball and sublevel tests each run once on all `n_samples` points: the
+    same region and draws, no blocks."""
     (rho_x,), (rho_t,), _ = sublevel._ball_regions(spec, s, [center.x], [center.t], r)
     rng = sublevel.substream(seed, 0)
     xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)

@@ -193,6 +193,21 @@ def test_weyl_csv(tmp_path):
     assert code == 1 and payload == b""
 
 
+def test_weyl_residual_near_the_double_range_stays_finite(tmp_path, capsys):
+    """At lambda = 1e160 the residual (about 1.25e159) is a finite double whose
+    square is not: it is summed in units of a power of two, so it reads finite,
+    at most the bound, with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        code, payload = invoke(["weyl", "--alpha", "1.5", "--n-max", "4", "--grid", "8",
+                                "--lambda", "1e160"], tmp_path, "w.csv")
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = [ln.split(",") for ln in payload.decode().splitlines() if not ln.startswith("#")][1:]
+    assert [int(r[0]) for r in rows] == [2, 4]
+    for _, residual, bound, _ in rows:
+        assert 1e159 < float(residual) <= float(bound) < math.inf
+
+
 def test_weyl_seed_reaches_nothing(tmp_path, aniso):
     """Off H-type too the Weyl scan samples nothing: --seed 1 and --seed 2
     give the same rows."""
@@ -345,6 +360,18 @@ def test_spectrum_refuses_grid_steps_overflowing_the_operator(step, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("error: an operator entry overflows at hx = ") and ", ht = " in err
+
+
+def test_spectrum_names_alpha_overflowing_the_potential(capsys):
+    """Where N^alpha passes the double range at a grid node: one error line
+    naming alpha, and no RuntimeWarning on stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(["spectrum", "--alpha", "500", "--nx", "4", "--nt", "4", "--k", "2",
+                    "--lx", "3", "--lt", "8"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: alpha = 500.0 overflows V_alpha at a grid node\n"
 
 
 def test_spectrum_residuals_of_a_huge_operator_stay_finite(capsys):
