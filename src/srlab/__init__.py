@@ -8,9 +8,8 @@ central-translate quasi-modes, sparse eigenvalue studies of the truncated
 operator, and Monte Carlo thinness measurements of potential sublevel sets.
 """
 
-from .group import (ConditionEstimate, GroupPoint, MetivierStructure, dilate,
-                    homogeneous_dimension, identity, inverse, make_heisenberg,
-                    multiply, point, verify_metivier)
+from .group import (ConditionEstimate, GroupPoint, MetivierStructure,
+                    homogeneous_dimension, make_heisenberg, verify_metivier)
 from .norms import GammaEstimate, estimate_gamma
 from .potential import (Admissibility, PotentialConstants, admissibility,
                         check_sandwich, potential_bounds)

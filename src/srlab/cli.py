@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -37,6 +38,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e3" for an option; every negative float literal is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -243,11 +249,8 @@ def _run_potential(args, s):
         grid = forms.QuadratureGrid(s, args.lx, args.lt, args.nx, args.nt)
         x, t = grid.nodes()
     jet = potential._norm_jet(s, x, t)
-    with np.errstate(over="ignore", invalid="ignore"):   # N^alpha past the double range
-        v = potential._potential(args.alpha, jet)
-        lo, hi = potential._sandwich(const, jet.x2, jet.n)
-    if not (np.isfinite(v).all() and np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError(f"alpha = {args.alpha} overflows V_alpha or its sandwich bounds")
+    v = potential._potential(args.alpha, jet)[1]
+    lo, hi = potential._sandwich(const, jet.x2, jet.n)
     config = {"command": "potential", "structure": args.structure, "alpha": args.alpha,
               "seed": args.seed, "points": args.points or "grid",
               "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,

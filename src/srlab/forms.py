@@ -32,7 +32,7 @@ import numpy as np
 from .group import GroupPoint, MetivierStructure, _dot, _require_finite
 from .norms import weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
-from .potential import (_grad_kaplan, _norm_jet, _weight_terms,
+from .potential import (_grad_kaplan, _norm_jet, _potential,
                         potential_closed_form_xt, potential_value_xt)
 
 _BLOCK = 1 << 14
@@ -418,13 +418,12 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
         val, hg = _value_and_horizontal_gradient(s, f, x, t)
         jet = _norm_jet(s, x, t)
         # X_j (f sqrt(w)) = sqrt(w) (X_j f - (1/2) g (X_j N) f), g = alpha N^{alpha-1}
-        g, grad_sq, lw = _weight_terms(alpha, jet)
+        g, v = _potential(alpha, jet)
         w = np.exp(-g * jet.n / alpha)
         shifted = hg - (0.5 * g * val)[..., None] * _grad_kaplan(jet)
         phi = val * np.sqrt(w)
         return np.array([np.sum(_dot(hg, hg) * w),
-                         np.sum(_dot(shifted, shifted) * w)
-                         + np.sum(phi * phi * (-0.25 * grad_sq - 0.5 * lw))])   # V_alpha
+                         np.sum(_dot(shifted, shifted) * w) + np.sum(phi * phi * v)])
     lhs, rhs = _node_sum(grid, sides, _support_rows(grid, f)) * grid.cell_volume
     return abs(float(lhs) - float(rhs))
 

@@ -207,16 +207,6 @@ def make_heisenberg() -> MetivierStructure:
     return MetivierStructure(n=1, m=1, maps=j)
 
 
-def identity(s: MetivierStructure) -> GroupPoint:
-    return GroupPoint(np.zeros(s.horizontal_dim), np.zeros(s.m))
-
-
-def point(s: MetivierStructure, x, t) -> GroupPoint:
-    p = GroupPoint(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    s.check_dims(p.x, p.t)
-    return p
-
-
 def product(s: MetivierStructure, x1, t1, x2, t2):
     """Group product on raw coordinate arrays; broadcasts over leading axes."""
     x1 = np.asarray(x1, dtype=float)
@@ -227,22 +217,6 @@ def product(s: MetivierStructure, x1, t1, x2, t2):
     s.check_dims(x2, t2)
     central = 0.5 * _dot(s.apply_maps(x1), x2[..., None, :])
     return x1 + x2, t1 + t2 + central
-
-
-def multiply(s: MetivierStructure, p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    return GroupPoint(*product(s, p.x, p.t, q.x, q.t))
-
-
-def inverse(s: MetivierStructure, p: GroupPoint) -> GroupPoint:
-    s.check_dims(p.x, p.t)
-    return GroupPoint(-p.x, -p.t)
-
-
-def dilate(s: MetivierStructure, r: float, p: GroupPoint) -> GroupPoint:
-    if r <= 0:
-        raise ValueError("dilation parameter must be positive")
-    s.check_dims(p.x, p.t)
-    return GroupPoint(r * p.x, r * r * p.t)
 
 
 def homogeneous_dimension(s: MetivierStructure) -> int:

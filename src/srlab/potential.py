@@ -14,7 +14,8 @@ and the essential infimum, both from homogeneity with no sampling, and the
 sup of |V_alpha| on the unit cylinder from the sandwich.
 
 Every consumer, here and in `forms` and `sublevel`, evaluates the norm jet
-`_norm_jet` at most once per batch, and each formula is written once.
+`_norm_jet` at most once per batch, and each formula is written once: V_alpha
+only in `_potential`, which refuses a batch past the double range, naming alpha.
 
 Conventions at degenerate points: values carrying a |x|^2 factor extend
 continuously to 0 on the set {x = 0}, while the identity itself is a hard
@@ -98,9 +99,18 @@ def _weight_terms(alpha: float, jet: _NormJet):
     return u * jet.n, grad_sq, u * ((alpha - 1.0) * jet.gns - jet.n * jet.ln) - grad_sq
 
 
-def _potential(alpha: float, jet: _NormJet) -> np.ndarray:
-    _, grad_sq, lw = _weight_terms(alpha, jet)
-    return -0.25 * grad_sq - 0.5 * lw
+def _in_range(alpha: float, v, what: str = "V_alpha"):
+    """v, or ValueError naming alpha when some value of `what` is not finite."""
+    if not np.isfinite(v).all():
+        raise ValueError(f"alpha = {alpha} overflows {what}")
+    return v
+
+
+def _potential(alpha: float, jet: _NormJet):
+    """(g, V_alpha); a V_alpha not finite (N^alpha past the double range) is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, grad_sq, lw = _weight_terms(alpha, jet)
+        return g, _in_range(alpha, -0.25 * grad_sq - 0.5 * lw)
 
 
 def grad_kaplan_xt(s: MetivierStructure, x, t) -> np.ndarray:
@@ -143,8 +153,8 @@ def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
 
 
 def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
-    """V_alpha = -(1/4)|grad w|^2/w^2 - (1/2) (L w)/w, expanded in N-quantities."""
-    return _potential(alpha, _norm_jet(s, x, t))
+    """V_alpha = -(1/4)|grad w|^2/w^2 - (1/2) (L w)/w in N-quantities; overflow raises."""
+    return _potential(alpha, _norm_jet(s, x, t))[1]
 
 
 def _envelope_terms(c1: float, c2: float, alpha: float, n):
@@ -189,19 +199,13 @@ def _closed_form_coeffs(alpha: float, s: MetivierStructure):
 
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
-    """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2.
-
-    alpha is checked as `potential_value_xt` checks it, and a batch whose
-    terms overflow to a non-finite value raises ValueError.
-    """
+    """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2;
+    a bad alpha and a batch that overflows are refused as `potential_value_xt` does."""
     _require_finite("alpha", alpha, positive=True)
     s.check_dims(x, t)
     _, _, x2, n = _off_identity(x, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("closed form out of double range: a term of V_alpha overflows")
-    return v
+        return _in_range(alpha, x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n))
 
 
 @dataclass(frozen=True)
@@ -268,9 +272,12 @@ def potential_bounds(alpha: float, s: MetivierStructure) -> PotentialConstants:
 
 
 def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
+    """(lower, upper); bounds past the double range raise ValueError naming alpha."""
     a = const.alpha
-    return (x2 * _envelope_factor(const.c_a1, const.c_a2, a, n),
-            x2 * _envelope_factor(const.c_a3, const.c_a4, a, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = x2 * _envelope_factor(const.c_a1, const.c_a2, a, n)
+        hi = x2 * _envelope_factor(const.c_a3, const.c_a4, a, n)
+    return _in_range(a, lo, "the sandwich bounds"), _in_range(a, hi, "the sandwich bounds")
 
 
 def sandwich_bounds_xt(const: PotentialConstants, s: MetivierStructure, x, t):
@@ -311,7 +318,7 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
     _require_finite("slack", slack)
     const = potential_bounds(alpha, s)
     jet = _norm_jet(s, x, t)
-    v = _potential(alpha, jet)
+    v = _potential(alpha, jet)[1]
     lo, hi = _sandwich(const, jet.x2, jet.n)
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     low_excess = lo - v

@@ -126,14 +126,10 @@ def assemble_operator(alpha: float, s: MetivierStructure, grid: Grid3) -> Sparse
     is not finite at some node, or an entry that overflows raise ValueError.
     The operator records the grid's node layout.
     """
-    _require_finite("alpha", alpha)
     if grid.s.horizontal_dim != s.horizontal_dim or grid.s.m != s.m:
         raise ValueError("grid was built for a structure of different dimensions")
     x, t = grid.nodes()
-    with np.errstate(over="ignore", invalid="ignore"):   # N^alpha past the double range
-        v = potential_value_xt(alpha, s, x, t)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"alpha = {alpha} overflows V_alpha at a grid node")
+    v = potential_value_xt(alpha, s, x, t)
     # The exterior rows of D_j below the lower faces (one nonzero each, so a
     # diagonal of D_j^T D_j) make those faces Dirichlet, not Neumann, so
     # eigenvalues do not increase as the box grows.  Added in D_j's row order,

@@ -98,8 +98,8 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     `_closed_form_decides`), so the answer is the jet's, bit for bit.  Other
     structures evaluate the jet on every point but the identity, where V
     extends by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
-    potential has no value there).  Where the jet's terms overflow, a V of
-    +inf is a non-member and a NaN V raises ValueError naming alpha.
+    potential has no value there).  A batch whose V_alpha leaves the double
+    range raises ValueError naming alpha, from `potential_value_xt`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -119,11 +119,7 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
     if np.any(band):
         x = np.broadcast_to(x, n.shape + x.shape[-1:])[band]
         t = np.broadcast_to(t, n.shape + t.shape[-1:])[band]
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = potential_value_xt(spec.alpha, s, x, t)
-        if np.isnan(v).any():
-            raise ValueError(f"V_alpha is NaN at alpha = {spec.alpha} (its terms overflow)")
-        out[band] = v <= spec.level
+        out[band] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
     return out
 
 

@@ -10,7 +10,7 @@ from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
-from srlab.group import GroupPoint, point, product
+from srlab.group import GroupPoint, product
 
 import oracles
 from conftest import count_calls, random_points
@@ -93,7 +93,7 @@ def test_apply_xj_examples(heis):
     for j in (0, 1):
         assert float(horizontal_gradient(heis, bump, [0.0, 0.0], [0.3])[j]) == 0.0
     probe = CentralCoordinate()
-    p = point(heis, [0.7, -1.3], [0.4])
+    p = GroupPoint([0.7, -1.3], [0.4])
     hg = np.squeeze(horizontal_gradient(heis, probe, p.x, p.t))
     assert float(hg[0]) == pytest.approx(-1.3 / 2.0)
     assert float(hg[1]) == pytest.approx(-0.7 / 2.0)
@@ -126,7 +126,7 @@ def test_sub_laplacian_square_probe(heis, aniso):
 
 def test_sub_laplacian_fd(heis):
     bump = SmoothBump(1.0, 1.0)
-    p = point(heis, [0.3, 0.2], [0.4])
+    p = GroupPoint([0.3, 0.2], [0.4])
     exact = float(sub_laplacian_apply(heis, bump, p.x, p.t))
     fd = oracles.fd_sub_laplacian(lambda x, t: float(bump.value(x, t)),
                                   heis, p.x, p.t, 1e-4)
@@ -136,7 +136,7 @@ def test_sub_laplacian_fd(heis):
 def test_left_invariance_identity(heis):
     bump = SmoothBump(1.0, 1.0)
     rng = np.random.default_rng(1)
-    g = point(heis, rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1))
+    g = GroupPoint(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1))
     shifted = TranslatedBump(bump, heis, g)
     x, t = random_points(heis, 300, seed=2)
     qx, qt = product(heis, -g.x, -g.t, x, t)
@@ -149,7 +149,7 @@ def test_left_invariance_identity(heis):
 def test_translated_bump_fd(heis):
     """Chain rule through the affine pullback agrees with group-FD."""
     bump = SmoothBump(1.0, 1.0)
-    g = point(heis, [0.3, -0.7], [0.9])
+    g = GroupPoint([0.3, -0.7], [0.9])
     shifted = TranslatedBump(bump, heis, g)
     x = np.array([0.5, -0.4])
     t = np.array([1.2])
@@ -300,7 +300,7 @@ def test_conjugation_residual_shifted_tiny(heis):
     """Away from the origin the integrands are C^inf: midpoint quadrature is
     superalgebraically accurate and the identity holds to near roundoff."""
     bump = SmoothBump(1.0, 1.0)
-    shifted = TranslatedBump(bump, heis, point(heis, [0, 0], [5.0]))
+    shifted = TranslatedBump(bump, heis, GroupPoint([0, 0], [5.0]))
     grid = QuadratureGrid(heis, 1.0, 1.0, 32, 32, center_t=np.array([5.0]))
     assert conjugation_residual(2.0, heis, shifted, grid) <= 1e-13
 

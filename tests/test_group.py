@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from srlab.forms import horizontal_coefficients
-from srlab.group import (GroupPoint, MetivierStructure, _dot, dilate, homogeneous_dimension,
-                         identity, inverse, make_heisenberg, multiply, point,
-                         product, uniform_ball, unit_sample, verify_metivier)
+from srlab.group import (GroupPoint, MetivierStructure, _dot, homogeneous_dimension,
+                         make_heisenberg, product, uniform_ball, unit_sample, verify_metivier)
 
 import oracles
 from conftest import ROT, random_points, skew_structures
@@ -66,68 +65,67 @@ def test_h_type_flag_validated(aniso, quaternion):
 
 
 def test_group_product_example(heis):
-    p = point(heis, [1.0, 0.0], [0.0])
-    q = point(heis, [0.0, 1.0], [0.0])
-    r = multiply(heis, p, q)
-    assert np.allclose(r.x, [1.0, 1.0])
-    assert np.allclose(r.t, [-0.5])
+    x, t = product(heis, [1.0, 0.0], [0.0], [0.0, 1.0], [0.0])
+    assert np.allclose(x, [1.0, 1.0])
+    assert np.allclose(t, [-0.5])
 
 
 def test_identity_and_inverse(heis):
-    p = point(heis, [1.0, 2.0], [3.0])
-    e = identity(heis)
-    assert np.array_equal(multiply(heis, p, e).x, p.x)
-    assert np.array_equal(multiply(heis, p, e).t, p.t)
-    inv = inverse(heis, p)
-    assert np.array_equal(inv.x, [-1.0, -2.0]) and np.array_equal(inv.t, [-3.0])
-    back = multiply(heis, p, inv)
-    assert np.all(back.x == 0.0) and np.all(back.t == 0.0)
+    """(0, 0) is the identity and (-x, -t) the inverse of (x, t), exactly."""
+    p = GroupPoint([1.0, 2.0], [3.0])
+    x, t = product(heis, p.x, p.t, np.zeros(2), np.zeros(1))
+    assert np.array_equal(x, p.x) and np.array_equal(t, p.t)
+    x, t = product(heis, p.x, p.t, -p.x, -p.t)
+    assert np.all(x == 0.0) and np.all(t == 0.0)
 
 
 def test_inverse_involution(heis):
+    """(-x, -t) is a two-sided inverse on a batch, exactly on Heisenberg,
+    so the inverse of the inverse is the point itself."""
     x, t = random_points(heis, 100, seed=1)
-    for i in range(100):
-        p = GroupPoint(x[i], t[i])
-        pp = inverse(heis, inverse(heis, p))
-        assert np.array_equal(pp.x, p.x) and np.array_equal(pp.t, p.t)
+    for a, b in (((x, t), (-x, -t)), ((-x, -t), (x, t))):
+        qx, qt = product(heis, *a, *b)
+        assert np.all(qx == 0.0) and np.all(qt == 0.0)
 
 
 def test_dimension_mismatch_rejected(heis, aniso):
-    p = point(aniso, [1.0, 0, 0, 0], [0.0])
+    p = GroupPoint([1.0, 0, 0, 0], [0.0])
     with pytest.raises(ValueError, match="dims"):
-        multiply(heis, p, p)
+        product(heis, p.x, p.t, p.x, p.t)
     with pytest.raises(ValueError, match="1-D"):   # a point, not a batch
-        point(heis, [[1.0, 0.0]], [[0.0]])
+        GroupPoint([[1.0, 0.0]], [[0.0]])
     with pytest.raises(ValueError, match="dims"):   # an x of length 1 used to broadcast
         horizontal_coefficients(heis, np.ones((3, 1)))
     # a non-finite centre made ball_intersection_volume return 0.0 silently
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
-            point(heis, [0.3, 0.0], [bad])
+            GroupPoint([0.3, 0.0], [bad])
         with pytest.raises(ValueError, match="finite"):
             GroupPoint(np.array([bad, 0.0]), np.zeros(1))
 
 
 def test_dilation_examples(heis):
-    p = point(heis, [1.0, 0.0], [1.0])
-    d = dilate(heis, 2.0, p)
-    assert np.allclose(d.x, [2.0, 0.0]) and np.allclose(d.t, [4.0])
-    d1 = dilate(heis, 1.0, p)
-    assert np.array_equal(d1.x, p.x) and np.array_equal(d1.t, p.t)
-    with pytest.raises(ValueError):
-        dilate(heis, 0.0, p)
+    """delta_r (x, t) = (r x, r^2 t) commutes with the product; at r = 2 and
+    r = 1 the scaling is exact, so the two sides agree bit for bit."""
+    p, q = GroupPoint([1.0, 0.0], [1.0]), GroupPoint([0.0, 1.0], [0.0])
+    for r in (2.0, 1.0):
+        x, t = product(heis, r * p.x, r * r * p.t, r * q.x, r * r * q.t)
+        px, pt = product(heis, p.x, p.t, q.x, q.t)
+        assert np.array_equal(x, r * px) and np.array_equal(t, r * r * pt)
+    assert np.array_equal(x, [1.0, 1.0]) and np.array_equal(t, [0.5])
 
 
 def test_dilation_composition(heis):
-    x, t = random_points(heis, 100, seed=2)
+    """delta_r delta_sc = delta_{r sc} on products of random points."""
+    x1, t1 = random_points(heis, 100, seed=2)
+    x2, t2 = random_points(heis, 100, seed=9)
     rng = np.random.default_rng(3)
-    for i in range(100):
-        p = GroupPoint(x[i], t[i])
-        r, sc = rng.uniform(0.1, 3.0, size=2)
-        a = dilate(heis, r, dilate(heis, sc, p))
-        b = dilate(heis, r * sc, p)
-        assert np.max(np.abs(a.x - b.x)) <= 1e-12
-        assert np.max(np.abs(a.t - b.t)) <= 1e-12
+    r, sc = rng.uniform(0.1, 3.0, size=(2, 100, 1))
+    ax, at = product(heis, r * (sc * x1), r * r * (sc * sc * t1),
+                     r * (sc * x2), r * r * (sc * sc * t2))
+    bx, bt = product(heis, x1, t1, x2, t2)
+    assert np.max(np.abs(ax - (r * sc) * bx)) <= 1e-12
+    assert np.max(np.abs(at - (r * sc) ** 2 * bt)) <= 1e-12
 
 
 def test_associativity(heis, aniso):
@@ -166,15 +164,14 @@ def test_group_axioms_random_structures(s, r, seed):
     ax, at = product(s, *product(s, x1, t1, x2, t2), x3, t3)
     bx, bt = product(s, x1, t1, *product(s, x2, t2, x3, t3))
     assert close(ax, bx) and close(at, bt)
-    e = identity(s)
-    for x, t in (product(s, x1, t1, e.x, e.t), product(s, e.x, e.t, x1, t1)):
+    ex, et = np.zeros(s.horizontal_dim), np.zeros(s.m)
+    for x, t in (product(s, x1, t1, ex, et), product(s, ex, et, x1, t1)):
         assert close(x, x1) and close(t, t1)
     for i in range(3):
-        p = GroupPoint(x1[i], t1[i])
-        inv = inverse(s, p)
-        for q in (multiply(s, p, inv), multiply(s, inv, p)):
+        for qx, qt in (product(s, x1[i], t1[i], -x1[i], -t1[i]),
+                       product(s, -x1[i], -t1[i], x1[i], t1[i])):
             # the central part cancels terms of size |J| |x|^2
-            assert close(q.x, e.x) and close(q.t, e.t, np.max(np.abs(s.maps)) * x1[i] @ x1[i])
+            assert close(qx, ex) and close(qt, et, np.max(np.abs(s.maps)) * x1[i] @ x1[i])
     px, pt = product(s, r * x1, r * r * t1, r * x2, r * r * t2)
     qx, qt = product(s, x1, t1, x2, t2)
     assert close(px, r * qx) and close(pt, r * r * qt)

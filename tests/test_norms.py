@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srlab.group import GroupPoint, dilate, identity, inverse, point, product
+from srlab.group import GroupPoint, product
 from srlab.norms import estimate_gamma, norm_xt, quasi_distance_xt, weight_xt
 
 from srlab.potential import potential_value_xt
@@ -17,7 +17,7 @@ def test_norm_examples(heis):
 
 
 def test_norm_zero_iff_identity(heis):
-    e = identity(heis)
+    e = GroupPoint(np.zeros(2), np.zeros(1))
     assert float(norm_xt(e.x, e.t)) == 0.0
     assert float(norm_xt([1e-8, 0.0], [0.0])) > 0.0
 
@@ -36,9 +36,9 @@ def test_symmetry_exact(heis):
 
 
 def test_distance_examples(heis):
-    p = point(heis, [0.3, -0.4], [0.8])
+    p = GroupPoint([0.3, -0.4], [0.8])
     assert float(quasi_distance_xt(heis, p.x, p.t, p.x, p.t)) == 0.0
-    e = identity(heis)
+    e = GroupPoint(np.zeros(2), np.zeros(1))
     assert float(quasi_distance_xt(heis, e.x, e.t, [0, 0], [1.0])) == 2.0
 
 
@@ -54,7 +54,7 @@ def test_distance_left_invariance(heis):
 
 
 def test_weight_examples(heis):
-    e = identity(heis)
+    e = GroupPoint(np.zeros(2), np.zeros(1))
     assert float(weight_xt(3.7, e.x, e.t)) == 1.0
     w = float(weight_xt(2.0, [1.0, 0.0], [0.0]))
     assert abs(w - np.exp(-1.0)) <= 1e-15
@@ -76,12 +76,12 @@ def test_weight_homogeneity_transfer(heis):
 
 def test_in_ball(heis):
     """A ball test is d(center, p) < r."""
-    c = point(heis, [0.7, 0.1], [2.0])
+    c = GroupPoint([0.7, 0.1], [2.0])
     assert quasi_distance_xt(heis, c.x, c.t, c.x, c.t) < 0.5
-    e = identity(heis)
+    e = GroupPoint(np.zeros(2), np.zeros(1))
     assert not quasi_distance_xt(heis, e.x, e.t, [0, 0], [1.0]) < 1.0
-    center = point(heis, [0.0, 0.0], [5.0])
-    inside = point(heis, [0.0, 0.0], [5.2])
+    center = GroupPoint([0.0, 0.0], [5.0])
+    inside = GroupPoint([0.0, 0.0], [5.2])
     d = float(quasi_distance_xt(heis, center.x, center.t, inside.x, inside.t))
     assert abs(d - 2.0 * 0.2 ** 0.5) <= 1e-12 and d < 1.0
 

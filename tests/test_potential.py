@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from srlab import potential
 from srlab.forms import SmoothBump, horizontal_gradient, sub_laplacian_apply
-from srlab.group import MetivierStructure, identity, point, uniform_ball
+from srlab.group import GroupPoint, MetivierStructure, uniform_ball
 from srlab.norms import norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import (admissibility, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
@@ -82,7 +82,7 @@ def test_grad_kaplan_matches_grad_norm_sq(heis, aniso):
 
 
 def test_identity_rejected(heis):
-    e = identity(heis)
+    e = GroupPoint(np.zeros(2), np.zeros(1))
     with pytest.raises(ValueError):
         grad_norm_sq_xt(heis, e.x, e.t)
     with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ def test_grad_weight_examples(heis):
 
 def test_laplacian_weight_value_and_fd(heis):
     """L w_2 at ((1,0),0) is +4/e; pinned by the finite-difference oracle."""
-    p = point(heis, [1.0, 0.0], [0.0])
+    p = GroupPoint([1.0, 0.0], [0.0])
     val = float(laplacian_weight_xt(2.0, heis, p.x, p.t))
     assert abs(val - 4.0 * math.exp(-1.0)) <= 1e-14
     fd = oracles.fd_sub_laplacian(lambda x, t: weight_xt(2.0, x, t),
@@ -194,9 +194,9 @@ def test_norm_jet_refuses_scales_past_double_range(heis):
     |x| = 1e-100 (V read -0.0 where the closed form gives 2.25e-80) and
     N = 1e52 (V read NaN).  So does one whose N^6 underflows (N = 1e-60).
     N of 2e50 and 1e45 still match the closed form.  The closed form raises
-    on a batch where c1 N^{2a-4} overflows (alpha 200 at N = 1e3) or |x|^2
-    times it does (alpha 4 at |x| = 1e60, N = 2e75), not a RuntimeWarning,
-    inf or NaN."""
+    the jet's error naming alpha on a batch where c1 N^{2a-4} overflows
+    (alpha 200 at N = 1e3) or |x|^2 times it does (alpha 4 at |x| = 1e60,
+    N = 2e75), not a RuntimeWarning, inf or NaN."""
     for x, t in (([1e-100, 0.0], [2.5e119]), ([1e52, 0.0], [0.0]), ([1e-60, 0.0], [0.0])):
         with pytest.raises(ValueError, match="double range"):
             potential_value_xt(3.0, heis, [x], [t])
@@ -206,7 +206,7 @@ def test_norm_jet_refuses_scales_past_double_range(heis):
         v = float(potential_value_xt(3.0, heis, x, t))
         assert v == pytest.approx(float(potential_closed_form_xt(3.0, heis, x, t)), rel=1e-14)
     for alpha, x, t in ((200.0, [1e3, 0.0], [0.0]), (4.0, [1e60, 0.0], [1e150])):
-        with pytest.raises(ValueError, match="closed form out of double range"):
+        with pytest.raises(ValueError, match=f"alpha = {alpha} overflows V_alpha"):
             potential_closed_form_xt(alpha, heis, [[1.0, 0.5], x], [[0.25], t])
         assert np.all(np.isfinite(potential_closed_form_xt(alpha, heis, [[1.0, 0.5]], [[0.25]])))
 
@@ -288,6 +288,14 @@ def test_sandwich_x_zero_trivial(heis):
     assert rep.n_violations == 0
     lo, hi = sandwich_bounds_xt(rep.constants, heis, x, t)
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
+
+
+def test_check_sandwich_refuses_an_overflowing_potential(heis):
+    """At alpha = 500 V_alpha overflows on a box of radius 3: the check raises,
+    where it reported 0 violations with a NaN max_low_violation."""
+    x, t = random_points(heis, 200, seed=0, box=3.0)
+    with pytest.raises(ValueError, match=r"alpha = 500\.0 overflows V_alpha"):
+        check_sandwich(500.0, heis, (x, t))
 
 
 def test_sandwich_bounds_refuse_other_structure(heis, quaternion):
