@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -239,7 +240,11 @@ def _run_gamma(args, s):
 def _run_potential(args, s):
     const = potential.potential_bounds(args.alpha, s)
     if args.points:
-        data = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "no data": refused below
+            data = np.loadtxt(args.points, delimiter=",", ndmin=2)
+        if not data.size:
+            raise ValueError(f"points file {args.points} holds no points")
         if data.shape[1] != s.horizontal_dim + s.m:
             raise ValueError(f"points file must have {s.horizontal_dim + s.m} columns")
         if not np.isfinite(data).all():

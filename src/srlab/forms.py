@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,7 +242,7 @@ def sub_laplacian_apply(s: MetivierStructure, f, x, t) -> np.ndarray:
 class QuadratureGrid:
     """Cell-midpoint tensor grid on the box
 
-        center + [-x_half, x_half]^{2n} x [-t_half, t_half]^m,
+        [-x_half, x_half]^{2n} x (center_t + [-t_half, t_half]^m),
 
     with `nx` points on each horizontal axis and `nt` on each central one.
     It carries both the midpoint quadrature rule here and the
@@ -256,7 +256,6 @@ class QuadratureGrid:
     t_half: float
     nx: int
     nt: int
-    center_x: np.ndarray | None = None
     center_t: np.ndarray | None = None
 
     def __post_init__(self):
@@ -264,9 +263,7 @@ class QuadratureGrid:
             raise ValueError("need at least 3 points per axis")
         _require_finite("x_half", self.x_half, positive=True)
         _require_finite("t_half", self.t_half, positive=True)
-        cx = np.zeros(self.s.horizontal_dim) if self.center_x is None else np.asarray(self.center_x, float)
         ct = np.zeros(self.s.m) if self.center_t is None else np.asarray(self.center_t, float)
-        object.__setattr__(self, "center_x", cx)
         object.__setattr__(self, "center_t", ct)
         h = (self.hx,) * self.s.horizontal_dim + (self.ht,) * self.s.m
         if all(np.abs(self.axis_nodes(a)).min() <= 1e-9 * h[a] for a in range(len(h))):
@@ -296,11 +293,8 @@ class QuadratureGrid:
     def axis_nodes(self, axis: int) -> np.ndarray:
         d = self.s.horizontal_dim
         if axis < d:
-            half, count, c = self.x_half, self.nx, self.center_x[axis]
-        else:
-            half, count, c = self.t_half, self.nt, self.center_t[axis - d]
-        h = 2.0 * half / count
-        return -half + (np.arange(count) + 0.5) * h + c
+            return -self.x_half + (np.arange(self.nx) + 0.5) * self.hx
+        return -self.t_half + (np.arange(self.nt) + 0.5) * self.ht + self.center_t[axis - d]
 
     def _tables(self):
         """The x-table (the nodes of the first 2n axes) and the t-table (of the
@@ -318,16 +312,13 @@ class QuadratureGrid:
     def covers(self, f) -> bool:
         bx, bt = f.support_box(self.s)
         cx, ct = f.center(self.s).x, f.center(self.s).t
-        ok_x = np.all(cx - bx >= self.center_x - self.x_half - 1e-12) and \
-            np.all(cx + bx <= self.center_x + self.x_half + 1e-12)
-        ok_t = np.all(ct - bt >= self.center_t - self.t_half - 1e-12) and \
-            np.all(ct + bt <= self.center_t + self.t_half + 1e-12)
+        ok_x = np.all(np.abs(cx) + bx <= self.x_half + 1e-12)
+        ok_t = np.all(np.abs(ct - self.center_t) + bt <= self.t_half + 1e-12)
         return bool(ok_x and ok_t)
 
     def translated(self, dt: np.ndarray) -> "QuadratureGrid":
         """Shift of the box along the centre; node sets translate exactly."""
-        return QuadratureGrid(self.s, self.x_half, self.t_half, self.nx, self.nt,
-                              self.center_x, self.center_t + np.asarray(dt, float))
+        return replace(self, center_t=self.center_t + np.asarray(dt, float))
 
     def describe(self) -> dict:
         return {"lx": self.x_half, "lt": self.t_half, "nx": self.nx, "nt": self.nt,
@@ -428,12 +419,10 @@ def conjugation_residual(alpha: float, s: MetivierStructure, f,
     return abs(float(lhs) - float(rhs))
 
 
-def weyl_sequence(s: MetivierStructure, psi: SmoothBump, n: int) -> "TranslatedBump | SmoothBump":
-    """Left translate of the bump by (0, n u_1) along the first central axis."""
+def weyl_sequence(s: MetivierStructure, psi: SmoothBump, n: int) -> TranslatedBump:
+    """Left translate of the bump by (0, n u_1) along the first central axis, n >= 0."""
     if n < 0:
         raise ValueError("translation index must be nonnegative")
-    if n == 0:
-        return psi
     return TranslatedBump(psi, s, GroupPoint(np.zeros(s.horizontal_dim), n * np.eye(s.m)[0]))
 
 
@@ -528,7 +517,7 @@ def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
     if abs(count * grid.ht - span) > 1e-9:
         count = int(math.ceil(span / grid.ht))
     union = QuadratureGrid(s, grid.x_half, 0.5 * count * grid.ht, grid.nx, count,
-                           grid.center_x, 0.5 * (lo + hi) * np.eye(s.m)[0])
+                           0.5 * (lo + hi) * np.eye(s.m)[0])
     psi_n, psi_m = weyl_sequence(s, psi, n), weyl_sequence(s, psi, m)
 
     def diff_sq(b, x, t):

@@ -50,8 +50,10 @@ def _scaled(x, j: int, c: float):
     return x[..., j] if c == 1.0 else -x[..., j] if c == -1.0 else c * x[..., j]
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
+def _finite_readonly(name: str, a) -> np.ndarray:
     out = np.asarray(a, dtype=float).copy()
+    if not np.isfinite(out).all():   # NaN would pass every comparison after this
+        raise ValueError(f"{name} must be finite, got {out.tolist()}")
     out.flags.writeable = False
     return out
 
@@ -74,7 +76,7 @@ class MetivierStructure:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be positive integers")
-        maps = _as_readonly(np.asarray(self.maps, dtype=float))
+        maps = _finite_readonly("maps", self.maps)
         d = 2 * self.n
         if maps.shape != (self.m, d, d):
             raise ValueError(f"maps must have shape ({self.m}, {d}, {d}), got {maps.shape}")
@@ -155,8 +157,11 @@ class MetivierStructure:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetivierStructure":
-        """The structure of `d`; a true "h_type" claim that the maps fail raises ValueError."""
-        s = cls(n=int(d["n"]), m=int(d["m"]), maps=np.asarray(d["J"], dtype=float))
+        """The structure of `d`; a missing key or a false "h_type" claim raises ValueError."""
+        try:
+            s = cls(n=int(d["n"]), m=int(d["m"]), maps=np.asarray(d["J"], dtype=float))
+        except (KeyError, TypeError):   # a missing key, or `d` not a mapping
+            raise ValueError('a structure needs the keys "n", "m" and "J"') from None
         if d.get("h_type", False) and not s.h_type:
             raise ValueError(f"h_type claimed but J_t^2 != -|t|^2 Id "
                              f"(defect {s._clifford_defect:.3e})")
@@ -175,12 +180,10 @@ class GroupPoint:
     t: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_readonly(np.atleast_1d(self.x)))
-        object.__setattr__(self, "t", _as_readonly(np.atleast_1d(self.t)))
+        object.__setattr__(self, "x", _finite_readonly("point x", np.atleast_1d(self.x)))
+        object.__setattr__(self, "t", _finite_readonly("point t", np.atleast_1d(self.t)))
         if self.x.ndim != 1 or self.t.ndim != 1:
             raise ValueError(f"a point has 1-D coordinates, got {self.x.shape}/{self.t.shape}")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.t))):
-            raise ValueError(f"point coordinates must be finite, got x={self.x}, t={self.t}")
 
 
 @dataclass(frozen=True)

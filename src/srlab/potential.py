@@ -131,11 +131,17 @@ def sub_laplacian_norm_xt(s: MetivierStructure, x, t) -> np.ndarray:
     return _norm_jet(s, x, t).ln
 
 
+def _weighted(alpha: float, jet: _NormJet, k: int) -> np.ndarray:
+    """w_alpha * `_weight_terms`[k]; 0 where w_alpha underflows, though the term may overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weight(alpha, jet.n)
+        return np.where(w == 0.0, 0.0, w * _weight_terms(alpha, jet)[k])
+
+
 def grad_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """grad_H w_alpha = -alpha w_alpha N^{alpha-1} grad_H N, shape (..., 2n)."""
     jet = _norm_jet(s, x, t)
-    g = _weight_terms(alpha, jet)[0]
-    return (-g * _weight(alpha, jet.n))[..., None] * _grad_kaplan(jet)
+    return -_weighted(alpha, jet, 0)[..., None] * _grad_kaplan(jet)
 
 
 def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -149,7 +155,7 @@ def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     finite-difference oracle tests (and by consistency with V_alpha below).
     """
     jet = _norm_jet(s, x, t)
-    return _weight(alpha, jet.n) * _weight_terms(alpha, jet)[2]
+    return _in_range(alpha, _weighted(alpha, jet, 2), "L w_alpha")
 
 
 def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -305,17 +311,15 @@ class SandwichReport:
     constants: PotentialConstants
 
 
-def check_sandwich(alpha: float, s: MetivierStructure, points,
-                   slack: float = 1e-12) -> SandwichReport:
+def check_sandwich(alpha: float, s: MetivierStructure, points) -> SandwichReport:
     """Assert lower <= V_alpha <= upper at each supplied point.
 
     `points` is a pair of arrays (x of shape (N, 2n), t of shape (N, m)).  A
-    point violates if it exceeds a bound by more than `slack * max(1, scale)`
+    point violates if it exceeds a bound by more than `1e-12 * max(1, scale)`
     (pure float headroom; the inequality itself is rigorous for exact
     constants).
     """
     x, t = points
-    _require_finite("slack", slack)
     const = potential_bounds(alpha, s)
     jet = _norm_jet(s, x, t)
     v = _potential(alpha, jet)[1]
@@ -323,7 +327,7 @@ def check_sandwich(alpha: float, s: MetivierStructure, points,
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     low_excess = lo - v
     high_excess = v - hi
-    bad = (low_excess > slack * scale) | (high_excess > slack * scale)
+    bad = (low_excess > 1e-12 * scale) | (high_excess > 1e-12 * scale)
     idx = np.nonzero(bad)[0]
     violations = [(int(i), float(v[i]), float(lo[i]), float(hi[i])) for i in idx[:100]]
     return SandwichReport(

@@ -80,17 +80,17 @@ def _dissection_order(shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseSymmetricOperator:
-    """A scipy CSR matrix that is exactly symmetric, checked once on build.
+    """A scipy CSR matrix that is exactly symmetric, checked once on build,
+    with the node layout of its rows, the `grid_shape`.
 
     The input is copied to CSR with duplicates summed and indices sorted;
-    ValueError is raised unless it equals its transpose entry for entry.
-    `assemble_operator` also records the node layout, the `grid_shape`; it
-    takes no part in equality, and an operator built from a bare matrix has
-    no layout.
+    ValueError is raised unless it equals its transpose entry for entry and
+    has prod(grid_shape) rows.  The layout takes no part in equality; a
+    matrix with no grid behind it takes the flat layout (dim,).
     """
 
     matrix: sp.csr_matrix
-    grid_shape: tuple | None = field(default=None, compare=False, repr=False)
+    grid_shape: tuple = field(compare=False, repr=False)
 
     def __post_init__(self):
         a = sp.csr_matrix(self.matrix, copy=True)
@@ -98,7 +98,7 @@ class SparseSymmetricOperator:
         a.sort_indices()
         if a.shape[0] != a.shape[1] or (a != a.T).nnz:
             raise ValueError("operator is not exactly symmetric")
-        if self.grid_shape is not None and a.shape[0] != math.prod(self.grid_shape):
+        if a.shape[0] != math.prod(self.grid_shape):
             raise ValueError("node layout does not match the matrix dimension")
         object.__setattr__(self, "matrix", a)
 
@@ -111,9 +111,9 @@ class SparseSymmetricOperator:
         return int(self.matrix.nnz)
 
     @property
-    def grid_order(self) -> np.ndarray | None:
-        """Row order by nested dissection of the grid, None without a layout."""
-        return None if self.grid_shape is None else _dissection_order(self.grid_shape)
+    def grid_order(self) -> np.ndarray:
+        """Row order by nested dissection of the grid."""
+        return _dissection_order(self.grid_shape)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -240,15 +240,14 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     H - lam*I is factored P (H - lam*I) P^T = L D L^T by SuperLU in symmetric
     mode with diagonal pivots only, and the count is the number of negative
     pivots in D: exact for the assembled matrix up to the factorisation's
-    backward error.  P is the nested-dissection `grid_order` when the
-    operator carries its grid (as `assemble_operator`'s do) and SuperLU's
-    MMD ordering of A^T + A otherwise; the count does not depend on P, but
-    `smallest_pivot` and `fill` do.  ValueError is raised when the smallest
-    |pivot| is below PIVOT_RTOL * |H - lam*I|_inf (lam on an eigenvalue, as
-    for a diagonal H), and when SuperLU took an off-diagonal pivot, which
-    voids the congruence.  The pivot test does not certify a gap: a shift
-    within rounding of an eigenvalue whose eigenvector is small where
-    elimination ends can pass it, and its count may then be off by one.
+    backward error.  P is the operator's nested-dissection `grid_order`; the
+    count does not depend on P, but `smallest_pivot` and `fill` do (a flat
+    layout of a box fills several times more).  ValueError is raised when the
+    smallest |pivot| is below PIVOT_RTOL * |H - lam*I|_inf (lam on an
+    eigenvalue, as for a diagonal H), and when SuperLU took an off-diagonal
+    pivot, which voids the congruence.  The pivot test does not certify a
+    gap: a shift within rounding of an eigenvalue whose eigenvector is small
+    where elimination ends can pass it, and its count may then be off by one.
 
     `is_lower_bound` is always False, `smallest_pivot` is min |D| and `fill`
     is the factor's stored entries, L.nnz + U.nnz.
@@ -260,12 +259,11 @@ def eigen_count_below(h: SparseSymmetricOperator, lam: float,
     _require_finite("tol", tol, positive=True)
     import scipy.sparse.linalg as spla  # deferred, see the module imports
     order = h.grid_order
-    a = h.matrix if order is None else h.matrix[order][:, order]
-    shifted = (a - lam * sp.identity(h.dim, format="csr")).tocsc()
+    shifted = (h.matrix[order][:, order] - lam * sp.identity(h.dim, format="csr")).tocsc()
     on_eigenvalue = f"lam = {lam} sits on an eigenvalue to working precision"
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as exc:  # SuperLU met an exactly zero pivot
         raise ValueError(f"{on_eigenvalue} ({exc})") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):

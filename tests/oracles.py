@@ -235,7 +235,7 @@ def unblocked_weyl_records(alpha, s, psi, n_values, grid, lam):
         if abs(count * grid.ht - (hi - lo)) > 1e-9:
             count = math.ceil((hi - lo) / grid.ht)
         union = QuadratureGrid(s, grid.x_half, 0.5 * count * grid.ht, grid.nx, count,
-                               grid.center_x, 0.5 * (lo + hi) * e1)
+                               0.5 * (lo + hi) * e1)
         xu, tu = meshgrid_nodes(union)
         diff = weyl_sequence(s, psi, n).value(xu, tu) - weyl_sequence(s, psi, m).value(xu, tu)
         records.append((n, residual, psi_norm, float(np.sum(diff * diff)) * union.cell_volume))

@@ -104,6 +104,36 @@ def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
     assert out == "" and "physical memory" in err
 
 
+@pytest.mark.parametrize("command", [["potential", "--alpha", "2.5", "--nx", "4", "--nt", "4"],
+                                     ["verify", "--samples", "100"]], ids=["potential", "verify"])
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 1, "m": 1, "J": [[[NaN, 1.0], [-1.0, 0.0]]]}',
+     "maps must be finite, got [[[nan, 1.0], [-1.0, 0.0]]]"),
+    ('{"n": 1, "m": 1, "J": [[[0.0, Infinity], [-Infinity, 0.0]]]}',
+     "maps must be finite, got [[[0.0, inf], [-inf, 0.0]]]"),
+    ('{"n": 1, "m": 1}', 'a structure needs the keys "n", "m" and "J"'),
+    ("[1, 2, 3]", 'a structure needs the keys "n", "m" and "J"')],
+    ids=["nan", "infinity", "no_J", "list"])
+def test_bad_structure_file_exits_with_one_error_line(command, text, message, tmp_path, capsys):
+    """A structure file with non-finite maps, without "J", or not a JSON object:
+    exit 1 with one error line and nothing else, on stderr or stdout."""
+    sf = tmp_path / "bad.json"
+    sf.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")    # printed to stderr, as outside the suite
+        assert run(command + ["--structure", str(sf)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_empty_points_file_exits_with_one_error_line(tmp_path, capsys):
+    pts = tmp_path / "empty.csv"
+    pts.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")    # printed to stderr, as outside the suite
+        assert run(["potential", "--alpha", "2.5", "--points", str(pts)]) == 1
+    assert capsys.readouterr() == ("", f"error: points file {pts} holds no points\n")
+
+
 def test_structure_json_loading(tmp_path):
     s = MetivierStructure(n=1, m=1, maps=np.array([[[0.0, 1.0], [-1.0, 0.0]]]))
     sf = tmp_path / "heis.json"

@@ -324,7 +324,8 @@ def test_conjugation_residual_evaluates_one_jet(heis, monkeypatch):
 
 def test_weyl_sequence_translates(heis):
     bump = SmoothBump(1.0, 1.0)
-    assert weyl_sequence(heis, bump, 0) is bump
+    x0, t0 = np.array([[0.2, 0.1], [0.9, -0.3]]), np.array([[0.3], [-0.5]])
+    assert np.array_equal(weyl_sequence(heis, bump, 0).value(x0, t0), bump.value(x0, t0))
     psi4 = weyl_sequence(heis, bump, 4)
     x = np.array([[0.2, 0.1]])
     assert psi4.value(x, np.array([[4.3]]))[0] == pytest.approx(
@@ -430,9 +431,9 @@ def test_weyl_residual_growth(heis):
 
 
 def _quaternion_grid(s):
-    """5^7 nodes, not a multiple of the block; the x-shift keeps the identity
+    """5^7 nodes, not a multiple of the block; the t-shift keeps the identity
     off the nodes, and the box still covers the unit bump."""
-    return QuadratureGrid(s, 1.2, 1.0, 5, 5, center_x=[0.1, 0.0, 0.0, 0.0])
+    return QuadratureGrid(s, 1.0, 1.2, 5, 5, center_t=[0.1, 0.0, 0.0])
 
 
 def _blocks(grid, rows=None):
@@ -565,14 +566,12 @@ def _assert_sums_match_oracle(s, f, grid, n_values=()):
 
 def test_support_sums_on_off_centre_boxes_match_oracle(heis, quaternion):
     """The support rows are taken around the bump's centre, not the box's: on
-    boxes shifted in x and in t that still cover the unit bump, the sums agree
-    with the whole-grid oracles."""
+    boxes shifted in t that still cover the unit bump, the sums agree with the
+    whole-grid oracles."""
     bump = SmoothBump(1.0, 1.0)
-    for grid in (QuadratureGrid(heis, 1.25, 1.25, 30, 30, center_x=[0.2, -0.1],
-                                center_t=[0.15]),
-                 QuadratureGrid(quaternion, 1.2, 1.15, 5, 5, center_x=[0.1, 0.0, -0.15, 0.0],
-                                center_t=[0.1, 0.0, -0.1])):
-        assert grid.covers(bump) and np.any(grid.center_x) and np.any(grid.center_t)
+    for grid in (QuadratureGrid(heis, 1.25, 1.25, 30, 30, center_t=[0.15]),
+                 QuadratureGrid(quaternion, 1.2, 1.15, 5, 5, center_t=[0.1, 0.0, -0.1])):
+        assert grid.covers(bump) and np.any(grid.center_t)
         rows = forms._support_rows(grid, bump)
         assert 0 < len(rows[0]) * len(rows[1]) < grid.dim
         _assert_sums_match_oracle(grid.s, bump, grid, [2, 5])

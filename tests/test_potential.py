@@ -147,6 +147,20 @@ def test_laplacian_weight_value_and_fd(heis):
     assert float(laplacian_weight_xt(2.0, heis, [0, 0], [1.0])) == 0.0
 
 
+def test_weight_kernels_read_zero_where_the_weight_underflows(heis):
+    """At alpha = 300, N^alpha overflows at |x| = 30 and 3 and w_alpha underflows:
+    grad_H w and L w read 0 there, with no RuntimeWarning (the suite turns one
+    into an error), and a point inside the unit ball keeps its one-point value.
+    An L w bracket that overflows where w_alpha does not is refused, naming alpha."""
+    x, t = np.array([[30.0, 0.0], [3.0, 0.0], [0.5, 0.2]]), np.array([[0.0], [0.0], [0.1]])
+    lap, grad = laplacian_weight_xt(300.0, heis, x, t), grad_weight_xt(300.0, heis, x, t)
+    assert np.array_equal(lap[:2], [0.0, 0.0]) and np.array_equal(grad[:2], np.zeros((2, 2)))
+    assert lap[2] == laplacian_weight_xt(300.0, heis, x[2:], t[2:])[0] and lap[2] != 0.0
+    assert np.array_equal(grad[2], grad_weight_xt(300.0, heis, x[2:], t[2:])[0])
+    with pytest.raises(ValueError, match=r"alpha = 1e\+300 overflows L w_alpha"):
+        laplacian_weight_xt(1e300, heis, [[1.0, 0.0]], [[0.0]])
+
+
 def test_laplacian_weight_fd_random(heis):
     rng = np.random.default_rng(5)
     for alpha in (2.0, 3.0):
@@ -296,6 +310,22 @@ def test_check_sandwich_refuses_an_overflowing_potential(heis):
     x, t = random_points(heis, 200, seed=0, box=3.0)
     with pytest.raises(ValueError, match=r"alpha = 500\.0 overflows V_alpha"):
         check_sandwich(500.0, heis, (x, t))
+
+
+def test_check_sandwich_reports_violations(heis, monkeypatch):
+    """Bounds narrowed past V_alpha by 1e-6 of their size are reported at every
+    point, with the excess on each side; the true bounds hold there."""
+    x, t = random_points(heis, 10, seed=12)
+    assert check_sandwich(3.0, heis, (x, t)).n_violations == 0
+    true = potential._sandwich
+
+    def narrowed(const, x2, n):
+        lo, hi = true(const, x2, n)
+        return lo + 1e-6 * (1.0 + np.abs(lo)), hi - 1e-6 * (1.0 + np.abs(hi))
+    monkeypatch.setattr(potential, "_sandwich", narrowed)
+    rep = check_sandwich(3.0, heis, (x, t))
+    assert rep.n_violations == 10 and [v[0] for v in rep.violations] == list(range(10))
+    assert rep.max_low_violation > 0.0 and rep.max_high_violation > 0.0
 
 
 def test_sandwich_bounds_refuse_other_structure(heis, quaternion):
@@ -568,8 +598,3 @@ def test_kernels_reject_non_finite_alpha(heis):
             cylinder_sup_potential(alpha, heis)
         with pytest.raises(ValueError, match="alpha"):
             admissibility(alpha, heis)
-    # a NaN slack made every comparison false, hiding real violations
-    assert check_sandwich(3.0, heis, (x, t), slack=-1.0).n_violations > 0
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="slack"):
-            check_sandwich(3.0, heis, (x, t), slack=bad)

@@ -134,7 +134,8 @@ def test_assembly_rejects_non_finite_input(heis):
 def test_operator_layout_must_match_the_matrix(heis):
     op = assemble_operator(3.0, heis, Grid3(heis, 1.0, 1.0, 4, 4))
     assert op.grid_shape == (4, 4, 4)
-    assert SparseSymmetricOperator(op.matrix).grid_order is None
+    flat = SparseSymmetricOperator(op.matrix, grid_shape=(op.dim,))
+    assert np.array_equal(np.sort(flat.grid_order), np.arange(op.dim))
     with pytest.raises(ValueError, match="layout"):
         SparseSymmetricOperator(op.matrix, grid_shape=(4, 4, 5))
 
@@ -176,7 +177,7 @@ def test_consistency_bump_converges(heis):
 
 
 def test_lanczos_diagonal():
-    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 41.0)))
+    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 41.0)), grid_shape=(40,))
     r = lanczos_lowest(op, k=5, tol=1e-10, seed=0)
     assert np.allclose(r.eigenvalues, [1, 2, 3, 4, 5], atol=1e-9)
     assert r.converged and np.all(r.residual_norms <= 1e-9)
@@ -193,8 +194,8 @@ def test_lanczos_dense_oracle(heis):
 def test_lanczos_validation():
     asym = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="symmetric"):
-        SparseSymmetricOperator(asym)
-    good = SparseSymmetricOperator(sp.identity(5, format="csr"))
+        SparseSymmetricOperator(asym, grid_shape=(2,))
+    good = SparseSymmetricOperator(sp.identity(5, format="csr"), grid_shape=(5,))
     with pytest.raises(ValueError, match="dimension"):
         lanczos_lowest(good, k=5)
     for tol in (np.nan, np.inf, 0.0, -1e-8):
@@ -205,7 +206,7 @@ def test_lanczos_validation():
 def test_lanczos_determinism():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((60, 60))
-    op = SparseSymmetricOperator(sp.csr_matrix(a + a.T))
+    op = SparseSymmetricOperator(sp.csr_matrix(a + a.T), grid_shape=(60,))
     r1 = lanczos_lowest(op, k=4, tol=1e-10, seed=9)
     r2 = lanczos_lowest(op, k=4, tol=1e-10, seed=9)
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
@@ -223,13 +224,13 @@ def test_lanczos_nonconvergence_reported(heis):
 def test_lanczos_degenerate_pairs():
     """Exact multiplicities are recovered (restart logic)."""
     d = sp.diags(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0]))
-    op = SparseSymmetricOperator(d)
+    op = SparseSymmetricOperator(d, grid_shape=(10,))
     r = lanczos_lowest(op, k=5, tol=1e-10, max_iter=200, seed=3)
     assert np.allclose(r.eigenvalues, [1, 1, 2, 2, 3], atol=1e-8)
 
 
 def test_eigen_count_below():
-    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 11.0)))
+    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 11.0)), grid_shape=(10,))
     c = eigen_count_below(op, 5.5, budget=9)
     assert c.count == 5 and not c.is_lower_bound
     c0 = eigen_count_below(op, 0.5, budget=9)
@@ -244,7 +245,7 @@ def test_eigen_count_below():
 
 
 def test_eigen_count_refuses_shift_on_eigenvalue():
-    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 11.0)))
+    op = SparseSymmetricOperator(sp.diags(np.arange(1.0, 11.0)), grid_shape=(10,))
     with pytest.raises(ValueError, match="eigenvalue"):
         eigen_count_below(op, 3.0)
     # a shift 1e-12 off an eigenvalue factors, but its pivot is below the guard
@@ -256,13 +257,13 @@ def test_eigen_count_refuses_shift_on_eigenvalue():
 
 def test_grid_order_cuts_fill_on_the_count_box(heis):
     """The large spectral-count box at level 3.1: the nested-dissection order of
-    the assembled operator and SuperLU's MMD order of the same bare matrix give
+    the assembled operator's grid and of a flat layout of the same matrix give
     the dense count, 36, and the grid order stores fewer factor entries."""
     op = assemble_operator(2.0, heis, Grid3(heis, 2.0, 16.0, 8, 32))
     by_grid = eigen_count_below(op, 3.1)
-    by_mmd = eigen_count_below(SparseSymmetricOperator(op.matrix), 3.1)
-    assert by_grid.count == by_mmd.count == 36
-    assert by_grid.fill < by_mmd.fill
+    by_flat = eigen_count_below(SparseSymmetricOperator(op.matrix, grid_shape=(op.dim,)), 3.1)
+    assert by_grid.count == by_flat.count == 36
+    assert by_grid.fill < by_flat.fill
 
 
 def test_eigen_count_matches_dense(heis):
