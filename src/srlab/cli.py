@@ -95,59 +95,78 @@ def _json(config: dict, payload: dict) -> str:
 
 
 def _load_structure(source: str) -> MetivierStructure:
+    """Heisenberg, or the structure in a JSON file {"n", "m", "J", optional "h_type" claim}."""
     if source == "heisenberg":
         return make_heisenberg()
     try:
         with open(source) as fh:
-            return MetivierStructure.from_json(fh.read())
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"structure file not found: {source}")
+    try:
+        n, m, maps = doc["n"], doc["m"], np.asarray(doc["J"], dtype=float)
+    except (KeyError, TypeError):   # a missing key, or `doc` not a JSON object
+        raise ValueError('a structure needs the keys "n", "m" and "J"') from None
+    if type(n) is not int or type(m) is not int:   # bool is not int here
+        raise ValueError(f'a structure\'s "n" and "m" must be JSON integers, '
+                         f"got {json.dumps(n)} and {json.dumps(m)}")
+    s = MetivierStructure(n, m, maps)
+    if doc.get("h_type", False) and not s.h_type:
+        raise ValueError(f"h_type claimed but J_t^2 != -|t|^2 Id "
+                         f"(defect {s._clifford_defect:.3e})")
+    return s
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str):
+def _add_common(p: argparse.ArgumentParser, default_format: str, runner):
+    """The options every subcommand shares, and its runner; --seed sits where the echo has it."""
     p.add_argument("--structure", default="heisenberg",
                    help="builtin name 'heisenberg' or path to a structure JSON")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    p.set_defaults(run=runner)
 
 
 def build_parser() -> _Parser:
+    """The command line, echoed as the config but --output and --format, in declared order."""
     p = _Parser(prog="srlab", description=__doc__.splitlines()[0])
     subs = p.add_subparsers(dest="command", required=True)
 
     v = subs.add_parser("verify", help="run the structural invariant suite")
-    _add_common(v, "csv")
+    _add_common(v, "csv", _run_verify)
     v.add_argument("--samples", type=int, default=10_000)
+    v.add_argument("--seed", type=int, default=0)
 
     g = subs.add_parser("gamma", help="estimate the quasi-triangle constant (lower bound)")
-    _add_common(g, "json")
+    _add_common(g, "json", _run_gamma)
     g.add_argument("--samples", type=int, default=100_000)
+    g.add_argument("--seed", type=int, default=0)
 
     q = subs.add_parser("potential", help="evaluate V_alpha with sandwich bounds")
-    _add_common(q, "csv")
+    _add_common(q, "csv", _run_potential)
     q.add_argument("--alpha", type=float, required=True)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--points", default=None,
+                   help="CSV file of coordinates x1..x2n,t1..tm (overrides the grid)")
     q.add_argument("--lx", type=float, default=2.0)
     q.add_argument("--lt", type=float, default=2.0)
     q.add_argument("--nx", type=int, default=8)
     q.add_argument("--nt", type=int, default=8)
-    q.add_argument("--points", default=None,
-                   help="CSV file of coordinates x1..x2n,t1..tm (overrides the grid)")
 
     w = subs.add_parser("weyl", help="central-translate residual experiment")
-    _add_common(w, "csv")
+    _add_common(w, "csv", _run_weyl)
     w.add_argument("--alpha", type=float, required=True)
     w.add_argument("--n-max", type=int, default=64)
-    w.add_argument("--lambda", dest="lam", type=float, default=None,
+    w.add_argument("--lambda", type=float, default=None,
                    help="spectral shift (default: auto from the potential floor)")
     w.add_argument("--grid", type=int, default=None,
                    help="quadrature points per axis (default: the largest even count "
                         "<= 48 with count^(2n+m) <= 48^3 nodes)")
     w.add_argument("--x-radius", type=float, default=1.0)
     w.add_argument("--t-radius", type=float, default=1.0)
+    w.add_argument("--seed", type=int, default=0)
 
     sp = subs.add_parser("spectrum", help="lowest eigenvalues of the discretised operator")
-    _add_common(sp, "json")
+    _add_common(sp, "json", _run_spectrum)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--lx", type=float, default=3.0)
     sp.add_argument("--lt", type=float, default=8.0)
@@ -156,9 +175,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=5)
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--max-iter", type=int, default=3000)
+    sp.add_argument("--seed", type=int, default=0)
 
     t = subs.add_parser("thinness", help="sublevel-set thinness integral")
-    _add_common(t, "json")
+    _add_common(t, "json", _run_thinness)
     t.add_argument("--alpha", type=float, required=True)
     t.add_argument("--m-level", type=float, required=True)
     t.add_argument("--r", type=float, default=1.0)
@@ -166,6 +186,7 @@ def build_parser() -> _Parser:
     t.add_argument("--truncation", type=float, default=64.0)
     t.add_argument("--outer", type=int, default=100_000)
     t.add_argument("--inner", type=int, default=10_000)
+    t.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -221,19 +242,16 @@ def _run_verify(args, s):
     rows = [(name, value, bound, "pass" if value <= bound else "FAIL")
             for name, value, bound in checks]
     ok = all(v <= b for _, v, b in checks)
-    config = {"command": "verify", "structure": args.structure, "samples": args.samples,
-              "seed": args.seed, "c0": est.c0, "C0": est.C0}
     header = ["check", "value", "bound", "status"]
-    return (config, header, rows, {"checks": [dict(zip(header, r)) for r in rows]},
+    return ({"c0": est.c0, "C0": est.C0}, header, rows,
+            {"checks": [dict(zip(header, r)) for r in rows]},
             EXIT_OK if ok else EXIT_VALIDATION)
 
 
 def _run_gamma(args, s):
     est = estimate_gamma(s, args.samples, seed=args.seed)
-    config = {"command": "gamma", "structure": args.structure,
-              "samples": args.samples, "seed": args.seed,
-              "note": "gamma_hat is a sampled lower bound on the true constant"}
-    return (config, ["gamma_hat", "samples", "seed"],
+    return ({"note": "gamma_hat is a sampled lower bound on the true constant"},
+            ["gamma_hat", "samples", "seed"],
             [(est.gamma_hat, est.samples, est.seed)], {"gamma_hat": est.gamma_hat}, EXIT_OK)
 
 
@@ -256,11 +274,8 @@ def _run_potential(args, s):
     jet = potential._norm_jet(s, x, t)
     v = potential._potential(args.alpha, jet)[1]
     lo, hi = potential._sandwich(const, jet.x2, jet.n)
-    config = {"command": "potential", "structure": args.structure, "alpha": args.alpha,
-              "seed": args.seed, "points": args.points or "grid",
-              "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,
-              "c_a1": const.c_a1, "c_a2": const.c_a2, "c_a3": const.c_a3,
-              "c_a4": const.c_a4}
+    config = {"points": args.points or "grid", "c_a1": const.c_a1, "c_a2": const.c_a2,
+              "c_a3": const.c_a3, "c_a4": const.c_a4}
     header = ([f"x{i+1}" for i in range(s.horizontal_dim)]
               + [f"t{k+1}" for k in range(s.m)]
               + ["N", "grad_norm_sq", "LN", "V_alpha", "lower_bound", "upper_bound"])
@@ -285,12 +300,9 @@ def _run_weyl(args, s):
     n_values = [n for n in (2 ** k for k in range(1, 30)) if n <= args.n_max]
     if n_values[-1] != args.n_max:
         n_values.append(args.n_max)
-    scan = forms.weyl_scan(args.alpha, s, bump, n_values, grid, lam=args.lam,
+    scan = forms.weyl_scan(args.alpha, s, bump, n_values, grid, lam=vars(args)["lambda"],
                            seed=args.seed)
-    config = {"command": "weyl", "structure": args.structure, "alpha": args.alpha,
-              "n_max": args.n_max, "lambda": scan.lam, "grid": per_axis,
-              "x_radius": args.x_radius, "t_radius": args.t_radius,
-              "seed": args.seed, "sup_cylinder": scan.sup_cylinder,
+    config = {"lambda": scan.lam, "grid": per_axis, "sup_cylinder": scan.sup_cylinder,
               "psi_norm": scan.psi_norm, "L_psi_norm": scan.l_psi_norm}
     header = ["n", "residual", "bound", "psi_norm"]
     rows = [(r.n_index, r.residual, scan.bound, r.psi_norm) for r in scan.records]
@@ -302,16 +314,12 @@ def _run_spectrum(args, s):
     op = spectral.assemble_operator(args.alpha, s, grid)
     result = spectral.lanczos_lowest(op, k=args.k, tol=args.tol,
                                      max_iter=args.max_iter, seed=args.seed, grid=grid)
-    config = {"command": "spectrum", "structure": args.structure, "alpha": args.alpha,
-              "lx": args.lx, "lt": args.lt, "nx": args.nx, "nt": args.nt,
-              "k": args.k, "tol": args.tol, "max_iter": args.max_iter,
-              "seed": args.seed, "dim": op.dim}
     payload = {"grid": grid.describe(), "eigenvalues": result.eigenvalues,
                "residuals": result.residual_norms, "iterations": result.iterations,
                "converged": result.converged}
     rows = [(i, ev, res) for i, (ev, res)
             in enumerate(zip(result.eigenvalues, result.residual_norms))]
-    return (config, ["index", "eigenvalue", "residual"], rows, payload,
+    return ({"dim": op.dim}, ["index", "eigenvalue", "residual"], rows, payload,
             EXIT_OK if result.converged else EXIT_NO_CONVERGENCE)
 
 
@@ -321,24 +329,8 @@ def _run_thinness(args, s):
                                      truncation_T=args.truncation,
                                      outer_samples=args.outer,
                                      inner_samples=args.inner, seed=args.seed)
-    config = {"command": "thinness", "structure": args.structure, "alpha": args.alpha,
-              "m_level": args.m_level, "r": args.r, "ell": args.ell,
-              "truncation": args.truncation, "outer": args.outer,
-              "inner": args.inner, "seed": args.seed}
     d = asdict(est)
-    return config, list(d), [tuple(d.values())], {"estimate": d}, EXIT_OK
-
-
-# Each runner maps (args, structure) to (config, CSV header, CSV rows, JSON payload,
-# exit code); the rows are a list of tuples or, for an all-float table, one ndarray.
-_RUNNERS = {
-    "verify": _run_verify,
-    "gamma": _run_gamma,
-    "potential": _run_potential,
-    "weyl": _run_weyl,
-    "spectrum": _run_spectrum,
-    "thinness": _run_thinness,
-}
+    return {}, list(d), [tuple(d.values())], {"estimate": d}, EXIT_OK
 
 
 def run(argv) -> int:
@@ -351,7 +343,12 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         s = _load_structure(args.structure)
-        config, header, rows, payload, code = _RUNNERS[args.command](args, s)
+        # a runner returns (config, CSV header, CSV rows, JSON payload, exit code); its config
+        # resolves defaults in place and appends derived values; the rows are a list of
+        # tuples or, for an all-float table, one ndarray
+        config = {k: v for k, v in vars(args).items() if k not in ("output", "format", "run")}
+        extra, header, rows, payload, code = args.run(args, s)
+        config.update(extra)
         text = _csv(config, header, rows) if args.format == "csv" else _json(config, payload)
         if args.output:
             with open(args.output, "w") as fh:

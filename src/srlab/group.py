@@ -18,7 +18,6 @@ horizontal fields X_1 = d/dx_1 + (x_2/2) d/dt and X_2 = d/dx_2 - (x_1/2) d/dt.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -148,28 +147,6 @@ class MetivierStructure:
                 t is not None and np.shape(t)[-1:] != (self.m,)):
             raise ValueError(f"coordinate dims {np.shape(x)}/{np.shape(t)} do not match "
                              f"structure (2n={self.horizontal_dim}, m={self.m})")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "J": self.maps.tolist(), "h_type": self.h_type}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetivierStructure":
-        """The structure of `d`; a missing key or a false "h_type" claim raises ValueError."""
-        try:
-            s = cls(n=int(d["n"]), m=int(d["m"]), maps=np.asarray(d["J"], dtype=float))
-        except (KeyError, TypeError):   # a missing key, or `d` not a mapping
-            raise ValueError('a structure needs the keys "n", "m" and "J"') from None
-        if d.get("h_type", False) and not s.h_type:
-            raise ValueError(f"h_type claimed but J_t^2 != -|t|^2 Id "
-                             f"(defect {s._clifford_defect:.3e})")
-        return s
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetivierStructure":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

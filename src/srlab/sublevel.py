@@ -220,6 +220,8 @@ def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
     over the x-range, with kappa the bound |sum_k (J_k a, b) u_k| <= kappa |a| |b|
     from the maps' largest singular values.
     """
+    if 0.25 * r * r == math.inf:
+        raise ValueError(f"r = {r} overflows the central reach r^2/4 of a ball")
     kappa = float(np.sqrt(np.sum(s._map_singular_values[:, 0] ** 2)))
     return 0.25 * r * r + 0.5 * kappa * xc_norm * (xc_norm + r)
 

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import signal
 
 import numpy as np
@@ -59,6 +60,12 @@ def skew_structures(draw, n_range=(1, 2), m_range=(1, 2)):
     for k in range(m):
         maps[k][upper] = entries[k * upper[0].size:(k + 1) * upper[0].size]
     return MetivierStructure(n=n, m=m, maps=maps - np.swapaxes(maps, 1, 2))
+
+
+def write_structure(path, s, **extra):
+    """Write `s` to `path` as a structure file {"n", "m", "J"} plus the `extra` keys."""
+    path.write_text(json.dumps({"n": s.n, "m": s.m, "J": s.maps.tolist(), **extra}))
+    return path
 
 
 def count_calls(monkeypatch, name, *modules):

@@ -10,7 +10,7 @@ from srlab import cli
 from srlab.cli import run
 from srlab.group import MetivierStructure
 
-from conftest import quaternion_maps
+from conftest import quaternion_maps, write_structure
 
 
 def invoke(args, tmp_path, name="out.txt"):
@@ -98,7 +98,7 @@ def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
     the bump's support, 11 TB of psi and L psi: refused with exit 1 before any
     sampling, and nothing on stdout."""
     sf = tmp_path / "quaternion.json"
-    sf.write_text(MetivierStructure(n=2, m=3, maps=quaternion_maps()).to_json())
+    write_structure(sf, MetivierStructure(n=2, m=3, maps=quaternion_maps()))
     assert run(["weyl", "--structure", str(sf), "--alpha", "2", "--grid", "64"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "physical memory" in err
@@ -112,11 +112,16 @@ def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
     ('{"n": 1, "m": 1, "J": [[[0.0, Infinity], [-Infinity, 0.0]]]}',
      "maps must be finite, got [[[0.0, inf], [-inf, 0.0]]]"),
     ('{"n": 1, "m": 1}', 'a structure needs the keys "n", "m" and "J"'),
-    ("[1, 2, 3]", 'a structure needs the keys "n", "m" and "J"')],
-    ids=["nan", "infinity", "no_J", "list"])
+    ("[1, 2, 3]", 'a structure needs the keys "n", "m" and "J"'),
+    ('{"n": 1.9, "m": true, "J": [[[0.0, 1.0], [-1.0, 0.0]]]}',
+     'a structure\'s "n" and "m" must be JSON integers, got 1.9 and true'),
+    ('{"n": "1", "m": 1, "J": [[[0.0, 1.0], [-1.0, 0.0]]]}',
+     'a structure\'s "n" and "m" must be JSON integers, got "1" and 1')],
+    ids=["nan", "infinity", "no_J", "list", "float_bool_dims", "string_dim"])
 def test_bad_structure_file_exits_with_one_error_line(command, text, message, tmp_path, capsys):
-    """A structure file with non-finite maps, without "J", or not a JSON object:
-    exit 1 with one error line and nothing else, on stderr or stdout."""
+    """A structure file with non-finite maps, without "J", not a JSON object, or
+    with an n or m that is not a JSON integer: exit 1 with one error line and
+    nothing else, on stderr or stdout."""
     sf = tmp_path / "bad.json"
     sf.write_text(text)
     with warnings.catch_warnings():
@@ -137,7 +142,7 @@ def test_empty_points_file_exits_with_one_error_line(tmp_path, capsys):
 def test_structure_json_loading(tmp_path):
     s = MetivierStructure(n=1, m=1, maps=np.array([[[0.0, 1.0], [-1.0, 0.0]]]))
     sf = tmp_path / "heis.json"
-    sf.write_text(s.to_json())
+    write_structure(sf, s)
     code, payload = invoke(["gamma", "--structure", str(sf), "--samples", "100"],
                            tmp_path, "g2.json")
     assert code == 0
@@ -242,7 +247,7 @@ def test_weyl_seed_reaches_nothing(tmp_path, aniso):
     """Off H-type too the Weyl scan samples nothing: --seed 1 and --seed 2
     give the same rows."""
     sf = tmp_path / "aniso.json"
-    sf.write_text(aniso.to_json())
+    write_structure(sf, aniso)
     rows = []
     for seed in ("1", "2"):
         code, payload = invoke(["weyl", "--structure", str(sf), "--alpha", "1.5", "--n-max", "4",
@@ -271,7 +276,7 @@ def test_weyl_names_alpha_overflowing_the_potential(structure, tmp_path, aniso, 
     output" after three RuntimeWarnings): one error line naming alpha."""
     if structure == "aniso":
         structure = tmp_path / "aniso.json"
-        structure.write_text(aniso.to_json())
+        write_structure(structure, aniso)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         assert run(["weyl", "--alpha", "300", "--n-max", "4", "--grid", "4",
@@ -287,7 +292,7 @@ def test_weyl_default_grid_scales_with_the_structure(tmp_path, aniso):
     finishes in seconds (48 per axis, 255M nodes, ran for minutes); Heisenberg
     keeps 48, byte for byte as an explicit --grid 48."""
     sf = tmp_path / "aniso.json"
-    sf.write_text(aniso.to_json())
+    write_structure(sf, aniso)
     start = time.perf_counter()
     code, payload = invoke(["weyl", "--structure", str(sf), "--alpha", "1"], tmp_path, "wa.csv")
     assert code == 0 and time.perf_counter() - start < 30.0
@@ -297,6 +302,29 @@ def test_weyl_default_grid_scales_with_the_structure(tmp_path, aniso):
     _, explicit = invoke(["weyl", "--alpha", "1", "--n-max", "4", "--grid", "48"],
                          tmp_path, "wg.csv")
     assert code == 0 and "# grid = 48\n" in default.decode() and default == explicit
+
+
+@pytest.mark.parametrize("command, keys", [
+    (["verify"], "command structure samples seed c0 C0"),
+    (["gamma"], "command structure samples seed note"),
+    (["potential", "--alpha", "3"],
+     "command structure alpha seed points lx lt nx nt c_a1 c_a2 c_a3 c_a4"),
+    (["weyl", "--alpha", "3"], "command structure alpha n_max lambda grid x_radius "
+                               "t_radius seed sup_cylinder psi_norm L_psi_norm"),
+    (["spectrum", "--alpha", "3"],
+     "command structure alpha lx lt nx nt k tol max_iter seed dim"),
+    (["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2"],
+     "command structure alpha m_level r ell truncation outer inner seed")],
+    ids=["verify", "gamma", "potential", "weyl", "spectrum", "thinness"])
+def test_config_echo_order(command, keys, tmp_path):
+    """With its defaults, each subcommand's CSV header echoes the options in
+    the order --help lists them, resolved defaults in place, then the derived
+    values; --output and --format are not echoed."""
+    code, payload = invoke(command + ["--format", "csv"], tmp_path, "echo.csv")
+    assert code == 0
+    echoed = [ln[2:].split(" = ")[0] for ln in payload.decode().splitlines()
+              if ln.startswith("# ")]
+    assert echoed == keys.split()
 
 
 def test_byte_reproducibility(tmp_path):
@@ -483,6 +511,17 @@ def test_thinness_refuses_ell_overflowing_a_score(capsys):
     assert err == "error: ell = 1e+300 overflows a member score v_hat^ell / q\n"
 
 
+def test_thinness_names_r_overflowing_the_central_reach(capsys):
+    """r^2/4 overflows at r = 1e200: one error line naming r, and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert run(["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+                    "--r", "1e200", "--outer", "10", "--inner", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: r = 1e+200 overflows the central reach r^2/4 of a ball\n"
+
+
 def test_h_type_claim_changes_no_output(tmp_path, aniso, capsys):
     """The maps decide h_type: a quaternion file claiming it, denying it or
     silent on it gives the same stdout, and a false claim is refused."""
@@ -499,7 +538,7 @@ def test_h_type_claim_changes_no_output(tmp_path, aniso, capsys):
             assert run(command + ["--structure", str(sf)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    sf.write_text(json.dumps({**aniso.to_dict(), "h_type": True}))
+    write_structure(sf, aniso, h_type=True)
     assert run(["verify", "--structure", str(sf)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+from srlab.cli import _load_structure
 from srlab.forms import horizontal_coefficients
 from srlab.group import (GroupPoint, MetivierStructure, _dot, homogeneous_dimension,
                          make_heisenberg, product, uniform_ball, unit_sample, verify_metivier)
 
 import oracles
-from conftest import ROT, random_points, skew_structures
+from conftest import ROT, random_points, skew_structures, write_structure
 
 
 def test_heisenberg_canonical(heis):
@@ -45,9 +45,9 @@ def test_skew_validation_rejected():
         MetivierStructure(n=1, m=2, maps=ROT[None])
 
 
-def test_h_type_flag_validated(aniso, quaternion):
+def test_h_type_flag_validated(aniso, quaternion, tmp_path):
     """h_type is whether the maps meet the Clifford relations: no argument sets
-    it, and a dict's claim is checked, never trusted."""
+    it, and a structure file's claim is checked, never trusted."""
     assert quaternion.h_type and not aniso.h_type
     with pytest.raises(TypeError):
         MetivierStructure(n=2, m=3, maps=quaternion.maps, h_type=True)
@@ -56,12 +56,13 @@ def test_h_type_flag_validated(aniso, quaternion):
     maps[2, 0, 3] += 1e-9
     maps[2, 3, 0] -= 1e-9
     assert not MetivierStructure(n=2, m=3, maps=maps).h_type
+    sf = tmp_path / "structure.json"
     for claim in ({"h_type": False}, {}):
-        s = MetivierStructure.from_dict({"n": 2, "m": 3, "J": quaternion.maps.tolist(), **claim})
+        s = _load_structure(str(write_structure(sf, quaternion, **claim)))
         assert s.h_type and s._condition_extremes == (1.0, 1.0)
-    for bad in (aniso.to_dict(), {"n": 2, "m": 3, "J": maps.tolist()}):
+    for bad in (aniso, MetivierStructure(n=2, m=3, maps=maps)):
         with pytest.raises(ValueError, match=r"h_type claimed .* \(defect \d"):
-            MetivierStructure.from_dict({**bad, "h_type": True})
+            _load_structure(str(write_structure(sf, bad, h_type=True)))
 
 
 def test_group_product_example(heis):
@@ -325,14 +326,12 @@ def test_uniform_ball_refuses_bad_input(dim, count, radius):
         uniform_ball(np.random.default_rng(0), count, dim, radius)
 
 
-def test_serialization_round_trip(aniso):
-    text = aniso.to_json()
-    back = MetivierStructure.from_json(text)
-    assert back.n == aniso.n and back.m == aniso.m
-    assert np.array_equal(back.maps, aniso.maps)
-    assert back.h_type == aniso.h_type
-    doc = json.loads(text)
-    assert set(doc) == {"n", "m", "J", "h_type"}
+def test_structure_file_read(aniso, tmp_path):
+    """A structure file reads back with equal dimensions, bit-equal maps and
+    the same h_type."""
+    back = _load_structure(str(write_structure(tmp_path / "aniso.json", aniso)))
+    assert (back.n, back.m, back.h_type) == (aniso.n, aniso.m, aniso.h_type)
+    assert back.maps.tobytes() == aniso.maps.tobytes()
 
 
 def _check_against_einsum(got, want, scale, exact: bool):

@@ -443,6 +443,19 @@ def test_threshold_k_formula(heis):
     assert k == pytest.approx(rho_t + (2.0 * const.c_a2 / const.c_a1) ** (2.0 / 3.0))
 
 
+def test_radius_overflowing_the_central_reach_is_named(heis):
+    """r = 1e200 overflows r^2/4: the integral, a ball volume and a scaling fit
+    all refuse it where the central reach is formed, naming r."""
+    spec = SublevelSpec(3.0, 10.0)
+    calls = [lambda: thinness_integral(spec, heis, 1e200, 2.0, 16.0, 10, 10),
+             lambda: ball_intersection_volume(spec, heis, GroupPoint([0.5, 0.0], [3.0]),
+                                              1e200, 10, np.random.default_rng(0)),
+             lambda: scaling_fit(spec, heis, 1e200, [8.0, 16.0, 32.0, 64.0], 10)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^r = 1e\+200 overflows the central reach"):
+            call()
+
+
 def test_thinness_validation(heis):
     with pytest.raises(ValueError):
         thinness_integral(SublevelSpec(2.0, 1.0), heis, 1.0, 2.0)
