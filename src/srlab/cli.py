@@ -61,20 +61,32 @@ def _fmt(x) -> str:
 
 
 def _csv(config: dict, header: list, rows) -> str:
-    """CSV text; `rows` is a list of mixed-type rows or a 2-D float ndarray,
+    """CSV text; `rows` is a list of mixed-type rows or a 2-D float64 ndarray,
     which is checked for NaN and formatted as one block ("%.17g" % x is
-    f"{x:.17g}")."""
+    f"{x:.17g}").  Where at most half its cells are distinct (a grid), each
+    distinct double, keyed by its bits so that -0.0 is not 0.0, is formatted
+    once and the cells are gathered: the bytes are those of every cell's "%.17g"."""
     lines = [f"# {k} = {_fmt(v)}" for k, v in config.items()]
     lines.append(",".join(header))
     if isinstance(rows, np.ndarray):
         if np.isnan(rows).any():
             raise ValueError("NaN in CSV output")
         if rows.size:
-            template = ",".join(["%.17g"] * rows.shape[1])
-            lines.append("\n".join([template] * rows.shape[0]) % tuple(rows.ravel().tolist()))
+            distinct = np.sort(rows.view(np.int64), axis=None)   # bit patterns
+            distinct = distinct[np.r_[True, distinct[1:] != distinct[:-1]]]
+            if 2 * distinct.size > rows.size:   # mostly distinct (a points file): format all
+                spec, cells = "%.17g", tuple(rows.ravel().tolist())
+            else:
+                text = ("\n".join(["%.17g"] * distinct.size)
+                        % tuple(distinct.view(np.float64).tolist()))
+                spec, cells = "%s", tuple(np.array(text.split("\n"), dtype=object)[
+                    np.searchsorted(distinct, rows.view(np.int64).T).T].ravel().tolist())
+            template = ",".join([spec] * rows.shape[1])
+            lines.append("\n".join([template] * rows.shape[0]) % cells)
     else:
         lines += [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    lines.append("")   # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _json(config: dict, payload: dict) -> str:

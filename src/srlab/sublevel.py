@@ -220,8 +220,9 @@ def _central_reach(s: MetivierStructure, xc_norm: float, r: float) -> float:
     over the x-range, with kappa the bound |sum_k (J_k a, b) u_k| <= kappa |a| |b|
     from the maps' largest singular values.
     """
-    if 0.25 * r * r == math.inf:
-        raise ValueError(f"r = {r} overflows the central reach r^2/4 of a ball")
+    if not r < 2.0 ** 170:   # the ball holds points with N near r, and N^6 must stay finite
+        raise ValueError(f"r = {r} overflows the central reach of a ball: V_alpha is "
+                         f"evaluated only where N < 2^170")
     kappa = float(np.sqrt(np.sum(s._map_singular_values[:, 0] ** 2)))
     return 0.25 * r * r + 0.5 * kappa * xc_norm * (xc_norm + r)
 
@@ -419,7 +420,8 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
         ys = np.linspace(0.0, y_max, 20000)
         # log N(0, |t| - rho_t) = log N(0, 1) + (1/2) log(|t| - rho_t)
         log_t = math.log(t_eff) + ys
-        log_n = _LOG_N01 + 0.5 * (log_t + np.log1p(-rho_t / t_eff * np.exp(-ys)))
+        with np.errstate(divide="ignore"):   # k rounded to rho_t: a 0 gap reads the tube c
+            log_n = _LOG_N01 + 0.5 * (log_t + np.log1p(-rho_t / t_eff * np.exp(-ys)))
         log_tube = _log_tube(const, spec.level, c, log_n)
         log_beta = math.log(slab) + math.log(ball_volume(dim_x, 1.0)) + dim_x * log_tube
         log_integrand = ell * log_beta + m * log_t

@@ -397,6 +397,44 @@ def test_csv_block_matches_per_value_format(tmp_path):
     assert code == 1 and payload == b""
 
 
+def test_csv_gathered_block_matches_per_value_format(tmp_path, monkeypatch):
+    """A block with at most half its cells distinct formats each distinct
+    double once and gathers the cells: byte for byte the per-value rows, with
+    0.0 and -0.0 kept apart, on both sides of the guard and on the CLI's grid."""
+    lookups = []
+    real_searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *a, **k: lookups.append(1) or real_searchsorted(*a, **k))
+
+    def check(block, gathered):
+        header = [f"c{j}" for j in range(block.shape[1])]
+        lookups.clear()
+        fast = cli._csv({"alpha": 2.5}, header, block)
+        assert bool(lookups) == gathered
+        assert fast == cli._csv({"alpha": 2.5}, header, [tuple(r) for r in block.tolist()])
+
+    edge = [0.0, -0.0, float("inf"), float("-inf"), 5e-324, 1.0 / 3.0]
+    dup = np.random.default_rng(0).choice(edge, size=(300, 6))
+    dup[:, 0] = np.tile([0.0, -0.0, 1.0 / 3.0], 100)   # both zeros in one column
+    check(dup, True)
+    check(np.array([[-0.0]]), False)   # one cell, one distinct value
+    check(np.array([[0.0, -0.0, 0.0, -0.0, 5e-324, 5e-324]]), True)
+    check(np.array(edge * 5).reshape(-1, 1), True)
+    half = np.array(edge + [2.5, -1e300]).repeat(2).reshape(4, 4)   # 8 of 16 distinct
+    check(half, True)
+    half[3, 3] = 7.0   # 9 of 16
+    check(half, False)
+
+    code, payload = invoke(["potential", "--alpha", "2.5", "--nx", "24", "--nt", "24",
+                            "--seed", "0"], tmp_path, "grid.csv")
+    assert code == 0
+    lines = payload.decode().splitlines()
+    data = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert len(data) == 24 ** 3
+    assert [ln for ln in data
+            if ln != ",".join(cli._fmt(float(v)) for v in ln.split(","))][:3] == []
+
+
 def test_thinness_tail_past_double_range(tmp_path):
     """Scores near 1e226 and a tail bound past the double range: the standard
     error stays finite, the bound reads inf, and nothing warns or raises."""
@@ -519,7 +557,26 @@ def test_thinness_names_r_overflowing_the_central_reach(capsys):
                     "--r", "1e200", "--outer", "10", "--inner", "10"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: r = 1e+200 overflows the central reach r^2/4 of a ball\n"
+    assert err == ("error: r = 1e+200 overflows the central reach of a ball: "
+                   "V_alpha is evaluated only where N < 2^170\n")
+
+
+def test_thinness_at_a_huge_r_is_finite_or_names_r(capsys):
+    """At r = 1e50 the threshold k rounds to the central reach: the tail bound
+    stays finite and nothing warns.  A ball of radius 1e100 holds points whose
+    N^6 overflows: one error line naming r."""
+    args = ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+            "--outer", "10", "--inner", "10", "--r"]
+    assert run(args + ["1e50"]) == 0
+    out, err = capsys.readouterr()
+    estimate = json.loads(out)["estimate"]
+    assert err == ""
+    assert all(math.isfinite(v) for v in estimate.values() if not isinstance(v, bool))
+    assert run(args + ["1e100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: r = 1e+100 overflows the central reach of a ball: "
+                   "V_alpha is evaluated only where N < 2^170\n")
 
 
 def test_h_type_claim_changes_no_output(tmp_path, aniso, capsys):
