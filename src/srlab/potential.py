@@ -163,16 +163,10 @@ def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     return _potential(alpha, _norm_jet(s, x, t))[1]
 
 
-def _envelope_terms(c1: float, c2: float, alpha: float, n):
-    """(c1 N^{2a-4}, c2 N^{a-4}), the two terms of `_envelope_factor`."""
-    return c1 * n ** (2.0 * alpha - 4.0), c2 * n ** (alpha - 4.0)
-
-
 def _envelope_factor(c1: float, c2: float, alpha: float, n):
     """c1 N^{2a-4} - c2 N^{a-4}: the sandwich bounds and the H-type closed form
     of V_alpha are |x|^2 times this factor."""
-    lead, tail = _envelope_terms(c1, c2, alpha, n)
-    return lead - tail
+    return c1 * n ** (2.0 * alpha - 4.0) - c2 * n ** (alpha - 4.0)
 
 
 def _stationary_power(c1: float, c2: float, alpha: float, k: int) -> float:
@@ -197,21 +191,24 @@ def _factor_sup(c1: float, c2: float, alpha: float) -> float:
     return max(abs(_envelope_factor(c1, c2, alpha, 1.0)), c1 if alpha == 2 else 0.0, peak)
 
 
-def _closed_form_coeffs(alpha: float, s: MetivierStructure):
-    """(c1, c2) with H-type V_alpha / |x|^2 = c1 N^{2a-4} - c2 N^{a-4}:
-    c1 = a^2/4, c2 = (a/2)(Q+a-2)."""
-    q = homogeneous_dimension(s)
-    return 0.25 * alpha * alpha, 0.5 * alpha * (q + alpha - 2.0)
+def _closed_form(alpha: float, s: MetivierStructure, x2, n) -> np.ndarray:
+    """H-type V_alpha = |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), c1 = a^2/4, c2 = (a/2)(Q+a-2),
+    from |x|^2 and N; a value that is not finite is refused naming alpha."""
+    c1, c2 = 0.25 * alpha * alpha, 0.5 * alpha * (homogeneous_dimension(s) + alpha - 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _in_range(alpha, x2 * _envelope_factor(c1, c2, alpha, n))
 
 
 def potential_closed_form_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
     """H-type closed form (alpha^2/4) N^{2a-4} |x|^2 - (a/2)(Q+a-2) N^{a-4} |x|^2;
-    a bad alpha and a batch that overflows are refused as `potential_value_xt` does."""
+    a bad alpha and a batch that overflows are refused as `potential_value_xt` does,
+    and so is a structure that is not H-type, where the form is not V_alpha."""
     _require_finite("alpha", alpha, positive=True)
+    if not s.h_type:
+        raise ValueError("the closed form of V_alpha holds only on H-type structures")
     s.check_dims(x, t)
     _, _, x2, n = _off_identity(x, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _in_range(alpha, x2 * _envelope_factor(*_closed_form_coeffs(alpha, s), alpha, n))
+    return _closed_form(alpha, s, x2, n)
 
 
 @dataclass(frozen=True)

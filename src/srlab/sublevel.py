@@ -15,11 +15,9 @@ Each member's ball and membership tests run on blocks of at most
 `forms._BLOCK` samples drawn whole, which bounds their temporaries and
 changes no estimate.
 
-Membership V_alpha <= level takes at most one norm jet per batch.  On
-H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2
-and N alone, decides every point outside a band of 1e-9 of its two terms
-around the level, and the jet decides the points inside it; other
-structures evaluate the jet on every point.
+Membership V_alpha <= level reads V_alpha from the closed form
+|x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2 and N alone, on H-type groups,
+and from one norm jet per batch on other structures.
 
 All sampling is counter-seeded: identical inputs and seed reproduce every
 estimate bit for bit.  The outer loop is serial; each member's inner volume
@@ -38,8 +36,7 @@ import numpy as np
 from .forms import _BLOCK
 from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import _radial, norm_xt, quasi_distance_xt
-from .potential import (PotentialConstants, _closed_form_coeffs,
-                        _envelope_factor, _envelope_terms, _turning_point,
+from .potential import (PotentialConstants, _closed_form, _envelope_factor, _turning_point,
                         fit_loglog_slope, potential_bounds, potential_value_xt)
 
 _LOG_MAX_DOUBLE = math.log(sys.float_info.max)
@@ -90,61 +87,32 @@ class SublevelSpec:
 
 
 def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray:
-    """Membership V_alpha(x, t) <= level, batched, with at most one norm jet.
+    """Membership V_alpha(x, t) <= level, batched.
 
-    On H-type groups the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4}) decides
-    every point farther than 1e-9 of its two terms from the level, and
-    `potential_value_xt` evaluates only the points left in that band (see
-    `_closed_form_decides`), so the answer is the jet's, bit for bit.  Other
-    structures evaluate the jet on every point but the identity, where V
-    extends by 0 when alpha >= 2; for alpha < 2 the identity is rejected (the
-    potential has no value there).  A batch whose V_alpha leaves the double
-    range raises ValueError naming alpha, from `potential_value_xt`.
+    On H-type groups V_alpha is the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4})
+    (`potential._closed_form`), from |x|^2 and N with no norm jet; other
+    structures evaluate one jet, `potential_value_xt`, on every point but the
+    identity.  V extends by 0 to the identity when alpha >= 2 (on H-type the
+    form reads |x|^2 f(1) = 0 there, N taken as 1); for alpha < 2 the identity
+    is rejected (the potential has no value there).  A batch whose V_alpha
+    leaves the double range raises ValueError naming alpha.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
     s.check_dims(x, t)
     _, _, x2, n = _radial(x, t)
-    if s.h_type:
-        decided, v = _closed_form_decides(spec, s, x2, n)
-        out, band = v <= spec.level, ~decided     # the band holds the identity
-    else:
-        out, band = np.empty(n.shape, dtype=bool), np.ones(n.shape, dtype=bool)
     at_identity = n == 0.0
-    if np.any(at_identity):
-        if spec.alpha < 2:
-            raise ValueError("V_alpha undefined at the identity for alpha < 2")
-        out[at_identity] = 0.0 <= spec.level
-        band &= ~at_identity
-    if np.any(band):
-        x = np.broadcast_to(x, n.shape + x.shape[-1:])[band]
-        t = np.broadcast_to(t, n.shape + t.shape[-1:])[band]
-        out[band] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
+    if spec.alpha < 2 and np.any(at_identity):
+        raise ValueError("V_alpha undefined at the identity for alpha < 2")
+    if s.h_type:
+        return _closed_form(spec.alpha, s, x2, np.where(at_identity, 1.0, n)) <= spec.level
+    out = np.full(n.shape, 0.0 <= spec.level)
+    off = ~at_identity
+    if np.any(off):
+        x = np.broadcast_to(x, n.shape + x.shape[-1:])[off]
+        t = np.broadcast_to(t, n.shape + t.shape[-1:])[off]
+        out[off] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
     return out
-
-
-def _closed_form_decides(spec: SublevelSpec, s: MetivierStructure, x2, n):
-    """(decided, v): v the H-type closed form of V_alpha from |x|^2 and N, and
-    where it settles membership as the norm jet would.
-
-    The jet's V_alpha is within about 2e-15 of the two terms
-    |x|^2 (c1 N^{2a-4} + c2 N^{a-4}) of the closed form (8e-13 for maps
-    H-type only to the 1e-12 tolerance the structure accepts) while every
-    intermediate of either is a normal double.  Each intermediate is a
-    constant times N^k or N^k |x|^2 with |k| <= 2a + 6, or a term its sum
-    dominates (|x|^6 beside 16 |J_t x|^2, which sum to |x|^2 N^4), so that
-    holds when |log2 N| (2a + 8) <= 450 and |x|^2 >= 2^-450.  There a point
-    whose v lies more than 1e-9 of the two terms from the level is on the
-    same side of it as the jet's value.
-    """
-    a = spec.alpha
-    c1, c2 = _closed_form_coeffs(a, s)
-    reach = 2.0 ** (450.0 / (2.0 * a + 8.0))
-    with np.errstate(all="ignore"):
-        lead, tail = _envelope_terms(c1, c2, a, n)
-        v = x2 * (lead - tail)
-        clear = np.abs(v - spec.level) > 1e-9 * x2 * (lead + tail)
-    return clear & (n >= 1.0 / reach) & (n <= reach) & (x2 >= 2.0 ** -450), v
 
 
 def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
@@ -301,7 +269,7 @@ def ball_intersection_volume(spec: SublevelSpec, s: MetivierStructure,
 
 
 def threshold_k(spec: SublevelSpec, s: MetivierStructure, r: float,
-                center_x_norm: float = 0.0) -> float:
+                center_x_norm: float) -> float:
     """Central height beyond which the envelope factor exceeds half its top.
 
     Smallest k with c_a2 / (k - rho_t)^{a/2} <= c_a1 / 2, i.e.

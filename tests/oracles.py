@@ -168,8 +168,9 @@ def thinness_tail_quad(spec, s: MetivierStructure, r: float, ell: float,
     return band + vol(dim_x, c) * m * vol(m, 1.0) * tail
 
 
-def jet_membership(spec, s: MetivierStructure, x, t) -> np.ndarray:
-    """V_alpha <= level from the norm jet on every point off the identity.
+def membership(spec, s: MetivierStructure, x, t, v_alpha=potential_value_xt) -> np.ndarray:
+    """V_alpha <= level from the public kernel `v_alpha` (the norm jet, or
+    `potential_closed_form_xt` on H-type maps) on every point off the identity.
 
     The identity reads V_alpha = 0 when alpha >= 2 and raises ValueError
     when alpha < 2, and a V_alpha that overflows raises ValueError, as
@@ -181,7 +182,7 @@ def jet_membership(spec, s: MetivierStructure, x, t) -> np.ndarray:
     if spec.alpha < 2 and not np.all(off):
         raise ValueError("V_alpha undefined at the identity for alpha < 2")
     out = np.full(off.shape, 0.0 <= spec.level)
-    out[off] = potential_value_xt(spec.alpha, s, x[off], t[off]) <= spec.level
+    out[off] = v_alpha(spec.alpha, s, x[off], t[off]) <= spec.level
     return out
 
 

@@ -203,6 +203,15 @@ def test_htype_closed_form(heis):
         assert gap <= 1e-12
 
 
+def test_closed_form_refuses_non_htype(aniso):
+    """Off H-type maps the closed form is not V_alpha: on aniso at this point it
+    read 1.491 where V_alpha is 3.299, and it now refuses the structure."""
+    x, t = [1.0, 0.5, 0.3, 0.2], [0.7]
+    assert float(potential_value_xt(3.0, aniso, x, t)) == pytest.approx(3.2993854585, rel=1e-9)
+    with pytest.raises(ValueError, match="H-type"):
+        potential_closed_form_xt(3.0, aniso, x, t)
+
+
 def test_norm_jet_refuses_scales_past_double_range(heis):
     """A batch with a point whose N^6 overflows raises: N = 1e60 with
     |x| = 1e-100 (V read -0.0 where the closed form gives 2.25e-80) and

@@ -13,7 +13,8 @@ from srlab.sublevel import (SublevelSpec, ball_intersection_volume, ball_volume,
                             cylinder_radius, in_sublevel_xt, lower_envelope, scaling_fit,
                             substream, thinness_integral, threshold_k,
                             uniform_ball, worker_count)
-from srlab.potential import potential_bounds, potential_value_xt, sandwich_floor
+from srlab.potential import (potential_bounds, potential_closed_form_xt, potential_value_xt,
+                             sandwich_floor)
 
 import oracles
 from conftest import count_calls, quaternion_maps, random_points, time_cap
@@ -55,17 +56,19 @@ def test_identity_handling(name, request):
         in_sublevel_xt(SublevelSpec(1.5, 0.0), s, x, t)
 
 
-def test_in_sublevel_evaluates_one_jet(heis, monkeypatch):
-    """Membership takes at most one norm jet and no separate pass over N; on
-    heis a batch with no point in the closed form's rounding band takes none."""
-    x, t = random_points(heis, 200, seed=4)
-    on_level_set = float(potential_value_xt(3.0, heis, x[0], t[0]))
+def test_in_sublevel_evaluates_one_jet(heis, quaternion, aniso, monkeypatch):
+    """Membership takes no norm jet on H-type groups, at any level, also one
+    through a point of the batch, and one jet on a structure that is not
+    H-type; neither takes a separate pass over N."""
     jets = count_calls(monkeypatch, "_norm_jet", potential)
     norm_passes = count_calls(monkeypatch, "norm_xt", norms, potential, sublevel)
-    in_sublevel_xt(SublevelSpec(3.0, 2.0), heis, x, t)
-    assert jets == [] and norm_passes == []
-    in_sublevel_xt(SublevelSpec(3.0, on_level_set), heis, x, t)
-    assert len(jets) == 1 and norm_passes == []
+    for s, expected in ((heis, 0), (quaternion, 0), (aniso, 1)):
+        x, t = random_points(s, 200, seed=4)
+        on_level_set = float(potential_value_xt(3.0, s, x[0], t[0]))
+        for level in (2.0, on_level_set):
+            del jets[:]
+            in_sublevel_xt(SublevelSpec(3.0, level), s, x, t)
+            assert len(jets) == expected and norm_passes == []
 
 
 @pytest.mark.parametrize("name", ["aniso", "random_m2"])
@@ -80,7 +83,7 @@ def test_in_sublevel_off_htype_evaluates_one_jet(name, request, monkeypatch):
     jets = count_calls(monkeypatch, "_norm_jet", potential)
     member = in_sublevel_xt(SublevelSpec(3.0, 2.0), s, x, t)
     assert len(jets) == 1
-    assert member.tolist() == oracles.jet_membership(SublevelSpec(3.0, 2.0), s, x, t).tolist()
+    assert member.tolist() == oracles.membership(SublevelSpec(3.0, 2.0), s, x, t).tolist()
 
 
 _BAND_OFFSETS = [0.0] + [sign * 10.0 ** k for k in range(-15, -5) for sign in (1.0, -1.0)]
@@ -112,15 +115,16 @@ def _level_set_rays(alpha, s, level, x_dir, t_dir, t_norms):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(name=st.sampled_from(["heis", "quaternion"]),
+@given(name=st.sampled_from(["heis", "quaternion", "aniso"]),
        alpha=st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.0]),
        which=st.sampled_from(["zero", "floor", "above_floor", "drawn"]),
        drawn=st.floats(-20.0, 20.0),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, drawn, seed):
-    """Screened membership equals the jet's on points within 1e-15 .. 1e-6
-    (relative, in |x|) of the level set, with identity rows in the batch."""
-    s = heis if name == "heis" else quaternion
+def test_in_sublevel_band_matches_jet(heis, quaternion, aniso, name, alpha, which, drawn, seed):
+    """On points within 1e-15 .. 1e-6 (relative, in |x|) of the level set, with
+    identity rows in the batch, membership is the closed form's on H-type maps
+    (heis, quaternion) and the jet's off them (aniso)."""
+    s = {"heis": heis, "quaternion": quaternion, "aniso": aniso}[name]
     # alpha < 2 has no sandwich floor; -1 stands in for it
     floor = sandwich_floor(potential_bounds(alpha, s)) if alpha >= 2 else -1.0
     level = {"zero": 0.0, "floor": floor, "above_floor": floor + 1e-9 * abs(floor),
@@ -138,17 +142,18 @@ def test_in_sublevel_band_matches_jet(heis, quaternion, name, alpha, which, draw
         with pytest.raises(ValueError, match="identity"):
             in_sublevel_xt(spec, s, x, t)
         x, t = x[2:], t[2:]
-    expected = oracles.jet_membership(spec, s, x, t)
+    v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
+    expected = oracles.membership(spec, s, x, t, v_alpha)
     assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
 
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0, 8.0])
 def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
-    """Where the closed form's intermediates leave their safe range but the
-    jet's stay normal (N up to 1e50 by the axis) the jet decides, so
-    membership stays the jet's; where V overflows (alpha 8 from N = 1e30,
-    N^(2 alpha - 4) past the double range) both refuse the batch.  Past that (N^6 beyond the double range) the jet
-    raises, and so does membership."""
+    """On H-type maps membership is the closed form's at every scale where the
+    form is finite, also where the jet refuses (N^6 past the double range, N
+    below 1e-50 or above 1e50 by the axis); where V overflows (alpha 8 from
+    N = 1e30, N^(2 alpha - 4) past the double range) the batch is refused
+    naming alpha, and where N itself does (N = 1e80) with the norm's error."""
     for s in (heis, quaternion):
         for scale in 10.0 ** np.arange(-80.0, 81.0, 10.0):
             x = np.zeros((3, s.horizontal_dim))
@@ -158,18 +163,15 @@ def test_in_sublevel_extreme_scales_match_jet(heis, quaternion, alpha):
             for level in (0.0, 1e-300, -1e-300, 1.0):
                 spec = SublevelSpec(alpha, level)
                 with np.errstate(all="ignore"):
-                    if alpha == 8.0 and 1e30 <= scale <= 1e50:
-                        for membership in (oracles.jet_membership, in_sublevel_xt):
-                            with pytest.raises(ValueError, match="alpha = 8.0 overflows V_alpha"):
-                                membership(spec, s, x, t)
-                        continue
-                    if 1e-50 <= scale <= 1e50:
-                        expected = oracles.jet_membership(spec, s, x, t)
-                        assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
-                        continue
-                    for membership in (oracles.jet_membership, in_sublevel_xt):
+                    if scale == 1e80:
                         with pytest.raises(ValueError, match="double range"):
-                            membership(spec, s, x, t)
+                            in_sublevel_xt(spec, s, x, t)
+                    elif alpha == 8.0 and scale >= 1e30:
+                        with pytest.raises(ValueError, match="alpha = 8.0 overflows V_alpha"):
+                            in_sublevel_xt(spec, s, x, t)
+                    else:
+                        expected = oracles.membership(spec, s, x, t, potential_closed_form_xt)
+                        assert in_sublevel_xt(spec, s, x, t).tolist() == expected.tolist()
 
 
 def test_lower_envelope_is_lower_bound(heis, aniso):
