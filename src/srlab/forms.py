@@ -29,13 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .group import GroupPoint, MetivierStructure, _dot, _require_finite
+from .group import _BLOCK, GroupPoint, MetivierStructure, _dot, _require_finite
 from .norms import weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _potential,
                         potential_closed_form_xt, potential_value_xt)
 
-_BLOCK = 1 << 14
 _SUPPORT_SLACK = 1.0 + 1e-6   # support rows keep |x|^2 < a^2 times this (and t alike)
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 SKEW_TOL = 1e-14
 HTYPE_TOL = 1e-12
+_BLOCK = 1 << 14   # rows per block of a node sum or of a sampling stage's temporaries
 
 
 def _require_finite(name: str, value: float, positive: bool = False):
@@ -204,13 +205,17 @@ def homogeneous_dimension(s: MetivierStructure) -> int:
 
 
 def unit_sample(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform points on the unit sphere S^{dim-1}, one Gaussian draw per row."""
+    """Uniform points on the unit sphere S^{dim-1}, one Gaussian draw per row,
+    normalised in place over blocks of `_BLOCK` rows."""
     v = rng.standard_normal((count, dim))
-    # the squared columns added in order: np.linalg.norm's bits for dim <= 7, 1/5 the time
-    norms = np.sqrt(sum(v[:, j] * v[:, j] for j in range(dim)))[:, None]
-    # a Gaussian draw is never exactly zero in practice; guard anyway
-    norms[norms == 0.0] = 1.0
-    return v / norms
+    for b in range(0, count, _BLOCK):
+        blk = v[b:b + _BLOCK]
+        # the squared columns added in order: np.linalg.norm's bits for dim <= 7, 1/5 the time
+        norms = np.sqrt(_dot(blk, blk))[:, None]
+        # a Gaussian draw is never exactly zero in practice; guard anyway
+        norms[norms == 0.0] = 1.0
+        blk /= norms
+    return v
 
 
 def uniform_ball(rng: np.random.Generator, count: int, dim: int,
@@ -218,17 +223,24 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int,
     """Uniform points in the ball of `radius` in R^dim, shape (count, dim).
 
     Dims 1 and 2 scale points 2u - 1 of the cube [-1, 1]^dim, at dim 2 the first
-    `count` in the unit disc in draw order (acceptance pi/4), each rejection
-    round's kept rows written straight into the output; higher dims scale
+    `count` in the unit disc in draw order (acceptance pi/4); higher dims scale
     `unit_sample` directions by U^(1/dim), as a normal costs about six uniforms
-    and the cube's acceptance falls with dim (Devroye 1986, ch. 2).
+    and the cube's acceptance falls with dim (Devroye 1986, ch. 2).  Every stage
+    runs in blocks of `_BLOCK` rows: a disc round of need * 4 // 3 + 16 rows is
+    drawn block by block, each block's kept rows taken into the output and the
+    blocks after it is full drawn untested, so points and stream are a one-call
+    draw's and no stage holds more than `_BLOCK` rows beyond the output.
     """
     if dim < 1 or count < 0 or not 0.0 <= radius < math.inf:
         raise ValueError(f"need dim >= 1, count >= 0 and a finite radius >= 0, "
                          f"got {dim}, {count}, {radius}")
     if dim > 2:
-        return unit_sample(rng, count, dim) * rng.uniform(size=(count, 1)) ** (1.0 / dim) * radius
-    if dim == 1:
+        out = unit_sample(rng, count, dim)
+        for b in range(0, count, _BLOCK):
+            u = rng.uniform(size=(min(_BLOCK, count - b), 1))
+            u **= 1.0 / dim
+            out[b:b + _BLOCK] *= u
+    elif dim == 1:
         out = rng.random((count, 1))
         out *= 2.0
         out -= 1.0
@@ -237,13 +249,16 @@ def uniform_ball(rng: np.random.Generator, count: int, dim: int,
         out = np.empty((count, 2))
         kept = 0
         while kept < count:     # a second round is rare: the first keeps ~1.05 need + 12
-            need = count - kept
-            v = rng.random((need * 4 // 3 + 16, 2))
-            v *= 2.0
-            v -= 1.0
-            idx = np.flatnonzero(_dot(v, v) <= 1.0)[:need]
-            np.take(v, idx, axis=0, out=out[kept:kept + idx.size], mode="clip")
-            kept += idx.size
+            left = (count - kept) * 4 // 3 + 16
+            while left:
+                v = rng.random((min(left, _BLOCK), 2))
+                left -= len(v)
+                if kept < count:
+                    v *= 2.0
+                    v -= 1.0
+                    idx = np.flatnonzero(_dot(v, v) <= 1.0)[:count - kept]
+                    np.take(v, idx, axis=0, out=out[kept:kept + idx.size], mode="clip")
+                    kept += idx.size
     out *= radius
     return out
 

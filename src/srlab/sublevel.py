@@ -11,9 +11,9 @@ The integral computes inner measures for a Horvitz-Thompson selection of
 its members, with inclusion probabilities from the same tube bound; it bounds
 their ball regions in one batch (`_ball_regions`) and counts each member's
 inner hits with `_inner_hits`, the two steps of `ball_intersection_volume`.
-Each member's ball and membership tests run on blocks of at most
-`forms._BLOCK` samples drawn whole, which bounds their temporaries and
-changes no estimate.
+The draws (`uniform_ball`), each member's ball and membership tests and the
+outer membership test all run on blocks of at most `group._BLOCK` rows,
+which bounds their temporaries and changes no estimate or stream.
 
 Membership V_alpha <= level reads V_alpha from the closed form
 |x|^2 (c1 N^{2a-4} - c2 N^{a-4}), from |x|^2 and N alone, on H-type groups,
@@ -33,8 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .forms import _BLOCK
-from .group import GroupPoint, MetivierStructure, _require_finite, uniform_ball
+from .group import _BLOCK, GroupPoint, MetivierStructure, _require_finite, uniform_ball
 from .norms import _radial, norm_xt, quasi_distance_xt
 from .potential import (PotentialConstants, _closed_form, _envelope_factor, _turning_point,
                         fit_loglog_slope, potential_bounds, potential_value_xt)
@@ -230,9 +229,10 @@ def _ball_regions(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float):
 def _inner_hits(spec: SublevelSpec, s: MetivierStructure, xc, tc, r: float,
                 rho_x: float, rho_t: float, n_samples: int, rng: np.random.Generator):
     """How many of `n_samples` uniform points of the region
-    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng` in one call per axis,
-    lie both in B((xc, tc), r) and in the sublevel set, as numpy's integer; the
-    elementwise tests run on blocks of `_BLOCK` points, so the count is a batch's."""
+    {|xi| <= rho_x, |tau - tc| <= rho_t}, drawn from `rng` one axis after the
+    other, lie both in B((xc, tc), r) and in the sublevel set, as numpy's
+    integer.  `uniform_ball` draws in blocks and the elementwise tests run on
+    blocks of `_BLOCK` points, so the points and the count are a batch's."""
     xi = uniform_ball(rng, n_samples, s.horizontal_dim, rho_x)
     tau = uniform_ball(rng, n_samples, s.m, rho_t)
     tau += tc
@@ -452,7 +452,9 @@ def thinness_integral(spec: SublevelSpec, s: MetivierStructure, r: float,
         xi = uniform_ball(rng, outer_samples, s.horizontal_dim, c)
         tau = uniform_ball(rng, outer_samples, s.m, truncation_T)
         outer_volume = ball_volume(s.horizontal_dim, c) * ball_volume(s.m, truncation_T)
-        member = in_sublevel_xt(spec, s, xi, tau)
+        member = np.empty(outer_samples, dtype=bool)
+        for b in range(0, outer_samples, _BLOCK):
+            member[b:b + _BLOCK] = in_sublevel_xt(spec, s, xi[b:b + _BLOCK], tau[b:b + _BLOCK])
         idx = np.nonzero(member)[0]
         members = idx.size
         q = _inclusion_probability(spec, s, r, ell, c, tau[idx])

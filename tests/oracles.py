@@ -281,6 +281,32 @@ def unblocked_ball_hits(spec, s: MetivierStructure, center: GroupPoint, r: float
     return int(np.count_nonzero(sublevel.in_sublevel_xt(spec, s, xi[hits], tau[hits])))
 
 
+def thinness_one_shot(spec, s: MetivierStructure, r: float, ell: float,
+                      truncation_T: float, outer_samples: int, inner_samples: int,
+                      seed: int) -> SimpleNamespace:
+    """`sublevel.thinness_integral` with the outer membership test run once on
+    the whole outer draw, not in blocks: the same draws, selection and
+    per-member substreams.  Returns value, std_error, members and evaluated."""
+    c = sublevel.cylinder_radius(spec, s)
+    rng = sublevel.substream(seed, 0)
+    xi = uniform_ball(rng, outer_samples, s.horizontal_dim, c)
+    tau = uniform_ball(rng, outer_samples, s.m, truncation_T)
+    idx = np.nonzero(sublevel.in_sublevel_xt(spec, s, xi, tau))[0]
+    members = idx.size
+    q = sublevel._inclusion_probability(spec, s, r, ell, c, tau[idx])
+    keep = sublevel.substream(seed, 4).random(outer_samples)[idx] < q
+    idx, q = idx[keep], q[keep]
+    scores = np.zeros(outer_samples)
+    regions = sublevel._ball_regions(spec, s, xi[idx], tau[idx], r)
+    for i, qi, rho_x, rho_t, vol in zip(idx.tolist(), q.tolist(), *regions):
+        k = sublevel._inner_hits(spec, s, xi[i], tau[i], r, rho_x, rho_t, inner_samples,
+                                 sublevel.substream(seed, 1, i))
+        scores[i] = (vol * (k / inner_samples)) ** ell / qi
+    value, se = sublevel._mean_and_error(scores, sublevel.ball_volume(s.horizontal_dim, c)
+                                         * sublevel.ball_volume(s.m, truncation_T))
+    return SimpleNamespace(value=value, std_error=se, members=members, evaluated=idx.size)
+
+
 def disc_take_then_copy(rng: np.random.Generator, count: int, radius: float):
     """`group.uniform_ball` at dim 2 with each round's kept rows taken into a new
     array and then copied into the output.  Returns (points, rejection rounds)."""

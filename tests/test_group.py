@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from scipy.stats import kstest
 
 from srlab.cli import _load_structure
 from srlab.forms import horizontal_coefficients
-from srlab.group import (GroupPoint, MetivierStructure, _dot, homogeneous_dimension,
+from srlab.group import (_BLOCK, GroupPoint, MetivierStructure, _dot, homogeneous_dimension,
                          make_heisenberg, product, uniform_ball, unit_sample, verify_metivier)
+from srlab.sublevel import SublevelSpec, ball_intersection_volume, thinness_integral
 
 import oracles
 from conftest import ROT, random_points, skew_structures, write_structure
@@ -255,11 +257,13 @@ def test_uniform_ball_is_uniform(dim):
 
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 8])
-def test_uniform_ball_keeps_gaussian_directions_above_dim_2(dim):
-    """From dim 3 on the draw is `unit_sample` directions times radius U^(1/dim), bit for bit."""
-    got = uniform_ball(np.random.default_rng(dim), 5_000, dim, 1.5)
+@pytest.mark.parametrize("count", [5_000, 2 * _BLOCK + 3])
+def test_uniform_ball_keeps_gaussian_directions_above_dim_2(dim, count):
+    """From dim 3 on the draw is `unit_sample` directions times radius U^(1/dim),
+    bit for bit, also when the directions and the radii are scaled in blocks."""
+    got = uniform_ball(np.random.default_rng(dim), count, dim, 1.5)
     rng = np.random.default_rng(dim)
-    want = unit_sample(rng, 5_000, dim) * rng.uniform(size=(5_000, 1)) ** (1.0 / dim) * 1.5
+    want = unit_sample(rng, count, dim) * rng.uniform(size=(count, 1)) ** (1.0 / dim) * 1.5
     assert np.array_equal(got, want)
 
 
@@ -292,17 +296,59 @@ def test_uniform_ball_keeps_the_cube_points_in_draw_order(dim, count):
     assert rng.used == count if dim == 1 else rng.used > 60
 
 
-@pytest.mark.parametrize("count, seed, rounds", [(1, 0, 1), (268, 2715, 2),
-                                                 (3 * 2 ** 14 + 5, 0, 1)])
+def _first_round_count(rows: int) -> int:
+    """The smallest count whose first disc round draws `rows` rows."""
+    count = max(0, -(-3 * (rows - 16) // 4))
+    assert count * 4 // 3 + 16 == rows
+    return count
+
+
+# a first round of _BLOCK - 1 rows does not occur (count * 4 // 3 skips 3 mod 4); _BLOCK - 2 does
+@pytest.mark.parametrize("count, seed, rounds", [
+    (1, 0, 1), (268, 2715, 2), (3 * _BLOCK + 5, 0, 1),
+    *[(_first_round_count(rows), 0, 1)
+      for rows in (_BLOCK - 2, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]])
 def test_uniform_disc_matches_take_then_copy(count, seed, rounds):
-    """The disc's kept rows, taken straight into the output, have the bits of
-    the take-then-copy reference and leave the stream where it does; seed 2715
-    at count 268 needs a second rejection round."""
+    """The disc's kept rows, drawn and tested in blocks and taken straight into
+    the output, have the bits of the one-call take-then-copy reference and leave
+    the stream where it does, also when a round's last block is drawn untested
+    or a round is one row past a block; seed 2715 at count 268 needs a second
+    rejection round."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected, used = oracles.disc_take_then_copy(ref_rng, count, 1.5)
     assert used == rounds
     assert uniform_ball(rng, count, 2, 1.5).tobytes() == expected.tobytes()
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("outer", [_BLOCK - 1, _BLOCK + 1])
+def test_thinness_blocked_membership_matches_one_shot(heis, outer):
+    """The outer membership test over `_BLOCK`-row slices gives the integral of
+    the one-shot test, bit for bit, on either side of a block edge."""
+    spec = SublevelSpec(3.0, 10.0)
+    got = thinness_integral(spec, heis, 1.0, 2.0, 16.0, outer, 20, seed=5)
+    want = oracles.thinness_one_shot(spec, heis, 1.0, 2.0, 16.0, outer, 20, seed=5)
+    assert got.members > 0 and got.evaluated > 0
+    assert (got.value, got.std_error, got.members, got.evaluated) == (
+        want.value, want.std_error, want.members, want.evaluated)
+
+
+def test_sampling_memory_is_bounded_by_the_block(heis):
+    """Traced peaks of 1 M-sample draws: a ball draw holds its output and a few
+    blocks, at dims 2-4, and a ball volume its two draws (23 MB) and a few blocks."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            return fn(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for dim in (2, 3, 4):
+        out, top = peak(uniform_ball, np.random.default_rng(0), 10 ** 6, dim, 1.0)
+        assert top <= 1.25 * out.nbytes
+    _, top = peak(ball_intersection_volume, SublevelSpec(3.0, 10.0), heis,
+                  GroupPoint([0.5, 0.0], [8.0]), 1.0, 10 ** 6, np.random.default_rng(0))
+    assert top <= 28 * 2 ** 20
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
