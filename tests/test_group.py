@@ -256,15 +256,24 @@ def test_uniform_ball_is_uniform(dim):
     assert np.all(np.abs(x.mean(axis=0)) <= 4.0 * x.std(axis=0, ddof=1) / math.sqrt(count))
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 8])
-@pytest.mark.parametrize("count", [5_000, 2 * _BLOCK + 3])
-def test_uniform_ball_keeps_gaussian_directions_above_dim_2(dim, count):
-    """From dim 3 on the draw is `unit_sample` directions times radius U^(1/dim),
-    bit for bit, also when the directions and the radii are scaled in blocks."""
+def _assert_gaussian_directions(dim, count):
     got = uniform_ball(np.random.default_rng(dim), count, dim, 1.5)
     rng = np.random.default_rng(dim)
     want = unit_sample(rng, count, dim) * rng.uniform(size=(count, 1)) ** (1.0 / dim) * 1.5
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8])
+def test_uniform_ball_keeps_gaussian_directions_above_dim_2(dim):
+    """From dim 3 on the draw is `unit_sample` directions times radius U^(1/dim), bit for bit."""
+    _assert_gaussian_directions(dim, 5_000)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 8])
+def test_uniform_ball_keeps_gaussian_directions_across_blocks(dim):
+    """The same holds bit for bit when the directions and the radii are scaled
+    in blocks, at a count three rows past two blocks."""
+    _assert_gaussian_directions(dim, 2 * _BLOCK + 3)
 
 
 class _Stream:
