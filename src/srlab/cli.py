@@ -368,7 +368,7 @@ def run(argv) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
 

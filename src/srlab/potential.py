@@ -19,9 +19,9 @@ only in `_potential`, which refuses a batch past the double range, naming alpha.
 
 Conventions at degenerate points: values carrying a |x|^2 factor extend
 continuously to 0 on the set {x = 0}, while the identity itself is a hard
-error (`sublevel.in_sublevel_xt` alone reads V_alpha as 0 there when
-alpha >= 2).  sign(0) = 0, which the formulas below realise without
-branching because |J_t x|^2 already vanishes with x or t.
+error (`sublevel.in_sublevel_xt` alone reads V_alpha there when alpha >= 2,
+as its value 0 at x = 0, N = 1).  sign(0) = 0, which the formulas below
+realise without branching because |J_t x|^2 already vanishes with x or t.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def _norm_jet(s: MetivierStructure, x, t) -> _NormJet:
 
 
 def _grad_kaplan(jet: _NormJet) -> np.ndarray:
+    """(X_1 N, ..., X_{2n} N) = N^{-3} (|x|^2 x + 4 J_t x), shape (..., 2n); 0 on {x = 0}."""
     return (jet.x2[..., None] * jet.x + 4.0 * jet.jt_x) / (jet.n * jet.n * jet.n)[..., None]
 
 
@@ -113,14 +114,6 @@ def _potential(alpha: float, jet: _NormJet):
         return g, _in_range(alpha, -0.25 * grad_sq - 0.5 * lw)
 
 
-def grad_kaplan_xt(s: MetivierStructure, x, t) -> np.ndarray:
-    """Horizontal-frame coefficients (X_1 N, ..., X_{2n} N), shape (..., 2n).
-
-    X_j N = N^{-3} (|x|^2 x_j + 4 (J_t x)_j); vanishes on {x = 0}.
-    """
-    return _grad_kaplan(_norm_jet(s, x, t))
-
-
 def grad_norm_sq_xt(s: MetivierStructure, x, t) -> np.ndarray:
     """|grad_H N|^2 = N^{-6} (|x|^6 + 16 |J_t x|^2)."""
     return _norm_jet(s, x, t).gns
@@ -129,19 +122,6 @@ def grad_norm_sq_xt(s: MetivierStructure, x, t) -> np.ndarray:
 def sub_laplacian_norm_xt(s: MetivierStructure, x, t) -> np.ndarray:
     """LN = (3/N) |grad_H N|^2 - N^{-3} ((2 + 2n) |x|^2 + 2 sum_k |J_k x|^2)."""
     return _norm_jet(s, x, t).ln
-
-
-def _weighted(alpha: float, jet: _NormJet, k: int) -> np.ndarray:
-    """w_alpha * `_weight_terms`[k]; 0 where w_alpha underflows, though the term may overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _weight(alpha, jet.n)
-        return np.where(w == 0.0, 0.0, w * _weight_terms(alpha, jet)[k])
-
-
-def grad_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
-    """grad_H w_alpha = -alpha w_alpha N^{alpha-1} grad_H N, shape (..., 2n)."""
-    jet = _norm_jet(s, x, t)
-    return -_weighted(alpha, jet, 0)[..., None] * _grad_kaplan(jet)
 
 
 def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -153,9 +133,13 @@ def laplacian_weight_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
 
     The last sign follows from L = -sum X_j^2 and is pinned by the
     finite-difference oracle tests (and by consistency with V_alpha below).
+    It reads 0 where w_alpha underflows, though the bracket may overflow there.
     """
     jet = _norm_jet(s, x, t)
-    return _in_range(alpha, _weighted(alpha, jet, 2), "L w_alpha")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _weight(alpha, jet.n)
+        lw = np.where(w == 0.0, 0.0, w * _weight_terms(alpha, jet)[2])
+    return _in_range(alpha, lw, "L w_alpha")
 
 
 def potential_value_xt(alpha: float, s: MetivierStructure, x, t) -> np.ndarray:
@@ -281,20 +265,6 @@ def _sandwich(const: PotentialConstants, x2: np.ndarray, n: np.ndarray):
         lo = x2 * _envelope_factor(const.c_a1, const.c_a2, a, n)
         hi = x2 * _envelope_factor(const.c_a3, const.c_a4, a, n)
     return _in_range(a, lo, "the sandwich bounds"), _in_range(a, hi, "the sandwich bounds")
-
-
-def sandwich_bounds_xt(const: PotentialConstants, s: MetivierStructure, x, t):
-    """Pointwise (lower, upper) sandwich values for V_alpha on the structure s.
-
-    Coordinates must match s, and the constants must be for a group of the
-    homogeneous dimension of s.
-    """
-    s.check_dims(x, t)
-    if const.Q != homogeneous_dimension(s):
-        raise ValueError(f"constants are for Q = {const.Q}, the structure has "
-                         f"Q = {homogeneous_dimension(s)}")
-    _, _, x2, n = _off_identity(x, t)
-    return _sandwich(const, x2, n)
 
 
 @dataclass(frozen=True)

@@ -90,11 +90,11 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
 
     On H-type groups V_alpha is the closed form |x|^2 (c1 N^{2a-4} - c2 N^{a-4})
     (`potential._closed_form`), from |x|^2 and N with no norm jet; other
-    structures evaluate one jet, `potential_value_xt`, on every point but the
-    identity.  V extends by 0 to the identity when alpha >= 2 (on H-type the
-    form reads |x|^2 f(1) = 0 there, N taken as 1); for alpha < 2 the identity
-    is rejected (the potential has no value there).  A batch whose V_alpha
-    leaves the double range raises ValueError naming alpha.
+    structures evaluate one jet, `potential_value_xt`, on the whole batch.
+    When alpha >= 2, V at the identity is read at x = 0, N = 1, where both
+    give 0 (the jet at t = u_1 / 4); for alpha < 2 the identity is rejected
+    (the potential has no value there).  A batch whose V_alpha leaves the
+    double range raises ValueError naming alpha.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.atleast_2d(np.asarray(t, dtype=float))
@@ -105,13 +105,8 @@ def in_sublevel_xt(spec: SublevelSpec, s: MetivierStructure, x, t) -> np.ndarray
         raise ValueError("V_alpha undefined at the identity for alpha < 2")
     if s.h_type:
         return _closed_form(spec.alpha, s, x2, np.where(at_identity, 1.0, n)) <= spec.level
-    out = np.full(n.shape, 0.0 <= spec.level)
-    off = ~at_identity
-    if np.any(off):
-        x = np.broadcast_to(x, n.shape + x.shape[-1:])[off]
-        t = np.broadcast_to(t, n.shape + t.shape[-1:])[off]
-        out[off] = potential_value_xt(spec.alpha, s, x, t) <= spec.level
-    return out
+    t = np.where(at_identity[..., None], 0.25 * np.eye(1, s.m)[0], t)
+    return potential_value_xt(spec.alpha, s, x, t) <= spec.level
 
 
 def lower_envelope(const: PotentialConstants, u) -> np.ndarray:
@@ -371,9 +366,9 @@ def _tail_bound(spec: SublevelSpec, s: MetivierStructure, r: float,
     slab = ball_volume(m, rho_t)
     beta_max = box_measure * slab
     band_volume = ball_volume(m, t_eff) - ball_volume(m, t_from)
-    delta = -(ell * s.n * (2.0 - spec.alpha) + m)
-    if delta <= 0:
-        return math.inf
+    # ell n (a - 2) - m from the difference `thinness_integral` tests, so that
+    # ell > ell_threshold there gives delta > 0 here
+    delta = s.n * (a - 2.0) * (ell - m / (s.n * (a - 2.0)))
     log_band = (math.log(box_measure) + ell * math.log(beta_max) + math.log(band_volume)
                 if t_eff > t_from else -math.inf)
     log_tail = -math.inf

@@ -5,8 +5,7 @@ exp(s X_j) = (s e_j, 0), i.e. through the group product, so they probe the
 left-invariant fields and not the Euclidean partials.  None of these call
 the closed-form derivative code they are checking.  The unblocked quadrature
 oracles check only the blocking of the node sums: they evaluate the same
-pointwise kernels, through public functions, on every node of a
-`np.meshgrid` grid at once.
+pointwise kernels on every node of a `np.meshgrid` grid at once.
 """
 
 import math
@@ -19,7 +18,7 @@ from srlab import sublevel
 from srlab.forms import QuadratureGrid, horizontal_gradient, sub_laplacian_apply
 from srlab.group import GroupPoint, MetivierStructure, _dot, product, uniform_ball
 from srlab.norms import norm_xt, quasi_distance_xt, weight_xt
-from srlab.potential import grad_kaplan_xt, potential_value_xt
+from srlab.potential import _grad_kaplan, _norm_jet, potential_value_xt
 
 
 def fd_xj(f, s: MetivierStructure, x, t, j: int, h: float) -> float:
@@ -208,7 +207,7 @@ def unblocked_conjugation_residual(alpha, s, f, grid):
     val, hg = f.value(x, t), horizontal_gradient(s, f, x, t)
     w = weight_xt(alpha, x, t)
     g = alpha * norm_xt(x, t) ** (alpha - 1.0)
-    shifted = hg - (0.5 * g * val)[:, None] * grad_kaplan_xt(s, x, t)
+    shifted = hg - (0.5 * g * val)[:, None] * _grad_kaplan(_norm_jet(s, x, t))
     phi = val * np.sqrt(w)
     lhs = np.einsum("si,si->s", hg, hg) @ w
     rhs = np.einsum("si,si->s", shifted, shifted) @ w + (phi * phi) @ potential_value_xt(alpha, s, x, t)

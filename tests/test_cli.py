@@ -104,6 +104,18 @@ def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
     assert out == "" and "physical memory" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["thinness", "--alpha", "3", "--m-level", "10", "--ell", "2",
+     "--outer", "100000000000000000", "--inner", "10"],
+    ["gamma", "--samples", "100000000000000000"]], ids=["thinness", "gamma"])
+def test_sample_count_past_any_address_space_exits_with_one_error_line(command, capsys):
+    """10^17 samples ask numpy for EiB of draws: the allocation fails at once,
+    touching no memory, and the command exits 1 with one error line, no traceback."""
+    assert run(command) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["potential", "--alpha", "2.5", "--nx", "4", "--nt", "4"],
                                      ["verify", "--samples", "100"]], ids=["potential", "verify"])
 @pytest.mark.parametrize("text, message", [

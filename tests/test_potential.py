@@ -11,11 +11,10 @@ from srlab.group import GroupPoint, MetivierStructure, uniform_ball
 from srlab.norms import norm_xt, quasi_distance_xt, weight_xt
 from srlab.potential import (admissibility, check_sandwich,
                              constants_from_condition, cylinder_sup_potential,
-                             grad_kaplan_xt,
-                             grad_norm_sq_xt, grad_weight_xt,
+                             grad_norm_sq_xt,
                              laplacian_weight_xt, potential_bounds,
                              potential_closed_form_xt, potential_value_xt,
-                             sandwich_bounds_xt, sandwich_floor,
+                             sandwich_floor,
                              sub_laplacian_norm_xt)
 
 from srlab.sublevel import SublevelSpec, cylinder_radius, in_sublevel_xt
@@ -25,10 +24,8 @@ from conftest import count_calls, quaternion_maps, random_points, skew_structure
 
 # every public batch entry point that takes a structure, as (s, x, t) -> value
 _STRUCTURE_ENTRY_POINTS = {
-    "grad_kaplan_xt": grad_kaplan_xt,
     "grad_norm_sq_xt": grad_norm_sq_xt,
     "sub_laplacian_norm_xt": sub_laplacian_norm_xt,
-    "grad_weight_xt": lambda s, x, t: grad_weight_xt(2.0, s, x, t),
     "laplacian_weight_xt": lambda s, x, t: laplacian_weight_xt(2.0, s, x, t),
     "potential_value_xt": lambda s, x, t: potential_value_xt(2.0, s, x, t),
     "potential_closed_form_xt": lambda s, x, t: potential_closed_form_xt(2.0, s, x, t),
@@ -37,8 +34,6 @@ _STRUCTURE_ENTRY_POINTS = {
     "in_sublevel_xt": lambda s, x, t: in_sublevel_xt(SublevelSpec(3.0, 0.0), s, x, t),
     "horizontal_gradient": lambda s, x, t: horizontal_gradient(s, SmoothBump(1.0, 1.0), x, t),
     "sub_laplacian_apply": lambda s, x, t: sub_laplacian_apply(s, SmoothBump(1.0, 1.0), x, t),
-    "sandwich_bounds_xt": lambda s, x, t: sandwich_bounds_xt(
-        potential_bounds(3.0, s), s, x, t),
 }
 
 
@@ -76,7 +71,7 @@ def test_grad_norm_sq_range(heis, aniso):
 def test_grad_kaplan_matches_grad_norm_sq(heis, aniso):
     for s in (heis, aniso):
         x, t = random_points(s, 500, seed=1)
-        g = grad_kaplan_xt(s, x, t)
+        g = potential._grad_kaplan(potential._norm_jet(s, x, t))
         assert np.max(np.abs(np.einsum("si,si->s", g, g)
                              - grad_norm_sq_xt(s, x, t))) <= 1e-13
 
@@ -122,20 +117,6 @@ def test_fd_oracles_heisenberg(heis):
         assert e1 / e2 == pytest.approx(4.0, abs=0.5)
 
 
-def test_grad_weight_examples(heis):
-    g = grad_weight_xt(2.0, heis, [1, 0], [0])
-    assert abs(np.linalg.norm(g) - 2.0 * math.exp(-1.0)) <= 1e-15
-    g0 = grad_weight_xt(2.0, heis, [0, 0], [1.0])
-    assert np.all(g0 == 0.0)
-    x, t = random_points(heis, 200, seed=4)
-    alpha = 1.7
-    mag = np.linalg.norm(grad_weight_xt(alpha, heis, x, t), axis=1)
-    n = norm_xt(x, t)
-    expected = alpha * weight_xt(alpha, x, t) * n ** (alpha - 1) * np.sqrt(
-        grad_norm_sq_xt(heis, x, t))
-    assert np.max(np.abs(mag - expected)) <= 1e-14
-
-
 def test_laplacian_weight_value_and_fd(heis):
     """L w_2 at ((1,0),0) is +4/e; pinned by the finite-difference oracle."""
     p = GroupPoint([1.0, 0.0], [0.0])
@@ -149,14 +130,13 @@ def test_laplacian_weight_value_and_fd(heis):
 
 def test_weight_kernels_read_zero_where_the_weight_underflows(heis):
     """At alpha = 300, N^alpha overflows at |x| = 30 and 3 and w_alpha underflows:
-    grad_H w and L w read 0 there, with no RuntimeWarning (the suite turns one
-    into an error), and a point inside the unit ball keeps its one-point value.
+    L w reads 0 there, with no RuntimeWarning (the suite turns one into an
+    error), and a point inside the unit ball keeps its one-point value.
     An L w bracket that overflows where w_alpha does not is refused, naming alpha."""
     x, t = np.array([[30.0, 0.0], [3.0, 0.0], [0.5, 0.2]]), np.array([[0.0], [0.0], [0.1]])
-    lap, grad = laplacian_weight_xt(300.0, heis, x, t), grad_weight_xt(300.0, heis, x, t)
-    assert np.array_equal(lap[:2], [0.0, 0.0]) and np.array_equal(grad[:2], np.zeros((2, 2)))
+    lap = laplacian_weight_xt(300.0, heis, x, t)
+    assert np.array_equal(lap[:2], [0.0, 0.0])
     assert lap[2] == laplacian_weight_xt(300.0, heis, x[2:], t[2:])[0] and lap[2] != 0.0
-    assert np.array_equal(grad[2], grad_weight_xt(300.0, heis, x[2:], t[2:])[0])
     with pytest.raises(ValueError, match=r"alpha = 1e\+300 overflows L w_alpha"):
         laplacian_weight_xt(1e300, heis, [[1.0, 0.0]], [[0.0]])
 
@@ -177,15 +157,15 @@ def test_laplacian_weight_fd_random(heis):
 
 
 def test_potential_consistency_with_weight_derivatives(heis, aniso):
-    """V = -(1/4)|grad w|^2/w^2 - (1/2) Lw/w pointwise."""
-    from srlab.potential import grad_weight_xt, laplacian_weight_xt
+    """V = -(1/4)|grad w|^2/w^2 - (1/2) Lw/w pointwise, with
+    |grad_H w|^2 / w^2 = (alpha N^{alpha-1})^2 |grad_H N|^2."""
     for s in (heis, aniso):
         x, t = random_points(s, 400, seed=6)
         alpha = 2.4
         w = weight_xt(alpha, x, t)
-        gw = grad_weight_xt(alpha, s, x, t)
+        grad_sq = (alpha * norm_xt(x, t) ** (alpha - 1.0)) ** 2 * grad_norm_sq_xt(s, x, t)
         lw = laplacian_weight_xt(alpha, s, x, t)
-        direct = (-0.25 * np.einsum("si,si->s", gw, gw) / w ** 2 - 0.5 * lw / w)
+        direct = -0.25 * grad_sq - 0.5 * lw / w
         assert np.max(np.abs(direct - potential_value_xt(alpha, s, x, t))) <= 1e-12
 
 
@@ -300,7 +280,7 @@ def test_sandwich_aniso_strict(aniso):
     rep = check_sandwich(2.5, aniso, (x, t))
     assert rep.n_violations == 0
     v = potential_value_xt(2.5, aniso, x, t)
-    lo, hi = sandwich_bounds_xt(rep.constants, aniso, x, t)
+    lo, hi = potential._sandwich(rep.constants, np.einsum("si,si->s", x, x), norm_xt(x, t))
     assert np.max(v - lo) > 1e-6 and np.max(hi - v) > 1e-6
 
 
@@ -309,7 +289,7 @@ def test_sandwich_x_zero_trivial(heis):
     x = np.zeros((7, 2))
     rep = check_sandwich(3.0, heis, (x, t))
     assert rep.n_violations == 0
-    lo, hi = sandwich_bounds_xt(rep.constants, heis, x, t)
+    lo, hi = potential._sandwich(rep.constants, np.einsum("si,si->s", x, x), norm_xt(x, t))
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
 
 
@@ -335,13 +315,6 @@ def test_check_sandwich_reports_violations(heis, monkeypatch):
     rep = check_sandwich(3.0, heis, (x, t))
     assert rep.n_violations == 10 and [v[0] for v in rep.violations] == list(range(10))
     assert rep.max_low_violation > 0.0 and rep.max_high_violation > 0.0
-
-
-def test_sandwich_bounds_refuse_other_structure(heis, quaternion):
-    """Constants for one homogeneous dimension are refused on another."""
-    c = potential_bounds(3.0, heis)
-    with pytest.raises(ValueError, match="Q = 4"):
-        sandwich_bounds_xt(c, quaternion, np.ones((2, 4)), np.ones((2, 3)))
 
 
 def test_sandwich_floor_values(heis):
@@ -597,8 +570,7 @@ def test_sandwich_random_one_dimensional_centre(s, alpha, seed):
 def test_kernels_reject_non_finite_alpha(heis):
     x, t = random_points(heis, 10, seed=12)
     for alpha in (math.nan, math.inf, -math.inf, 0.0, -1.0):
-        for kernel in (potential_value_xt, potential_closed_form_xt,
-                       grad_weight_xt, laplacian_weight_xt):
+        for kernel in (potential_value_xt, potential_closed_form_xt, laplacian_weight_xt):
             with pytest.raises(ValueError, match="alpha"):
                 kernel(alpha, heis, x, t)
         with pytest.raises(ValueError, match="alpha"):

@@ -563,11 +563,14 @@ def test_thinness_divergent_tail(heis):
 
 
 def test_threshold_law_classification(heis, aniso):
-    """Tail finite exactly when ell > m / (n (alpha - 2))."""
-    cases = [(heis, 3.0), (heis, 2.5), (heis, 4.0), (aniso, 3.0)]
+    """Tail finite exactly when ell > m / (n (alpha - 2)), and then so is its
+    bound, also one ulp above: at alpha = 2.14 the bound's decay rate,
+    computed apart from the threshold test, was not positive there and the bound read inf."""
+    cases = [(heis, 3.0), (heis, 2.5), (heis, 4.0), (heis, 2.14), (aniso, 3.0)]
     for s, alpha in cases:
         crit = s.m / (s.n * (alpha - 2.0))
-        for ell, expect in ((crit * 1.2, True), (crit * 0.8, False), (crit, False)):
+        for ell, expect in ((crit * 1.2, True), (crit * 0.8, False), (crit, False),
+                            (math.nextafter(crit, math.inf), True)):
             est = thinness_integral(SublevelSpec(alpha, 5.0), s, 1.0, ell,
                                     truncation_T=16.0, outer_samples=50,
                                     inner_samples=10, seed=0)
