@@ -17,8 +17,13 @@ error: the tensor midpoint rule is O(h^2) with positive weights.  A node sum
 runs over C-order blocks of at most `_BLOCK` nodes, x-rows times t-rows passed
 as broadcasting views: memory does not grow with the grid, and x-only and
 t-only factors are evaluated once per table row.  A bump or central translate
-sums only its x-ball's and t-ball's rows.  numpy sums each block pairwise and
-the partials in order, so every sum is bit-stable run to run.
+sums only its x-ball's and t-ball's rows, and of the x-rows only the first half
+of the x-table: (x, t) -> (-x, t) is an automorphism of the group (the twist
+(1/2)(J_k x, x') is bilinear), it fixes N, w_alpha and V_alpha and commutes with
+L, so each such integrand is even in x, and x-row i stands also for its mirror
+X-1-i, -x_i, counting twice; the row x = 0 of an odd x-table counts once.
+numpy sums each block pairwise and the partials in order, so every sum is
+bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -333,11 +338,14 @@ def _support_rows(grid: QuadratureGrid, *fs):
     """(x-table rows, t-table rows) within `_SUPPORT_SLACK` of the x-ball and the
     t-ball of some f, a superset of the supports, on which the profile's guard
     zeroes the rest; None (the whole box) unless every f is a `SmoothBump` or a
-    central translate, since other translates have sheared supports."""
+    central translate, since other translates have sheared supports.  The
+    x-rows are taken from the first half of the X-row x-table only: row X-1-i
+    is -x_i, and `_node_sum` counts row i for both."""
     if not all(isinstance(f, SmoothBump) or (isinstance(f, TranslatedBump)
                and not np.any(f.translation.x)) for f in fs):
         return None
     xs, ts = grid._tables()
+    xs = xs[:(len(xs) + 1) // 2]
     bumps = [(getattr(f, "bump", f), f.center(grid.s).t) for f in fs]
     in_x = [_dot(xs, xs) < b.x_radius ** 2 * _SUPPORT_SLACK for b, _ in bumps]
     in_t = [_dot(ts - tc, ts - tc) < b.t_radius ** 2 * _SUPPORT_SLACK for b, tc in bumps]
@@ -363,19 +371,27 @@ def _node_sum(grid: QuadratureGrid, term, rows=None):
     the product of the x- and t-tables or of their `rows`: views x (k, 1, 2n) of
     whole x-rows and t (1, c, m) of the t-table, or of one x-row and a t-chunk if
     the t-table alone exceeds `_BLOCK`, and the block's slice of the flat product.
-    An empty product is one empty block, so the sum keeps term's shape."""
+    Given `rows`, x-row i of the half-table stands also for its mirror X-1-i and
+    counts twice, save the row x = 0 of an odd table, which is its own mirror and
+    sits last in its own block.  An empty product is one empty block, so the sum
+    keeps term's shape."""
     xs, ts = grid._tables()
+    spans = [(len(xs), 1.0)]
     if rows is not None:
+        centre = int(len(rows[0]) > 0 and 2 * rows[0][-1] == len(xs) - 1)   # the row x = 0
         xs, ts = xs[rows[0]], ts[rows[1]]
+        spans = [(len(xs) - centre, 2.0), (len(xs), 1.0)]
     nt = len(ts)
     if not len(xs) * nt:
         return term(slice(0, 0), xs[:0, None], ts[None, :0])
-    step, total = max(_BLOCK // nt, 1), 0.0
-    for r in range(0, len(xs), step):
-        x = xs[r:r + step, None]
-        for c in range(0, nt, _BLOCK):
-            t, lo = ts[None, c:c + _BLOCK], r * nt + c
-            total = total + term(slice(lo, lo + x.shape[0] * t.shape[1]), x, t)
+    step, total, start = max(_BLOCK // nt, 1), 0.0, 0
+    for stop, weight in spans:
+        for r in range(start, stop, step):
+            x = xs[r:min(r + step, stop), None]
+            for c in range(0, nt, _BLOCK):
+                t, lo = ts[None, c:c + _BLOCK], r * nt + c
+                total = total + weight * term(slice(lo, lo + x.shape[0] * t.shape[1]), x, t)
+        start = stop
     return total
 
 
@@ -441,17 +457,19 @@ def _require_translate(n: int):
 
 def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
     """The support rows of psi, (psi, L psi) at their nodes, the squared norms
-    and the overlap check.  A grid whose two support arrays (16 bytes a node)
-    exceed physical memory is refused; when the whole box would not fit, the
+    and the overlap check.  The nodes are those of the x-table's first half, as
+    in `_support_rows`.  A grid whose two support arrays (16 bytes a node)
+    exceed physical memory is refused; when the half-box would not fit, the
     support is counted by factor, before any node table is formed."""
-    nodes, have = grid.dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    d, have = s.horizontal_dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    nodes = (grid.nx ** d + 1) // 2 * grid.nt ** s.m
     if 16 * nodes > have:
-        d = s.horizontal_dim
-        nodes = math.prod(_ball_count([grid.axis_nodes(a) for a in axes], r ** 2 * _SUPPORT_SLACK)
-                          for axes, r in ((range(d), psi.x_radius),
-                                          (range(d, d + s.m), psi.t_radius)))
+        x_count, t_count = (_ball_count([grid.axis_nodes(a) for a in axes], r ** 2 * _SUPPORT_SLACK)
+                            for axes, r in ((range(d), psi.x_radius),
+                                            (range(d, d + s.m), psi.t_radius)))
+        nodes = (x_count + 1) // 2 * t_count
     if 16 * nodes > have:
-        raise ValueError(f"a Weyl scan on {nodes} base nodes in the bump's support needs "
+        raise ValueError(f"a Weyl scan on {nodes} base nodes in the bump's half-support needs "
                          f"{16 * nodes} bytes for psi and L psi, more than the {have} bytes "
                          "of physical memory")
     _require_cover(grid, psi)

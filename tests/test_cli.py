@@ -94,8 +94,8 @@ def test_potential_points_non_finite(tmp_path, capsys, bad):
 
 
 def test_weyl_refuses_grid_beyond_physical_memory(tmp_path, capsys):
-    """--grid 64 on the quaternion structure puts 7.1e11 of its 64^7 base nodes in
-    the bump's support, 11 TB of psi and L psi: refused with exit 1 before any
+    """--grid 64 on the quaternion structure puts 3.6e11 of its 64^7 base nodes in
+    the bump's half-support, 5.7 TB of psi and L psi: refused with exit 1 before any
     sampling, and nothing on stdout."""
     sf = tmp_path / "quaternion.json"
     write_structure(sf, MetivierStructure(n=2, m=3, maps=quaternion_maps()))

@@ -3,17 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from srlab import forms, norms, potential, sublevel
+from srlab import cli, forms, norms, potential, sublevel
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
                          _overlap_norm_sq, _profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
-from srlab.group import GroupPoint, product
+from srlab.group import GroupPoint, MetivierStructure, _dot, product
 
 import oracles
-from conftest import count_calls, random_points
+from conftest import count_calls, quaternion_maps, random_points
 
 
 class CentralCoordinate:
@@ -500,19 +502,28 @@ def test_blocked_sums_match_unblocked_oracle(heis, quaternion):
 
 
 def test_support_blocks_tile_the_support_in_c_order(heis, quaternion):
-    """Over a bump's support rows each block is whole support x-rows times the
-    support t-rows, and broadcast the blocks concatenate to the whole grid's
-    nodes on those rows, in C order."""
+    """The support x-rows are those of the x-table's first half whose mirror
+    pairs make up the whole support's x-rows.  Over them each block is whole
+    support x-rows times the support t-rows, the row x = 0 of an odd x-table
+    (the 5^4 quaternion one) in a block of its own, and broadcast the blocks
+    concatenate to the whole grid's nodes on those rows, in C order."""
     for grid in (QuadratureGrid(heis, 1.0, 1.0, 30, 30), _quaternion_grid(quaternion)):
         rows = forms._support_rows(grid, SmoothBump(1.0, 1.0))
-        n_t = grid.nt ** grid.s.m
+        n_x, n_t = grid.nx ** grid.s.horizontal_dim, grid.nt ** grid.s.m
+        xs = oracles.meshgrid_nodes(grid)[0][::n_t]
+        support = np.flatnonzero(_dot(xs, xs) < forms._SUPPORT_SLACK)
+        assert np.array_equal(rows[0], support[2 * support < n_x])
+        assert np.array_equal(np.union1d(rows[0], n_x - 1 - rows[0]), support)
         flat = np.arange(grid.dim)
         keep = np.isin(flat // n_t, rows[0]) & np.isin(flat % n_t, rows[1])
         assert 0 < keep.sum() < grid.dim
         want = [c[keep] for c in oracles.meshgrid_nodes(grid)]
         blocks = _blocks(grid, rows)
         per_block = forms._BLOCK // len(rows[1]) * len(rows[1])
-        assert [b.start for b, _, _ in blocks] == list(range(0, keep.sum(), per_block))
+        assert (2 * rows[0][-1] == n_x - 1) == bool(grid.nx % 2)
+        paired = keep.sum() - (len(rows[1]) if grid.nx % 2 else 0)
+        starts = list(range(0, paired, per_block)) + ([paired] if paired < keep.sum() else [])
+        assert [b.start for b, _, _ in blocks] == starts
         _assert_blocks_tile(blocks, want, keep.sum())
 
 
@@ -523,9 +534,9 @@ def test_long_t_table_blocks_stay_bounded(heis):
     grid = QuadratureGrid(heis, 1.0, 1.0, 4, 16_390)
     bump = SmoothBump(1.0, 1.0)
     rows = forms._support_rows(grid, bump)
-    assert [len(r) for r in rows] == [12, 16_390]
+    assert [len(r) for r in rows] == [6, 16_390]   # 12 support x-rows, 6 of the half-table
     blocks = _blocks(grid, rows)
-    assert [(x.shape[0], t.shape[1]) for _, x, t in blocks] == [(1, forms._BLOCK), (1, 6)] * 12
+    assert [(x.shape[0], t.shape[1]) for _, x, t in blocks] == [(1, forms._BLOCK), (1, 6)] * 6
     flat = np.arange(grid.dim)
     keep = np.isin(flat // grid.nt, rows[0])
     _assert_blocks_tile(blocks, [c[keep] for c in oracles.meshgrid_nodes(grid)], keep.sum())
@@ -546,6 +557,74 @@ def test_grid_with_no_node_in_the_support(heis):
         assert conjugation_residual(3.0, heis, bump, grid) == 0.0
         rec = weyl_scan(1.5, heis, bump, [2, 4], grid).records[0]
         assert (rec.residual, rec.psi_norm, rec.overlap_check) == (0.0, 0.0, 0.0)
+
+
+def _congruent_quaternion(seed: int) -> MetivierStructure:
+    """J_k = A^T Q_k A for two quaternion units Q_k and a seeded random A:
+    J_t = A^T Q_t A is invertible for t != 0, so the structure is Metivier,
+    and it is not H-type."""
+    a = np.random.default_rng(seed).standard_normal((4, 4))
+    return MetivierStructure(n=2, m=2, maps=np.einsum("ji,kjl,lm->kim", a, quaternion_maps()[:2], a))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), alpha=st.floats(0.5, 5.0),
+       radii=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)))
+def test_mirror_in_x_is_an_automorphism_fixing_every_integrand(heis, aniso, quaternion, data,
+                                                               seed, alpha, radii):
+    """(x, t) -> (-x, t) maps the product of two points to the product of their
+    mirrors, and fixes N, V_alpha (by the jet, and by the closed form on H-type),
+    and psi and L psi of a bump; psi and the X_j f of a bump and of a central
+    translate are even and odd in x: the same doubles at x and -x, up to sign.
+    This is what lets every support-row quadrature sum one x-half twice."""
+    s = data.draw(st.sampled_from([heis, aniso, quaternion, _congruent_quaternion(41)]))
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(-2.0, 2.0, size=(2, 50, s.horizontal_dim))
+    t, u = rng.uniform(-2.0, 2.0, size=(2, 50, s.m))
+    px, pt = product(s, x, t, y, u)
+    mx, mt = product(s, -x, t, -y, u)
+    assert np.array_equal(mx, -px) and np.array_equal(mt, pt)
+    assert np.array_equal(norms.norm_xt(-x, t), norms.norm_xt(x, t))
+    kernels = [potential.potential_value_xt] + [potential.potential_closed_form_xt] * s.h_type
+    for kernel in kernels:
+        assert np.array_equal(kernel(alpha, s, -x, t), kernel(alpha, s, x, t))
+    bump = SmoothBump(*radii)   # points scaled into the box inside its support
+    x = x * (radii[0] / 2.0 / math.sqrt(s.horizontal_dim))
+    t = t * (radii[1] / 4.0 / math.sqrt(s.m))
+    for got, want in zip(bump._value_and_sub_laplacian(s, -x, t),
+                         bump._value_and_sub_laplacian(s, x, t), strict=True):
+        assert np.array_equal(got, want)
+    central = TranslatedBump(bump, s, GroupPoint(np.zeros(s.horizontal_dim), t[0]))
+    for f in (bump, central):
+        val, hg = forms._value_and_horizontal_gradient(s, f, x, t)
+        mval, mhg = forms._value_and_horizontal_gradient(s, f, -x, t)
+        assert np.any(val) and np.array_equal(mval, val) and np.array_equal(mhg, -hg)
+
+
+def test_odd_x_table_sums_its_centre_row_once(heis, quaternion):
+    """With an odd count per x-axis the x-table's middle row is x = 0, its own
+    mirror: it closes the half-table and counts once.  The sums on an odd
+    Heisenberg grid (375 support x-rows of the half-table, of 961) and an odd
+    quaternion grid (117, of 625) match the whole-grid oracles."""
+    bump = SmoothBump(1.0, 1.0)
+    for grid, half in ((QuadratureGrid(heis, 1.0, 1.0, 31, 30), 375),
+                       (QuadratureGrid(quaternion, 1.0, 1.0, 5, 6), 117)):
+        n_x = grid.nx ** grid.s.horizontal_dim
+        rows = forms._support_rows(grid, bump)
+        assert len(rows[0]) == half and rows[0][-1] == (n_x - 1) // 2
+        assert np.array_equal(grid._tables()[0][rows[0][-1]], np.zeros(grid.s.horizontal_dim))
+        _assert_sums_match_oracle(grid.s, bump, grid, [2, 5])
+
+
+def test_weyl_cli_refuses_an_odd_grid(tmp_path, capsys):
+    """`srlab weyl --grid g` takes g points on every axis, so an odd g puts a
+    base node on the identity: refused with exit 1 and one error line, before
+    any quadrature.  The x = 0 row is reached through the library alone."""
+    out = tmp_path / "weyl.csv"
+    assert cli.run(["weyl", "--alpha", "1.5", "--n-max", "4", "--grid", "5",
+                    "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.count("falls on the identity") == 1
 
 
 def _assert_sums_match_oracle(s, f, grid, n_values=()):
@@ -609,17 +688,19 @@ def _points_seen(monkeypatch, owner, name, arg):
     return seen
 
 
-@pytest.mark.parametrize("name, count, dim, support", [("heis", 48, 110_592, 86_592),
-                                                       ("quaternion", 8, 2_097_152, 367_360)])
+@pytest.mark.parametrize("name, count, dim, support", [("heis", 48, 110_592, 43_296),
+                                                       ("quaternion", 8, 2_097_152, 183_680)])
 def test_quadratures_evaluate_only_the_support(name, count, dim, support, request,
                                                monkeypatch):
-    """Counted in advance: the unit bump's support rows hold 86,592 of the
-    48^3 Heisenberg nodes (1,804 x-rows of 2,304, all 48 t-rows) and 367,360
-    of the 8^7 quaternion nodes (1,312 of 4,096 and 280 of 512).  The base's
-    psi and L psi, one riding pass's closed-form V_alpha and the conjugation
-    residual's norm jet each see exactly those points.  The bump's profiles
-    see x-rows and t-rows, not nodes: the x-profile runs once per support x-row
-    for psi, and once more for each of the two translates of the overlap check."""
+    """Counted in advance: the unit bump's support rows on the x-table's first
+    half hold 43,296 of the 48^3 Heisenberg nodes (902 of the 1,804 support
+    x-rows of 2,304, all 48 t-rows) and 183,680 of the 8^7 quaternion nodes
+    (656 of the 1,312 support x-rows of 4,096, and 280 t-rows of 512).  The
+    base's psi and L psi, one riding pass's closed-form V_alpha and the
+    conjugation residual's norm jet each see exactly those points.  The bump's
+    profiles see x-rows and t-rows, not nodes: the x-profile runs once per
+    support x-row for psi, and once more for each of the two translates of the
+    overlap check."""
     s = request.getfixturevalue(name)
     grid = QuadratureGrid(s, 1.0, 1.0, count, count)
     bump = SmoothBump(1.0, 1.0)
@@ -670,7 +751,7 @@ def _traced_peak(fn, *args):
 
 @pytest.mark.parametrize("count", [64, 600])
 def test_weyl_refuses_base_arrays_beyond_physical_memory(quaternion, count):
-    """psi and L psi on the 7.1e11 support nodes of 64^7 need 11 TB; both entry
+    """psi and L psi on the 3.6e11 half-support nodes of 64^7 need 5.7 TB; both entry
     points refuse the grid before sampling or allocating, having counted the
     support by factor without a node table.  QuadratureGrid builds no nodes.  The
     node count of 600^7 exceeds int64, where a numpy product would wrap negative."""
