@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .group import _BLOCK, GroupPoint, MetivierStructure, _dot, _require_finite
+from .group import _BLOCK, GroupPoint, MetivierStructure, _dot, _finite_readonly, _require_finite
 from .norms import weight_xt
 from .potential import fit_loglog_slope  # noqa: F401  (re-exported: forms.fit_loglog_slope)
 from .potential import (_grad_kaplan, _norm_jet, _potential,
@@ -250,9 +250,9 @@ class QuadratureGrid:
 
     with `nx` points on each horizontal axis and `nt` on each central one.
     It carries both the midpoint quadrature rule here and the
-    finite-difference operator in `spectral` (as `Grid3`).  V_alpha has no
-    value at the identity, so a grid with the identity as a node is refused:
-    every axis has a node at 0, to within 1e-9 of its spacing.
+    finite-difference operator in `spectral` (as `Grid3`).  The counts are
+    integers, `center_t` a finite vector of shape (m,).  A node may fall on
+    the identity; the readers of V_alpha, which has no value there, refuse it.
     """
 
     s: MetivierStructure
@@ -263,16 +263,16 @@ class QuadratureGrid:
     center_t: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.nx < 3 or self.nt < 3:
-            raise ValueError("need at least 3 points per axis")
+        for name, count in (("nx", self.nx), ("nt", self.nt)):
+            if not isinstance(count, (int, np.integer)) or count < 3:
+                raise ValueError(f"{name} must be an integer of at least 3 points, got {count!r}")
         _require_finite("x_half", self.x_half, positive=True)
         _require_finite("t_half", self.t_half, positive=True)
-        ct = np.zeros(self.s.m) if self.center_t is None else np.asarray(self.center_t, float)
+        ct = _finite_readonly("center_t",
+                              np.zeros(self.s.m) if self.center_t is None else self.center_t)
+        if ct.shape != (self.s.m,):
+            raise ValueError(f"center_t must have shape ({self.s.m},), got {ct.shape}")
         object.__setattr__(self, "center_t", ct)
-        h = (self.hx,) * self.s.horizontal_dim + (self.ht,) * self.s.m
-        if all(np.abs(self.axis_nodes(a)).min() <= 1e-9 * h[a] for a in range(len(h))):
-            raise ValueError("a grid node falls on the identity, where V_alpha has no "
-                             "value; shift the box or use an even count on some axis")
 
     @property
     def hx(self) -> float:
@@ -296,9 +296,11 @@ class QuadratureGrid:
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         d = self.s.horizontal_dim
-        if axis < d:
-            return -self.x_half + (np.arange(self.nx) + 0.5) * self.hx
-        return -self.t_half + (np.arange(self.nt) + 0.5) * self.ht + self.center_t[axis - d]
+        half, h, c = ((self.x_half, self.hx, 0.0) if axis < d
+                      else (self.t_half, self.ht, self.center_t[axis - d]))
+        nodes = -half + (np.arange(self.shape[axis]) + 0.5) * h + c
+        nodes[np.abs(nodes) <= 1e-9 * h] = 0.0   # 0 up to rounding: the identity is a node
+        return nodes
 
     def _tables(self):
         """The x-table (the nodes of the first 2n axes) and the t-table (of the
@@ -455,19 +457,17 @@ def _require_translate(n: int):
         raise ValueError("residual experiment requires n >= 2 (support inside the cylinder)")
 
 
-def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGrid):
+def _weyl_base(s: MetivierStructure, psi: SmoothBump, grid: QuadratureGrid):
     """The support rows of psi, (psi, L psi) at their nodes, the squared norms
     and the overlap check.  The nodes are those of the x-table's first half, as
     in `_support_rows`.  A grid whose two support arrays (16 bytes a node)
-    exceed physical memory is refused; when the half-box would not fit, the
-    support is counted by factor, before any node table is formed."""
+    exceed physical memory is refused, the support counted by factor before
+    any node table is formed."""
     d, have = s.horizontal_dim, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    nodes = (grid.nx ** d + 1) // 2 * grid.nt ** s.m
-    if 16 * nodes > have:
-        x_count, t_count = (_ball_count([grid.axis_nodes(a) for a in axes], r ** 2 * _SUPPORT_SLACK)
-                            for axes, r in ((range(d), psi.x_radius),
-                                            (range(d, d + s.m), psi.t_radius)))
-        nodes = (x_count + 1) // 2 * t_count
+    x_count, t_count = (_ball_count([grid.axis_nodes(a) for a in axes], r ** 2 * _SUPPORT_SLACK)
+                        for axes, r in ((range(d), psi.x_radius),
+                                        (range(d, d + s.m), psi.t_radius)))
+    nodes = (x_count + 1) // 2 * t_count
     if 16 * nodes > have:
         raise ValueError(f"a Weyl scan on {nodes} base nodes in the bump's half-support needs "
                          f"{16 * nodes} bytes for psi and L psi, more than the {have} bytes "
@@ -480,7 +480,7 @@ def _weyl_base(s: MetivierStructure, psi: SmoothBump, n: int, grid: QuadratureGr
         val[b], lpsi[b] = (a.ravel() for a in psi._value_and_sub_laplacian(s, x, t))
         return np.array([np.sum(val[b] * val[b]), np.sum(lpsi[b] * lpsi[b])])
     norms_sq = _node_sum(grid, fill, rows) * grid.cell_volume
-    return rows, val, lpsi, norms_sq, _overlap_norm_sq(s, psi, n, grid)
+    return rows, val, lpsi, norms_sq, _overlap_norm_sq(s, psi, grid)
 
 
 def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
@@ -494,16 +494,16 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
     support rows, and only V_alpha is evaluated at the riding nodes: on an
     H-type structure by the closed form `potential_closed_form_xt` from |x|^2
     and N, which criterion 3 binds to the norm jet within 1e-12, and otherwise
-    by the jet, `potential_value_xt`.  The overlap check is `_overlap_norm_sq`,
-    which for the same reason does not depend on n.  `weyl_scan` passes them
-    through `_base`.  The index, lam and alpha are checked before the base is
-    built.
+    by the jet, `potential_value_xt`; both refuse a riding node on the identity.
+    The overlap check `_overlap_norm_sq` is likewise one number for every n.
+    `weyl_scan` passes them through `_base`.  The index, lam and alpha are
+    checked before the base is built.
     """
     _require_translate(n)
     _require_finite("lam", lam)
     _require_finite("alpha", alpha, positive=True)
-    rows, val, lpsi, norms_sq, overlap = _weyl_base(s, psi, n, grid) if _base is None else _base
-    moved = grid.translated(n * np.eye(s.m)[0])   # refuses a node on the identity
+    rows, val, lpsi, norms_sq, overlap = _weyl_base(s, psi, grid) if _base is None else _base
+    moved = grid.translated(n * np.eye(s.m)[0])
     v_alpha = potential_closed_form_xt if s.h_type else potential_value_xt
     # in units of a power of two at most |lam|, so no square overflows; the scaling
     # is exact, so residuals that were finite keep their bits
@@ -518,16 +518,15 @@ def weyl_residual(alpha: float, s: MetivierStructure, psi: SmoothBump, n: int,
                       overlap_check=float(overlap), lam=lam)
 
 
-def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, n: int,
-                     grid: QuadratureGrid) -> float:
-    """||psi_n - psi_m||_2^2 on one grid covering both supports, for
+def _overlap_norm_sq(s: MetivierStructure, psi: SmoothBump, grid: QuadratureGrid) -> float:
+    """||psi_n - psi_m||_2^2 on one grid covering both supports, for n = 2 and
     m = n + max(2, ceil(2 t_radius)), which makes the supports disjoint.
 
-    The common grid keeps the base spacing; for integer shifts and even axis
-    counts its nodes around each translate coincide exactly with the base
+    The common grid keeps the base spacing; where the shift m - n is a whole
+    number of t-steps, its nodes around each translate coincide with the base
     grid's nodes around the identity.
     """
-    m = n + max(2, int(math.ceil(2.0 * psi.t_radius)))
+    n, m = 2, 2 + max(2, int(math.ceil(2.0 * psi.t_radius)))
     lo, hi = float(n) - grid.t_half, float(m) + grid.t_half
     span = hi - lo
     count = int(round(span / grid.ht))
@@ -578,7 +577,7 @@ def weyl_scan(alpha: float, s: MetivierStructure, psi: SmoothBump,
     _require_finite("alpha", alpha, positive=True)
     if lam is not None:
         _require_finite("lam", lam)
-    base = _weyl_base(s, psi, n_values[0], grid)
+    base = _weyl_base(s, psi, grid)
     sup_c = cylinder_sup_potential(alpha, s)
     if lam is None:
         lam = 1.0 + (max(0.0, -sandwich_floor(potential_bounds(alpha, s)))

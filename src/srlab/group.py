@@ -279,9 +279,8 @@ def verify_metivier(s: MetivierStructure, samples: int, seed: int = 0) -> Condit
     t = raw[:, s.horizontal_dim:]
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     t /= np.linalg.norm(t, axis=1, keepdims=True)
-    jk_x = np.einsum("kij,sj->ski", s.maps, x)
-    jt_x = np.einsum("sk,ski->si", t, jk_x)
-    sq = np.einsum("si,si->s", jt_x, jt_x)
+    jt_x = _dot(np.swapaxes(s.apply_maps(x), -1, -2), t[..., None, :])
+    sq = _dot(jt_x, jt_x)
     return ConditionEstimate(c0=float(sq.min()), C0=float(sq.max()),
                              sample_count=samples, seed=seed)
 

@@ -216,18 +216,23 @@ def unblocked_conjugation_residual(alpha, s, f, grid):
 
 def unblocked_weyl_records(alpha, s, psi, n_values, grid, lam):
     """(n, residual, psi_norm, overlap_check) per translate of `forms.weyl_scan`,
-    each from one sum over all nodes.  The overlap grid is built as in
-    `forms._overlap_norm_sq`: base spacing, t-axis 0 from n - t_half to
-    m + t_half with m = n + max(2, ceil(2 t_radius))."""
+    each from one sum over all nodes.  V_alpha is read where psi_n is not 0, so
+    a riding node on the identity off the support is not refused.  The overlap
+    grid is built as in `forms._overlap_norm_sq`, but at each n rather than at
+    n = 2 alone: base spacing, t-axis 0 from n - t_half to m + t_half with
+    m = n + max(2, ceil(2 t_radius))."""
     from srlab.forms import weyl_sequence
 
     x, t = meshgrid_nodes(grid)
     val, lpsi = psi.value(x, t), sub_laplacian_apply(s, psi, x, t)
     psi_norm = math.sqrt(float(np.sum(val * val)) * grid.cell_volume)
+    live = val != 0.0
     records = []
     for n in n_values:
         e1 = np.eye(s.m)[0]
-        v = potential_value_xt(alpha, s, *meshgrid_nodes(grid.translated(n * e1)))
+        xm, tm = meshgrid_nodes(grid.translated(n * e1))
+        v = np.zeros_like(val)
+        v[live] = potential_value_xt(alpha, s, xm[live], tm[live])
         residual = math.sqrt(float(np.sum((lam * val + lpsi + v * val) ** 2)) * grid.cell_volume)
         m = n + max(2, math.ceil(2.0 * psi.t_radius))
         lo, hi = n - grid.t_half, m + grid.t_half

@@ -499,6 +499,21 @@ def test_spectrum_refuses_grid_steps_overflowing_the_operator(step, capsys):
     assert err.startswith("error: an operator entry overflows at hx = ") and ", ht = " in err
 
 
+@pytest.mark.parametrize("count", ["5", "49"])
+@pytest.mark.parametrize("command", [["potential", "--alpha", "2.5"],
+                                     ["spectrum", "--alpha", "3", "--k", "2"]])
+def test_grid_node_on_the_identity_refused_where_v_alpha_is_read(command, count, capsys):
+    """An odd count on every axis of a centred box puts a node on the identity:
+    the grid holds it, and the V_alpha of the potential table and of the
+    operator refuses it with one error line naming the identity.  With half-width
+    1 and 49 points the midpoint formula gives the centre node as -1.1e-16; it
+    is the identity all the same."""
+    assert run(command + ["--lx", "1", "--lt", "1", "--nx", count, "--nt", count]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: formula undefined at the group identity (N = 0)\n"
+
+
 def test_spectrum_names_alpha_overflowing_the_potential(capsys):
     """Where N^alpha passes the double range at a grid node: one error line
     naming alpha, and no RuntimeWarning on stderr."""

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from srlab import cli, forms, norms, potential, sublevel
 from srlab.forms import (QuadratureGrid, SmoothBump, TranslatedBump,
-                         _overlap_norm_sq, _profile, conjugation_residual, dirichlet_form,
+                         _profile, conjugation_residual, dirichlet_form,
                          fit_loglog_slope, horizontal_gradient,
                          sub_laplacian_apply, weyl_residual, weyl_scan,
                          weyl_sequence)
 from srlab.group import GroupPoint, MetivierStructure, _dot, product
+from srlab.spectral import assemble_operator
 
 import oracles
 from conftest import count_calls, quaternion_maps, random_points
@@ -351,10 +352,18 @@ def test_weyl_residual_record(heis):
     assert rec.overlap_check == pytest.approx(2.0 * rec.psi_norm ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         weyl_residual(2.0, heis, bump, 1, 5.0, grid)
-    # x nodes at 0 and a t node at -2: the translate by 2 has the identity as a node
-    off = QuadratureGrid(heis, 1.0, 3.0, 5, 8, center_t=[0.625])
+    # a t-radius past the index: the base node (0, -2) lies in the support, so the
+    # translate by 2 has the identity in its riding support, where V_alpha is refused
     with pytest.raises(ValueError, match="identity"):
-        weyl_residual(2.0, heis, bump, 2, 5.0, off)
+        weyl_residual(2.0, heis, SmoothBump(1.0, 2.5), 2, 5.0,
+                      QuadratureGrid(heis, 1.0, 2.5, 5, 5))
+    # x nodes at 0 and a t node at -2 outside the support: the riding grid has the
+    # identity as a node, but V_alpha is not read there
+    off = QuadratureGrid(heis, 1.0, 3.0, 5, 8, center_t=[0.625])
+    rec = weyl_residual(2.0, heis, bump, 2, 5.0, off)
+    (want,) = oracles.unblocked_weyl_records(2.0, heis, bump, [2], off, 5.0)
+    assert (rec.n_index, rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
+        want, rel=1e-12, abs=0.0)
 
 
 def test_weyl_scan_evaluates_bump_once(heis, monkeypatch):
@@ -376,20 +385,14 @@ def test_weyl_scan_evaluates_bump_once(heis, monkeypatch):
 
 
 def test_weyl_residual_alone_matches_scan(heis):
-    """A lone residual takes the scan's path: same bits, and psi_n's norm is psi's.
-
-    The overlap check is computed at each call's own n, so it is compared in
-    full only for the first translate, where the scan computes it too.
-    """
+    """A lone residual takes the scan's path: the same record, bit for bit, at
+    every translate, and psi_n's norm is psi's."""
     bump = SmoothBump(1.0, 1.0)
     grid = QuadratureGrid(heis, 1.0, 1.0, 24, 24)
     scan = weyl_scan(1.5, heis, bump, [2, 5, 17], grid)
     for rec in scan.records:
-        alone = weyl_residual(1.5, heis, bump, rec.n_index, scan.lam, grid)
-        assert (alone.residual, alone.psi_norm) == (rec.residual, rec.psi_norm)
+        assert weyl_residual(1.5, heis, bump, rec.n_index, scan.lam, grid) == rec
         assert rec.psi_norm == scan.psi_norm
-    first = scan.records[0]
-    assert weyl_residual(1.5, heis, bump, first.n_index, scan.lam, grid) == first
 
 
 def test_weyl_norms_left_invariant(heis):
@@ -616,15 +619,25 @@ def test_odd_x_table_sums_its_centre_row_once(heis, quaternion):
         _assert_sums_match_oracle(grid.s, bump, grid, [2, 5])
 
 
-def test_weyl_cli_refuses_an_odd_grid(tmp_path, capsys):
+def test_weyl_cli_runs_an_odd_grid(heis, tmp_path):
     """`srlab weyl --grid g` takes g points on every axis, so an odd g puts a
-    base node on the identity: refused with exit 1 and one error line, before
-    any quadrature.  The x = 0 row is reached through the library alone."""
-    out = tmp_path / "weyl.csv"
-    assert cli.run(["weyl", "--alpha", "1.5", "--n-max", "4", "--grid", "5",
-                    "--output", str(out)]) == 1
-    assert not out.exists()
-    assert capsys.readouterr().err.count("falls on the identity") == 1
+    base node on the identity, where the base reads only psi and L psi: the
+    scan runs through the x = 0 row, its records are `weyl_scan`'s on the same
+    grid, and they match the whole-grid oracle."""
+    bump, out = SmoothBump(1.0, 1.0), tmp_path / "weyl.csv"
+    for count in (5, 7):
+        assert cli.run(["weyl", "--alpha", "1.5", "--n-max", "8", "--grid", str(count),
+                        "--output", str(out)]) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        grid = QuadratureGrid(heis, 1.0, 1.0, count, count)
+        assert not np.any(grid._tables()[0][(count * count - 1) // 2])
+        scan = weyl_scan(1.5, heis, bump, [2, 4, 8], grid)
+        assert [tuple(map(float, line.split(","))) for line in lines[1:]] == [
+            (r.n_index, r.residual, scan.bound, r.psi_norm) for r in scan.records]
+        want = oracles.unblocked_weyl_records(1.5, heis, bump, [2, 4, 8], grid, scan.lam)
+        for rec, expected in zip(scan.records, want, strict=True):
+            assert (rec.n_index, rec.residual, rec.psi_norm, rec.overlap_check) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
 
 
 def _assert_sums_match_oracle(s, f, grid, n_values=()):
@@ -709,7 +722,7 @@ def test_quadratures_evaluate_only_the_support(name, count, dim, support, reques
     profiles, real_profile = [], forms._profile
     monkeypatch.setattr(forms, "_profile",
                         lambda sq, order: profiles.append(np.shape(sq)) or real_profile(sq, order))
-    base = forms._weyl_base(s, bump, 2, grid)
+    base = forms._weyl_base(s, bump, grid)
     assert all(len(shape) == 2 and 1 in shape for shape in profiles)
     assert sum(k for k, one in profiles if one == 1) == 3 * len(base[0][0])
     ride_seen = _points_seen(monkeypatch, forms, "potential_closed_form_xt", 2)
@@ -728,7 +741,7 @@ def test_weyl_riding_pass_takes_closed_form_on_h_type(name, request, monkeypatch
     s = request.getfixturevalue(name)
     grid = QuadratureGrid(s, 1.0, 1.0, 6, 6)
     bump = SmoothBump(1.0, 1.0)
-    base = forms._weyl_base(s, bump, 2, grid)
+    base = forms._weyl_base(s, bump, grid)
     jet_calls = count_calls(monkeypatch, "_norm_jet", potential, forms)
     value_calls = count_calls(monkeypatch, "potential_value_xt", forms)
     rec = weyl_residual(1.5, s, bump, 2, 1.0, grid, _base=base)
@@ -832,15 +845,38 @@ def test_quadrature_grid_validation(heis):
             QuadratureGrid(heis, 1.0, bad, 4, 4)
     with pytest.raises(ValueError, match="at least 3"):
         QuadratureGrid(heis, 1.0, 1.0, 1, 4)
+    # a node on the identity: the grid holds it, and the readers of V_alpha refuse
+    # it; the Dirichlet form reads only w_alpha there and matches its oracle
+    on, bump = QuadratureGrid(heis, 1, 1, 5, 5), SmoothBump(1.0, 1.0)
     with pytest.raises(ValueError, match="identity"):
-        QuadratureGrid(heis, 1, 1, 5, 5)
-    # off-centre, but every axis still has a node at 0
+        assemble_operator(3.0, heis, on)
     with pytest.raises(ValueError, match="identity"):
-        QuadratureGrid(heis, 1.0, 1.0, 5, 4, center_t=[0.25])
-    # the translates and the union grid of the Weyl experiment stay clear of it
-    base = QuadratureGrid(heis, 1.0, 1.0, 8, 8)
-    assert base.translated([2.0]).nodes()[1].min() > 0.0
-    _overlap_norm_sq(heis, SmoothBump(1.0, 1.0), 2, QuadratureGrid(heis, 1.0, 1.0, 7, 8))
+        conjugation_residual(3.0, heis, bump, on)
+    assert dirichlet_form(2.5, heis, bump, on) == pytest.approx(
+        oracles.unblocked_dirichlet_form(2.5, heis, bump, on), rel=1e-12, abs=0.0)
+    # the midpoint formula leaves some centre nodes at +-1e-16 (half-width 1, 49
+    # points) and some translates' nodes near 0: each is exactly 0, and refused
+    for half in (0.3, 1.0, 1.7, 2.5, 3.0):
+        for count in range(3, 60, 2):
+            g = QuadratureGrid(heis, half, half, count, count)
+            assert all(g.axis_nodes(a)[count // 2] == 0.0 for a in range(3))
+    base = QuadratureGrid(heis, 1.0, 2.3, 5, 23)   # its translate by 2 has a t node at 2e-16
+    assert 0.0 in base.translated([2.0]).axis_nodes(2)
+    with pytest.raises(ValueError, match="identity"):
+        weyl_residual(2.0, heis, SmoothBump(1.0, 2.3), 2, 5.0, base)
+    with pytest.raises(ValueError, match="identity"):
+        assemble_operator(3.0, heis, QuadratureGrid(heis, 1, 1, 49, 49))
+
+
+@pytest.mark.parametrize("field, bad", [("center_t", [0.0, 5.0]), ("center_t", 0.5),
+                                        ("center_t", [math.nan]), ("center_t", [math.inf]),
+                                        ("nx", 4.5), ("nt", 3.5)])
+def test_quadrature_grid_refuses_a_malformed_centre_or_count(heis, field, bad):
+    """A centre that is not a finite vector of shape (m,), or a count that is not
+    an integer, raises ValueError naming its field, before any node is built."""
+    args = {"s": heis, "x_half": 1.0, "t_half": 1.0, "nx": 4, "nt": 4, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        QuadratureGrid(**args)
 
 
 @pytest.mark.parametrize("name", ["heis", "quaternion"])

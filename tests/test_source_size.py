@@ -41,6 +41,6 @@ def test_package_public_symbols_within_budget():
 
 
 def test_package_lines_within_budget():
-    """`src/srlab` keeps at most 2,654 lines.  A change that must exceed the
+    """`src/srlab` keeps at most 2,625 lines.  A change that must exceed the
     budget raises it here and names the removal that pays the lines back."""
-    assert int(_package_total()[1]) <= 2654
+    assert int(_package_total()[1]) <= 2625

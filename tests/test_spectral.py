@@ -43,8 +43,11 @@ class GaussProbe:
 def test_grid_validation(heis):
     with pytest.raises(ValueError, match="at least 3"):
         Grid3(heis, 1.0, 1.0, 2, 5)
+    on = Grid3(heis, 1.0, 1.0, 5, 5)   # a node on the identity, refused where V_alpha is read
     with pytest.raises(ValueError, match="identity"):
-        Grid3(heis, 1.0, 1.0, 5, 5)
+        assemble_operator(3.0, heis, on)
+    with pytest.raises(ValueError, match="identity"):
+        forms.conjugation_residual(3.0, heis, SmoothBump(1.0, 1.0), on)
     g = Grid3(heis, 1.0, 2.0, 5, 6)
     assert g.hx == pytest.approx(0.4) and g.ht == pytest.approx(2.0 / 3.0)
     x, t = g.nodes()
